@@ -91,25 +91,12 @@ pub struct LayerStats {
     pub guard_evaluations: usize,
     /// Protocol entries added while inducing this layer.
     pub protocol_entries: usize,
-    /// World-range shards the evaluation kernels were planned to split
-    /// into for this layer (1 = sequential). Pure function of the solver's
-    /// thread/sharding configuration and the layer width (post-quotient
-    /// when the quotient engaged) — never of cache warmth — so it is
-    /// reproducible across runs with equal settings.
+    /// Always `1`: world-range kernel sharding is gone. Inert; kept only
+    /// while the `kbpbench` benchmark names it.
     pub shards: usize,
-    /// Worlds in the layer's bisimulation quotient when the engine's
-    /// quotient stage ran on this layer; `0` when it did not (gated off,
-    /// no epistemic guards, or the layer was served entirely from a
-    /// carried/restored cache). Diagnostic: like `shards`, it reflects
-    /// scheduling and cache warmth, never the solution.
-    pub quotient_worlds: usize,
-    /// Compression ratio of the quotient in per-mille (`quotient_worlds *
-    /// 1000 / points`, rounded down); `0` when the quotient did not run.
-    pub quotient_ratio: u32,
     /// Representatives resident in the layer when it was generated by the
     /// fused step+quotient path (`KBP_GEN_QUOTIENT_MIN_WORLDS`); `0` when
-    /// the layer was generated explicitly. Unlike `quotient_worlds` this
-    /// is a property of the layer itself, not of evaluation scheduling.
+    /// the layer was generated explicitly.
     pub gen_quotient_worlds: usize,
     /// Compression ratio of the generation quotient in per-mille
     /// (`gen_quotient_worlds * 1000 / points`, rounded down); `0` when
@@ -250,8 +237,6 @@ serde::impl_serde_struct!(LayerStats {
     guard_evaluations,
     protocol_entries,
     shards,
-    quotient_worlds,
-    quotient_ratio,
     gen_quotient_worlds,
     gen_quotient_ratio,
 });

@@ -334,7 +334,7 @@ struct Search<'a, 'b> {
     /// future-referring guards (branched over instead of evaluated).
     past_ids: Vec<Vec<Option<FormulaId>>>,
     /// Flattened, deduplicated past-determined guards: the root set for
-    /// the engine's (possibly sharded) per-layer cache fill.
+    /// the engine's per-layer cache fill.
     past_flat: Vec<FormulaId>,
     stats: SolveStats,
     found: Vec<Implementation>,

@@ -169,17 +169,11 @@ pub struct SolveStats {
     /// evaluated (warm artifact-cache hits; always `0` for solves without
     /// a session).
     pub layers_restored: usize,
-    /// Layers whose kernel plan split the world range into more than one
-    /// shard ([`LayerStats::shards`] > 1). Like `shards`, this is a pure
-    /// function of the thread/sharding configuration and layer widths, so
-    /// it is stable across cache states; it does vary with the configured
-    /// thread count and is therefore excluded from wire-level stats.
+    /// Always `0`: world-range kernel sharding is gone. Inert; kept only
+    /// while the `kbpbench` benchmark names it.
     pub layers_sharded: usize,
-    /// Layers whose evaluation ran on a strictly smaller bisimulation
-    /// quotient ([`LayerStats::quotient_worlds`] > 0 and < `points`).
-    /// Unlike `layers_sharded` this reflects cache warmth as well as
-    /// configuration: carried/restored layers skip the fill entirely and
-    /// never engage the quotient stage.
+    /// Always `0`: the evaluation-time quotient is gone. Inert; kept only
+    /// while the `kbpbench` benchmark names it.
     pub layers_quotiented: usize,
     /// Layers *generated* as strictly fewer bisimulation representatives
     /// than their explicit-equivalent width by the fused step+quotient
@@ -412,18 +406,6 @@ impl EngineSession {
         self.engine.set_threads(threads);
     }
 
-    /// Overrides the engine's intra-layer sharding gate for subsequent
-    /// solves (see [`SyncSolver::shard_min_worlds`]).
-    pub fn set_shard_min_worlds(&mut self, worlds: usize) {
-        self.engine.set_shard_min_worlds(worlds);
-    }
-
-    /// Overrides the engine's layer-quotient gate for subsequent solves
-    /// (see [`SyncSolver::quotient_min_worlds`]).
-    pub fn set_quotient_min_worlds(&mut self, worlds: usize) {
-        self.engine.set_quotient_min_worlds(worlds);
-    }
-
     /// Number of layers with a stored snapshot.
     #[must_use]
     pub fn snapshot_layers(&self) -> usize {
@@ -453,7 +435,7 @@ impl Default for EngineSession {
 
 // A session persists as its interned arena plus the per-layer snapshot
 // store — exactly the state that makes a warm solve skip work. Engine
-// runtime policy (thread count, sharding gate) is deliberately *not*
+// runtime policy (thread count) is deliberately *not*
 // persisted: a reloaded session adopts the current process
 // configuration, keeping "same env ⇒ same wire bytes" true across
 // restarts. Rebuilding the engine from the serialized arena keeps every
@@ -536,8 +518,6 @@ pub struct SyncSolver<'a> {
     node_limit: Option<usize>,
     budget: Budget,
     eval_threads: Option<usize>,
-    shard_min_worlds: Option<usize>,
-    quotient_min_worlds: Option<usize>,
     gen_quotient_min_worlds: Option<usize>,
     carry_forward: bool,
     carry_threshold: usize,
@@ -566,8 +546,6 @@ impl<'a> SyncSolver<'a> {
             node_limit: None,
             budget: Budget::default(),
             eval_threads: None,
-            shard_min_worlds: None,
-            quotient_min_worlds: None,
             gen_quotient_min_worlds: None,
             carry_forward: true,
             carry_threshold: DEFAULT_CARRY_THRESHOLD,
@@ -613,30 +591,19 @@ impl<'a> SyncSolver<'a> {
         self
     }
 
-    /// Sets the minimum layer width (worlds) before the evaluation
-    /// kernels split a single layer into world-range shards (default: the
-    /// `KBP_SHARD_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_SHARD_MIN_WORLDS`]). `0` shards every layer
-    /// wide enough to have more than one 64-world word; `usize::MAX`
-    /// disables intra-layer sharding. The solution is bit-identical for
-    /// every value — only [`LayerStats::shards`] and wall-clock change.
+    /// Ignores its argument: world-range kernel sharding is gone. Inert;
+    /// kept only while the `kbpbench` benchmark names it.
+    #[deprecated(note = "world-range kernel sharding was removed; this does nothing")]
     #[must_use]
-    pub fn shard_min_worlds(mut self, worlds: usize) -> Self {
-        self.shard_min_worlds = Some(worlds);
+    pub fn shard_min_worlds(self, _worlds: usize) -> Self {
         self
     }
 
-    /// Sets the minimum layer width (worlds) before the engine quotients a
-    /// layer by agent-indistinguishability bisimulation and evaluates
-    /// epistemic guards on the quotient (default: the
-    /// `KBP_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_QUOTIENT_MIN_WORLDS`]). `0` quotients every
-    /// layer with an epistemic guard; `usize::MAX` disables the stage. The
-    /// solution is bit-identical for every value — only
-    /// [`LayerStats::quotient_worlds`] and wall-clock change.
+    /// Ignores its argument: the evaluation-time quotient is gone. Inert;
+    /// kept only while the `kbpbench` benchmark names it.
+    #[deprecated(note = "the evaluation-time quotient was removed; this does nothing")]
     #[must_use]
-    pub fn quotient_min_worlds(mut self, worlds: usize) -> Self {
-        self.quotient_min_worlds = Some(worlds);
+    pub fn quotient_min_worlds(self, _worlds: usize) -> Self {
         self
     }
 
@@ -784,12 +751,6 @@ impl<'a> SyncSolver<'a> {
         if let Some(threads) = self.eval_threads {
             engine.set_threads(threads);
         }
-        if let Some(worlds) = self.shard_min_worlds {
-            engine.set_shard_min_worlds(worlds);
-        }
-        if let Some(worlds) = self.quotient_min_worlds {
-            engine.set_quotient_min_worlds(worlds);
-        }
         let guard_ids: Vec<Vec<FormulaId>> = self
             .kbp
             .programs()
@@ -802,7 +763,7 @@ impl<'a> SyncSolver<'a> {
             })
             .collect();
         stats.arenas = 1;
-        // Every distinct guard root, for the sharded batch fill.
+        // Every distinct guard root, for the batch fill.
         let flat_ids: Vec<FormulaId> = {
             let mut v: Vec<FormulaId> = guard_ids.iter().flatten().copied().collect();
             v.sort_unstable();
@@ -835,8 +796,8 @@ impl<'a> SyncSolver<'a> {
         for t in 0..=self.horizon {
             // `frontier` is the resident width (representatives on layers
             // from the fused generation path) and governs everything tied
-            // to the layer's S5 model: snapshot keying, carry thresholds,
-            // kernel shard plans. `frontier_explicit` is the
+            // to the layer's S5 model: snapshot keying and carry
+            // thresholds. `frontier_explicit` is the
             // explicit-equivalent width and governs everything with
             // *semantic* meaning: budgets and [`LayerStats::points`].
             let frontier = builder.current().len();
@@ -862,7 +823,7 @@ impl<'a> SyncSolver<'a> {
             // (taken by an earlier solve of the same context/program, and
             // keyed by the layer's world count as a cheap structural check)
             // already holds every root's satisfaction set — restore it and
-            // skip both the renaming and the sharded fill. The unrolling is
+            // skip both the renaming and the fill. The unrolling is
             // deterministic, so layer `t` is identical across solves.
             let restored = layer_store
                 .as_deref()
@@ -920,30 +881,6 @@ impl<'a> SyncSolver<'a> {
                     store[t] = Some((frontier, cache.snapshot()));
                 }
             }
-            // Record the kernel shard plan for the layer. The plan is a
-            // pure function of the configuration and the width the kernels
-            // actually ran at: the quotient width when the engine's
-            // quotient stage engaged on this fill, the frontier width
-            // otherwise (including restored/carried layers, which skip the
-            // fill and leave no quotient behind).
-            let quotient_worlds = cache.quotient_worlds();
-            let effective = if quotient_worlds > 0 {
-                quotient_worlds.min(frontier)
-            } else {
-                frontier
-            };
-            let shards = engine.kernel_shards(effective);
-            if shards > 1 {
-                stats.layers_sharded += 1;
-            }
-            if quotient_worlds > 0 && quotient_worlds < frontier {
-                stats.layers_quotiented += 1;
-            }
-            let quotient_ratio = if quotient_worlds > 0 && frontier > 0 {
-                u32::try_from(quotient_worlds.saturating_mul(1000) / frontier).unwrap_or(u32::MAX)
-            } else {
-                0
-            };
             // Generation-side observability: a layer built by the fused
             // step+quotient path reports its resident representative count
             // and the compression against its explicit-equivalent width.
@@ -966,9 +903,7 @@ impl<'a> SyncSolver<'a> {
                 points: frontier_explicit,
                 guard_evaluations: stats.guard_evaluations - evals_before,
                 protocol_entries: stats.protocol_entries - entries_before,
-                shards,
-                quotient_worlds,
-                quotient_ratio,
+                shards: 1,
                 gen_quotient_worlds,
                 gen_quotient_ratio,
             });
@@ -1020,18 +955,13 @@ impl<'a> SyncSolver<'a> {
         let model = layer.model();
         let mut choices = StepChoices::new();
 
-        // One sharded fill per layer covers all programs: a subformula
-        // used by several agents' guards is evaluated once, and
-        // independent guards run on separate workers. A carried-forward
-        // cache already holds every root, making this a no-op. A layer
-        // generated by the fused step+quotient path arrives pre-reduced —
-        // its worlds already are bisimulation classes — so the engine's
-        // own re-quotient stage is skipped for it.
-        if layer.is_reduced() {
-            engine.populate_prereduced(model, cache, flat_ids)?;
-        } else {
-            engine.populate(model, cache, flat_ids)?;
-        }
+        // One fill per layer covers all programs: a subformula used by
+        // several agents' guards is evaluated once, and independent guards
+        // run on separate workers. A carried-forward cache already holds
+        // every root, making this a no-op. The layer may be explicit or
+        // generated reduced by the fused step+quotient path; either way
+        // its S5 model is evaluated as it stands.
+        engine.populate(model, cache, flat_ids)?;
         for (program, ids) in self.kbp.programs().iter().zip(guard_ids) {
             let agent = program.agent();
             let guard_sets: Vec<&BitSet> = ids.iter().filter_map(|&id| cache.get(id)).collect();

@@ -5,9 +5,9 @@
 //! (S5 partitions make the usual back-and-forth conditions symmetric).
 //! Quotienting by bisimilarity yields the smallest model satisfying
 //! exactly the same formulas at corresponding worlds — useful to keep
-//! iterated announcement/update pipelines from blowing up, and the
-//! engine's quotient-first evaluation stage (DESIGN.md §15) relies on it
-//! to evaluate epistemic guards on the reduced model.
+//! iterated announcement/update pipelines from blowing up, and
+//! quotient-first generation (DESIGN.md §17) relies on it to unroll a
+//! system on class representatives.
 //!
 //! The refinement kernel here is *exact* hash-signature partition
 //! refinement: colours are folded through an open-addressing
@@ -248,11 +248,11 @@ impl S5Model {
         Ok(refine_bisim(self, props, seeds, splits, &all))
     }
 
-    /// Builds the quotient model induced by a partition of this model's
-    /// worlds into bisimilarity classes (block representatives carry the
-    /// valuation; two classes are agent-linked iff some members are
-    /// linked, closed transitively per explicit cell in near-linear time).
-    pub(crate) fn quotient_model(&self, classes: &Partition) -> S5Model {
+    /// Packages a class partition as a [`Quotient`]: the quotient model
+    /// (block representatives carry the valuation; two classes are
+    /// agent-linked iff some members are linked, closed transitively per
+    /// explicit cell in near-linear time) plus the world projection.
+    pub(crate) fn quotient_from(&self, classes: &Partition) -> Quotient {
         let n_new = classes.block_count();
         let valuation = (0..self.prop_count())
             .map(|p| {
@@ -277,12 +277,7 @@ impl S5Model {
                 uf.into_partition()
             })
             .collect();
-        S5Model::from_parts(self.prop_count(), valuation, partitions, n_new)
-    }
-
-    /// Packages a class partition as a [`Quotient`] (model + projection).
-    pub(crate) fn quotient_from(&self, classes: &Partition) -> Quotient {
-        let model = self.quotient_model(classes);
+        let model = S5Model::from_parts(self.prop_count(), valuation, partitions, n_new);
         let class_of = (0..self.world_count())
             .map(|w| WorldId::new(classes.block_of(w)))
             .collect();

@@ -60,19 +60,6 @@ impl BitSet {
         s
     }
 
-    /// Builds a set directly from packed words (len-trimmed), for kernels
-    /// that assemble their result word-by-word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != len.div_ceil(64)`.
-    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
-        assert_eq!(words.len(), len.div_ceil(64), "word count mismatch");
-        let mut s = BitSet { words, len };
-        s.trim();
-        s
-    }
-
     fn trim(&mut self) {
         let extra = self.words.len() * 64 - self.len;
         if extra > 0 {

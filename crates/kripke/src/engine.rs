@@ -29,40 +29,14 @@
 use crate::bitset::BitSet;
 use crate::eval::{EvalCache, EvalError};
 use crate::model::S5Model;
-use crate::partition::{Partition, UnionFind};
-use kbp_logic::{AgentSet, Formula, FormulaArena, FormulaId, InternedNode, PropId};
-use std::collections::{HashMap, HashSet};
+use kbp_logic::{AgentSet, Formula, FormulaArena, FormulaId, InternedNode};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::thread;
 
 /// Environment variable overriding the engine's worker-thread count.
 pub const THREADS_ENV: &str = "KBP_EVAL_THREADS";
-
-/// Environment variable overriding the intra-layer sharding gate: layers
-/// with at least this many worlds use the range-sharded kernels (when
-/// `threads > 1`). `0` means "shard every layer wide enough to split";
-/// a huge value disables intra-layer sharding entirely.
-pub const SHARD_MIN_WORLDS_ENV: &str = "KBP_SHARD_MIN_WORLDS";
-
-/// Default intra-layer sharding gate. High enough that small layers —
-/// and everything below the solver's carry threshold — stay on the
-/// sequential kernels, whose fixed cost (no thread spawns) wins there.
-pub const DEFAULT_SHARD_MIN_WORLDS: usize = 4096;
-
-/// Environment variable overriding the quotient gate: layers with at
-/// least this many worlds are first reduced by agent-indistinguishability
-/// bisimulation, epistemic sat-sets are computed on the quotient, and the
-/// results are expanded back through the class projection (DESIGN.md
-/// §15). `0` means "quotient every layer"; a huge value disables the
-/// stage entirely.
-pub const QUOTIENT_MIN_WORLDS_ENV: &str = "KBP_QUOTIENT_MIN_WORLDS";
-
-/// Default quotient gate. Mirrors [`DEFAULT_SHARD_MIN_WORLDS`]: small
-/// layers evaluate explicitly (the bisimulation pass costs more than it
-/// saves there), wide layers go through the quotient — results are
-/// bit-identical either way.
-pub const DEFAULT_QUOTIENT_MIN_WORLDS: usize = 4096;
 
 /// Environment variable overriding the *generation* quotient gate:
 /// frontiers with at least this many points are folded to bisimulation
@@ -74,8 +48,7 @@ pub const DEFAULT_QUOTIENT_MIN_WORLDS: usize = 4096;
 /// one parser and one error type.
 pub const GEN_QUOTIENT_MIN_WORLDS_ENV: &str = "KBP_GEN_QUOTIENT_MIN_WORLDS";
 
-/// Default generation quotient gate. Mirrors
-/// [`DEFAULT_QUOTIENT_MIN_WORLDS`]: narrow frontiers are generated
+/// Default generation quotient gate: narrow frontiers are generated
 /// explicitly (the canonicalization pass costs more than it saves
 /// there), wide frontiers advance on representatives — solutions are
 /// bit-identical either way.
@@ -173,61 +146,11 @@ pub fn env_threads(var: &'static str) -> Result<Option<usize>, ThreadConfigError
     }
 }
 
-/// Reads the intra-layer sharding gate from [`SHARD_MIN_WORLDS_ENV`].
-/// `Ok(None)` when unset or empty. Unlike thread counts, `0` is a valid
-/// setting (shard every layer wide enough to split) and there is no upper
-/// cap (a huge value just disables intra-layer sharding).
-///
-/// # Errors
-///
-/// Returns [`ThreadConfigError::NotANumber`] if the variable holds
-/// anything but an unsigned integer.
-pub fn env_shard_min_worlds() -> Result<Option<usize>, ThreadConfigError> {
-    match std::env::var(SHARD_MIN_WORLDS_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => {
-            raw.trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ThreadConfigError::NotANumber {
-                    var: SHARD_MIN_WORLDS_ENV,
-                    value: raw,
-                })
-        }
-    }
-}
-
-/// Reads the quotient gate from [`QUOTIENT_MIN_WORLDS_ENV`].
-/// `Ok(None)` when unset or empty. Like the sharding gate, `0` is a valid
-/// setting (quotient every layer) and there is no upper cap (a huge value
-/// disables the quotient stage).
-///
-/// # Errors
-///
-/// Returns [`ThreadConfigError::NotANumber`] if the variable holds
-/// anything but an unsigned integer.
-pub fn env_quotient_min_worlds() -> Result<Option<usize>, ThreadConfigError> {
-    match std::env::var(QUOTIENT_MIN_WORLDS_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => {
-            raw.trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ThreadConfigError::NotANumber {
-                    var: QUOTIENT_MIN_WORLDS_ENV,
-                    value: raw,
-                })
-        }
-    }
-}
-
 /// Reads the generation quotient gate from
-/// [`GEN_QUOTIENT_MIN_WORLDS_ENV`]. `Ok(None)` when unset or empty. Like
-/// its two sibling gates, `0` is a valid setting (fuse step+quotient
-/// from layer 0) and there is no upper cap (a huge value keeps
-/// generation explicit).
+/// [`GEN_QUOTIENT_MIN_WORLDS_ENV`]. `Ok(None)` when unset or empty.
+/// Unlike thread counts, `0` is a valid setting (fuse step+quotient from
+/// layer 0) and there is no upper cap (a huge value keeps generation
+/// explicit).
 ///
 /// # Errors
 ///
@@ -301,8 +224,6 @@ pub trait TemporalOps {
 pub struct EvalEngine {
     arena: FormulaArena,
     threads: usize,
-    shard_min_worlds: usize,
-    quotient_min_worlds: usize,
 }
 
 fn default_threads() -> usize {
@@ -310,20 +231,6 @@ fn default_threads() -> usize {
         return n;
     }
     thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn default_shard_min_worlds() -> usize {
-    match env_shard_min_worlds() {
-        Ok(Some(n)) => n,
-        _ => DEFAULT_SHARD_MIN_WORLDS,
-    }
-}
-
-fn default_quotient_min_worlds() -> usize {
-    match env_quotient_min_worlds() {
-        Ok(Some(n)) => n,
-        _ => DEFAULT_QUOTIENT_MIN_WORLDS,
-    }
 }
 
 impl EvalEngine {
@@ -338,8 +245,6 @@ impl EvalEngine {
         EvalEngine {
             arena,
             threads: default_threads(),
-            shard_min_worlds: default_shard_min_worlds(),
-            quotient_min_worlds: default_quotient_min_worlds(),
         }
     }
 
@@ -355,14 +260,7 @@ impl EvalEngine {
         let threads = env_threads(THREADS_ENV)?.unwrap_or_else(|| {
             thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
-        let shard_min_worlds = env_shard_min_worlds()?.unwrap_or(DEFAULT_SHARD_MIN_WORLDS);
-        let quotient_min_worlds = env_quotient_min_worlds()?.unwrap_or(DEFAULT_QUOTIENT_MIN_WORLDS);
-        Ok(EvalEngine {
-            arena,
-            threads,
-            shard_min_worlds,
-            quotient_min_worlds,
-        })
+        Ok(EvalEngine { arena, threads })
     }
 
     /// Overrides the worker-thread count (clamped to ≥ 1); `1` forces the
@@ -385,61 +283,6 @@ impl EvalEngine {
         self.threads
     }
 
-    /// Overrides the intra-layer sharding gate: layers with at least
-    /// `worlds` worlds run the range-sharded kernels (when `threads > 1`).
-    #[must_use]
-    pub fn with_shard_min_worlds(mut self, worlds: usize) -> Self {
-        self.shard_min_worlds = worlds;
-        self
-    }
-
-    /// In-place variant of
-    /// [`with_shard_min_worlds`](Self::with_shard_min_worlds).
-    pub fn set_shard_min_worlds(&mut self, worlds: usize) {
-        self.shard_min_worlds = worlds;
-    }
-
-    /// The configured intra-layer sharding gate.
-    #[must_use]
-    pub fn shard_min_worlds(&self) -> usize {
-        self.shard_min_worlds
-    }
-
-    /// Overrides the quotient gate: layers with at least `worlds` worlds
-    /// are reduced by bisimulation before epistemic evaluation. `0`
-    /// quotients every layer; `usize::MAX` disables the stage.
-    #[must_use]
-    pub fn with_quotient_min_worlds(mut self, worlds: usize) -> Self {
-        self.quotient_min_worlds = worlds;
-        self
-    }
-
-    /// In-place variant of
-    /// [`with_quotient_min_worlds`](Self::with_quotient_min_worlds).
-    pub fn set_quotient_min_worlds(&mut self, worlds: usize) {
-        self.quotient_min_worlds = worlds;
-    }
-
-    /// The configured quotient gate.
-    #[must_use]
-    pub fn quotient_min_worlds(&self) -> usize {
-        self.quotient_min_worlds
-    }
-
-    /// The kernel shard plan for a layer of `worlds` worlds: how many
-    /// word-aligned world ranges the partition/sat-set kernels split
-    /// into. `1` means sequential. A pure function of the engine
-    /// configuration and the layer width — never of cache warmth or
-    /// scheduling — so recorded stats stay deterministic.
-    #[must_use]
-    pub fn kernel_shards(&self, worlds: usize) -> usize {
-        if self.threads > 1 && worlds >= self.shard_min_worlds {
-            self.threads.min(worlds.div_ceil(64)).max(1)
-        } else {
-            1
-        }
-    }
-
     /// The engine's arena.
     #[must_use]
     pub fn arena(&self) -> &FormulaArena {
@@ -457,13 +300,6 @@ impl EvalEngine {
     /// recomputed. The resulting cache contents are identical for every
     /// thread count.
     ///
-    /// When the layer is at least
-    /// [`quotient_min_worlds`](Self::quotient_min_worlds) wide and the
-    /// batch contains an epistemic modality, the layer is first reduced by
-    /// vocabulary-aware bisimulation, the batch is evaluated on the
-    /// quotient, and the sat-sets are expanded back through the class
-    /// projection — bit-identical to explicit evaluation (DESIGN.md §15).
-    ///
     /// # Errors
     ///
     /// Same conditions as [`S5Model::satisfying_cached`]; on error the
@@ -478,58 +314,16 @@ impl EvalEngine {
         let mut todo: Vec<FormulaId> = roots.iter().copied().filter(|&r| !cache.has(r)).collect();
         todo.sort_unstable();
         todo.dedup();
-        if todo.is_empty() {
-            return Ok(());
-        }
-        if model.world_count() >= self.quotient_min_worlds
-            && self.try_populate_quotiented(model, cache, &todo)?
-        {
-            return Ok(());
-        }
-        self.populate_explicit(model, cache, &todo)
-    }
-
-    /// [`populate`](Self::populate) for a layer that is *already* a
-    /// bisimulation quotient: the re-quotient stage of DESIGN.md §15 is
-    /// skipped unconditionally, because re-deriving classes of a model
-    /// whose worlds are themselves class representatives wastes a
-    /// refinement pass to learn what the caller already knows. Threading
-    /// and intra-layer sharding still apply.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`populate`](Self::populate).
-    pub fn populate_prereduced(
-        &self,
-        model: &S5Model,
-        cache: &mut EvalCache,
-        roots: &[FormulaId],
-    ) -> Result<(), EvalError> {
-        cache.bind(model.world_count())?;
-        let mut todo: Vec<FormulaId> = roots.iter().copied().filter(|&r| !cache.has(r)).collect();
-        todo.sort_unstable();
-        todo.dedup();
-        if todo.is_empty() {
-            return Ok(());
-        }
-        self.populate_explicit(model, cache, &todo)
-    }
-
-    /// The pre-quotient evaluation path: root-component sharding across
-    /// worker threads, or the single-walk sequential path. Also serves as
-    /// the inner evaluator *on* a quotient model.
-    fn populate_explicit(
-        &self,
-        model: &S5Model,
-        cache: &mut EvalCache,
-        todo: &[FormulaId],
-    ) -> Result<(), EvalError> {
-        if self.threads <= 1 || todo.len() <= 1 {
-            return self.populate_sequential(model, cache, todo);
-        }
-        let shards = self.shard(todo, cache);
+        let shards = if self.threads > 1 && todo.len() > 1 {
+            self.shard(&todo, cache)
+        } else {
+            Vec::new()
+        };
         if shards.len() <= 1 {
-            return self.populate_sequential(model, cache, todo);
+            for &id in &todo {
+                model.eval_into_cache(cache, &self.arena, id)?;
+            }
+            return Ok(());
         }
         let results: Vec<Result<EvalCache, EvalError>> = thread::scope(|scope| {
             let handles: Vec<_> = shards
@@ -537,9 +331,6 @@ impl EvalEngine {
                 .map(|(shard_roots, mut local)| {
                     scope.spawn(move || -> Result<EvalCache, EvalError> {
                         for id in shard_roots {
-                            // Component workers keep the sequential
-                            // kernels: the threads are already busy, and
-                            // nesting range shards would oversubscribe.
                             model.eval_into_cache(&mut local, &self.arena, id)?;
                         }
                         Ok(local)
@@ -561,22 +352,19 @@ impl EvalEngine {
         Ok(())
     }
 
-    /// The single-walk path. This is where intra-layer sharding engages:
-    /// when the batch cannot be split *across* roots (one root, one
-    /// component, or one thread configured), a wide layer still
-    /// parallelizes *within* each kernel call per
-    /// [`kernel_shards`](Self::kernel_shards).
-    fn populate_sequential(
+    /// Same as [`populate`](Self::populate). Inert; kept only while the
+    /// `kbpbench` benchmark names it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`populate`](Self::populate).
+    pub fn populate_prereduced(
         &self,
         model: &S5Model,
         cache: &mut EvalCache,
-        todo: &[FormulaId],
+        roots: &[FormulaId],
     ) -> Result<(), EvalError> {
-        let ks = self.kernel_shards(model.world_count());
-        for &id in todo {
-            model.eval_into_cache_sharded(cache, &self.arena, id, ks)?;
-        }
-        Ok(())
+        self.populate(model, cache, roots)
     }
 
     /// Groups `todo` roots into connected components (two roots are
@@ -692,11 +480,7 @@ impl EvalEngine {
         }
         // Hand each group's memoized partitions to the one shard that
         // evaluates it (all roots naming a group share a component, so the
-        // owner root's shard is that shard). This keeps pre-seeded
-        // partitions — notably the quotient stage's projected
-        // distributed-knowledge refinements, which are *not* recomputable
-        // from the quotient model alone — authoritative under threading,
-        // and spares the worker a rebuild either way.
+        // owner root's shard is that shard), sparing the worker a rebuild.
         for (g, &ri) in &group_owner {
             let s = shard_of_root[ri as usize];
             if s == usize::MAX {
@@ -729,7 +513,6 @@ impl EvalEngine {
         ops: &dyn TemporalOps,
     ) -> Result<(), EvalError> {
         cache.bind(model.world_count())?;
-        let ks = self.kernel_shards(model.world_count());
         for id in self.arena.reachable(roots) {
             if cache.has(id) {
                 continue;
@@ -745,9 +528,8 @@ impl EvalEngine {
                 ),
                 _ => {
                     // Non-temporal: children are cached, so this recurses
-                    // at most one level before hitting the memo; wide
-                    // layers use the range-sharded kernels.
-                    model.eval_into_cache_sharded(cache, &self.arena, id, ks)?;
+                    // at most one level before hitting the memo.
+                    model.eval_into_cache(cache, &self.arena, id)?;
                     continue;
                 }
             };
@@ -778,298 +560,6 @@ impl EvalEngine {
                     .ok_or(EvalError::Internal("root missing after populate"))
             })
             .collect()
-    }
-
-    /// Walks the uncached region of `todo`, collecting what the quotient
-    /// stage needs: the proposition vocabulary, the cached boundary nodes
-    /// (seeds that must come out class-constant), and the distributed
-    /// groups (whose explicit refinements must be folded into the
-    /// bisimulation — `D_G` is not bisimulation-invariant on its own).
-    /// Returns `None` when the quotient cannot or should not engage: a
-    /// temporal node, an out-of-range prop/agent, an empty group (the
-    /// explicit path reproduces the exact legacy error), or no epistemic
-    /// operator at all (nothing to win — boolean structure is linear in
-    /// the worlds either way).
-    fn scout(&self, model: &S5Model, cache: &EvalCache, todo: &[FormulaId]) -> Option<ScoutReport> {
-        fn group_ok(model: &S5Model, g: AgentSet) -> bool {
-            !g.is_empty() && g.iter().all(|a| a.index() < model.agent_count())
-        }
-        let mut visited = vec![false; self.arena.len()];
-        let mut props: Vec<PropId> = Vec::new();
-        let mut seeds: Vec<FormulaId> = Vec::new();
-        let mut dgroups: Vec<AgentSet> = Vec::new();
-        let mut epistemic = false;
-        let mut stack: Vec<FormulaId> = todo.to_vec();
-        while let Some(id) = stack.pop() {
-            if visited[id.index()] {
-                continue;
-            }
-            visited[id.index()] = true;
-            if cache.has(id) {
-                seeds.push(id);
-                continue;
-            }
-            match self.arena.node(id) {
-                InternedNode::Prop(p) => {
-                    if p.index() >= model.prop_count() {
-                        return None;
-                    }
-                    props.push(*p);
-                }
-                InternedNode::Knows(a, _) => {
-                    if a.index() >= model.agent_count() {
-                        return None;
-                    }
-                    epistemic = true;
-                }
-                InternedNode::Everyone(g, _) | InternedNode::Common(g, _) => {
-                    if !group_ok(model, *g) {
-                        return None;
-                    }
-                    epistemic = true;
-                }
-                InternedNode::Distributed(g, _) => {
-                    if !group_ok(model, *g) {
-                        return None;
-                    }
-                    epistemic = true;
-                    dgroups.push(*g);
-                }
-                InternedNode::Next(_)
-                | InternedNode::Eventually(_)
-                | InternedNode::Always(_)
-                | InternedNode::Until(..) => return None,
-                _ => {}
-            }
-            self.arena.visit_children(id, &mut |c| stack.push(c));
-        }
-        if !epistemic {
-            return None;
-        }
-        props.sort_unstable_by_key(|p| p.index());
-        props.dedup();
-        seeds.sort_unstable();
-        seeds.dedup();
-        dgroups.sort_unstable();
-        dgroups.dedup();
-        Some(ScoutReport {
-            props,
-            seeds,
-            dgroups,
-        })
-    }
-
-    /// The quotient stage of [`populate`](Self::populate). Returns
-    /// `Ok(true)` when the batch was fully evaluated through the layer
-    /// quotient (results already expanded into `cache`), `Ok(false)` to
-    /// fall back to explicit evaluation. The quotient artifact is kept on
-    /// the cache across calls and is rebuilt only when the batch demands a
-    /// larger vocabulary, new seeds, or new distributed groups; rebuilds
-    /// fold the previous classes in as a splitter, so the class partition
-    /// only ever refines and every formula expanded earlier stays
-    /// class-constant.
-    fn try_populate_quotiented(
-        &self,
-        model: &S5Model,
-        cache: &mut EvalCache,
-        todo: &[FormulaId],
-    ) -> Result<bool, EvalError> {
-        let Some(report) = self.scout(model, cache, todo) else {
-            return Ok(false);
-        };
-        // Two-phase: detach the artifact, run, re-attach on every exit.
-        let mut lq = cache.take_quotient();
-        let result = self.quotient_eval(model, cache, todo, &report, &mut lq);
-        cache.set_quotient(lq);
-        result
-    }
-
-    fn quotient_eval(
-        &self,
-        model: &S5Model,
-        cache: &mut EvalCache,
-        todo: &[FormulaId],
-        report: &ScoutReport,
-        lq: &mut Option<Box<LayerQuotient>>,
-    ) -> Result<bool, EvalError> {
-        let n = model.world_count();
-        // A saturated artifact (no reduction) is final: rebuilds only ever
-        // refine the classes, so no future vocabulary can shrink it.
-        // Short-circuit instead of re-running bisimulation per batch.
-        if lq.as_ref().is_some_and(|q| q.world_count() >= n) {
-            return Ok(false);
-        }
-        let usable = lq.as_ref().is_some_and(|q| {
-            report.props.iter().all(|p| {
-                q.props
-                    .binary_search_by_key(&p.index(), |x| x.index())
-                    .is_ok()
-            }) && report.seeds.iter().all(|s| q.constant.contains(s))
-                && report
-                    .dgroups
-                    .iter()
-                    .all(|g| q.qrefinements.contains_key(g))
-        });
-        if !usable {
-            let ks = self.kernel_shards(n);
-            // Distributed groups need their *explicit* refinement both as
-            // an extra relation during refinement (stability, which is not
-            // preserved by later refinements — so prior groups are
-            // re-included on every rebuild) and projected onto the new
-            // classes for evaluation.
-            let mut all_groups: Vec<AgentSet> = report.dgroups.clone();
-            if let Some(q) = lq.as_ref() {
-                all_groups.extend(q.qrefinements.keys().copied());
-            }
-            all_groups.sort_unstable();
-            all_groups.dedup();
-            for &g in &all_groups {
-                if cache.refinement(&g).is_none() {
-                    let part = model.group_refinement_sharded(g, ks)?;
-                    cache.insert_refinement(g, part);
-                }
-            }
-            let mut props: Vec<PropId> = report.props.clone();
-            if let Some(q) = lq.as_ref() {
-                props.extend(q.props.iter().copied());
-            }
-            props.sort_unstable_by_key(|p| p.index());
-            props.dedup();
-            let mut constant: HashSet<FormulaId> =
-                lq.as_ref().map(|q| q.constant.clone()).unwrap_or_default();
-            constant.extend(report.seeds.iter().copied());
-            let classes = {
-                let seed_sets: Vec<&BitSet> =
-                    report.seeds.iter().filter_map(|&s| cache.get(s)).collect();
-                // The previous classes ride along as a splitter: prop and
-                // seed constancy is monotone under refinement, so
-                // everything expanded through the old artifact stays
-                // class-constant in the new one.
-                let splits: Vec<&Partition> = lq.as_ref().map(|q| &q.classes).into_iter().collect();
-                let relations: Vec<&Partition> = all_groups
-                    .iter()
-                    .filter_map(|g| cache.refinement(g))
-                    .collect();
-                model.bisimilarity_within(&props, &seed_sets, &splits, &relations)?
-            };
-            let qn = classes.block_count();
-            let mut qrefinements: HashMap<AgentSet, Partition> = HashMap::new();
-            for &g in &all_groups {
-                let Some(rg) = cache.refinement(&g) else {
-                    return Err(EvalError::Internal("refinement missing after seeding"));
-                };
-                let mut uf = UnionFind::new(qn);
-                for cell in rg.blocks() {
-                    let first = classes.block_of(cell[0] as usize);
-                    for &v in &cell[1..] {
-                        uf.union(first, classes.block_of(v as usize));
-                    }
-                }
-                qrefinements.insert(g, uf.into_partition());
-            }
-            let qmodel = model.quotient_model(&classes);
-            *lq = Some(Box::new(LayerQuotient {
-                model: qmodel,
-                classes,
-                props,
-                qrefinements,
-                constant,
-            }));
-        }
-        let Some(q) = lq.as_mut() else {
-            return Ok(false);
-        };
-        let qn = q.world_count();
-        if qn >= n {
-            // No reduction: keep the artifact (so the saturation check
-            // above skips future bisimulation runs) but evaluate
-            // explicitly.
-            return Ok(false);
-        }
-        let mut qcache = EvalCache::new();
-        qcache.bind(qn)?;
-        for &s in &report.seeds {
-            if let Some(set) = cache.get(s) {
-                qcache.insert(s, q.restrict(set))?;
-            }
-        }
-        for (g, part) in &q.qrefinements {
-            // Pre-seeded refinements are authoritative (the evaluator's
-            // entry-API memoization keeps occupied entries): `D_G` on the
-            // quotient must use the projected explicit refinement, not a
-            // refinement recomputed from the quotient's own partitions.
-            qcache.insert_refinement(*g, part.clone());
-        }
-        self.populate_explicit(&q.model, &mut qcache, todo)?;
-        let mut fresh: Vec<(FormulaId, BitSet)> = Vec::new();
-        for (id, qset) in qcache.sat_entries() {
-            if !cache.has(id) {
-                fresh.push((id, q.expand(qset, n)));
-            }
-        }
-        for (id, set) in fresh {
-            cache.insert(id, set)?;
-            q.constant.insert(id);
-        }
-        Ok(true)
-    }
-}
-
-/// What [`EvalEngine::scout`] learned about a batch's uncached region.
-struct ScoutReport {
-    /// Propositions occurring uncached, sorted by index.
-    props: Vec<PropId>,
-    /// Cached boundary nodes the evaluation will read.
-    seeds: Vec<FormulaId>,
-    /// Distributed-knowledge groups occurring uncached.
-    dgroups: Vec<AgentSet>,
-}
-
-/// A layer's quotient artifact: the reduced model, the class partition,
-/// and everything needed to decide whether a later batch can reuse it.
-/// Lives on the layer's [`EvalCache`] (never snapshot or persisted — it
-/// is derived state, cheaper to rebuild than to ship).
-#[derive(Debug, Clone)]
-pub(crate) struct LayerQuotient {
-    /// The quotient model (one world per bisimilarity class).
-    model: S5Model,
-    /// The class partition of the explicit worlds.
-    classes: Partition,
-    /// The vocabulary the classes were split by, sorted by index.
-    props: Vec<PropId>,
-    /// Projected distributed-knowledge refinements, by group.
-    qrefinements: HashMap<AgentSet, Partition>,
-    /// Formula ids known to be class-constant (initial-split seeds plus
-    /// every sat-set expanded through this artifact).
-    constant: HashSet<FormulaId>,
-}
-
-impl LayerQuotient {
-    /// World count of the quotient model.
-    pub(crate) fn world_count(&self) -> usize {
-        self.model.world_count()
-    }
-
-    /// Projects a class-constant explicit-world set onto quotient worlds
-    /// (bit `b` = the set's value at block `b`'s representative).
-    fn restrict(&self, set: &BitSet) -> BitSet {
-        let qn = self.model.world_count();
-        BitSet::from_indices(
-            qn,
-            (0..qn).filter(|&b| set.contains(self.classes.block(b)[0] as usize)),
-        )
-    }
-
-    /// Expands a quotient-world set back to explicit worlds through the
-    /// class projection.
-    fn expand(&self, qset: &BitSet, n: usize) -> BitSet {
-        let mut out = BitSet::new(n);
-        for b in qset.iter() {
-            for &w in self.classes.block(b) {
-                out.insert(w as usize);
-            }
-        }
-        out
     }
 }
 
@@ -1116,8 +606,6 @@ mod tests {
         let seq_engine = EvalEngine {
             arena: engine.arena.clone(),
             threads: 1,
-            shard_min_worlds: DEFAULT_SHARD_MIN_WORLDS,
-            quotient_min_worlds: DEFAULT_QUOTIENT_MIN_WORLDS,
         };
         let mut seq = EvalCache::new();
         let seq_sets = seq_engine.satisfying_sets(&m, &mut seq, &ids).unwrap();
@@ -1126,8 +614,6 @@ mod tests {
             let par_engine = EvalEngine {
                 arena: engine.arena.clone(),
                 threads,
-                shard_min_worlds: DEFAULT_SHARD_MIN_WORLDS,
-                quotient_min_worlds: DEFAULT_QUOTIENT_MIN_WORLDS,
             };
             let mut par = EvalCache::new();
             let par_sets = par_engine.satisfying_sets(&m, &mut par, &ids).unwrap();
@@ -1229,8 +715,6 @@ mod tests {
         let seq_engine = EvalEngine {
             arena: engine.arena.clone(),
             threads: 1,
-            shard_min_worlds: DEFAULT_SHARD_MIN_WORLDS,
-            quotient_min_worlds: DEFAULT_QUOTIENT_MIN_WORLDS,
         };
         let mut seq = EvalCache::new();
         let mut par = EvalCache::new();
@@ -1283,161 +767,6 @@ mod tests {
             parse_thread_count(THREADS_ENV, "99999999999999999999999999"),
             Err(ThreadConfigError::NotANumber { .. })
         ));
-    }
-
-    /// `model()` with every world duplicated (mirrored links), so the
-    /// bisimulation quotient halves it.
-    fn dup_model() -> S5Model {
-        let mut b = S5Builder::new(2, 3);
-        for _copy in 0..2 {
-            let w0 = b.add_world([PropId::new(0)]);
-            let w1 = b.add_world([PropId::new(0), PropId::new(1)]);
-            let w2 = b.add_world([PropId::new(2)]);
-            let w3 = b.add_world([]);
-            b.link(Agent::new(0), w0, w1);
-            b.link(Agent::new(1), w1, w2);
-            b.link(Agent::new(0), w2, w3);
-        }
-        b.build()
-    }
-
-    fn engine_with(arena: FormulaArena, threads: usize, quotient_min_worlds: usize) -> EvalEngine {
-        EvalEngine {
-            arena,
-            threads,
-            shard_min_worlds: DEFAULT_SHARD_MIN_WORLDS,
-            quotient_min_worlds,
-        }
-    }
-
-    #[test]
-    fn quotiented_fill_matches_explicit_bit_for_bit() {
-        let m = dup_model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let ids: Vec<_> = guards().iter().map(|f| base.intern(f)).collect();
-        let explicit = engine_with(base.arena.clone(), 1, usize::MAX);
-        let mut plain = EvalCache::new();
-        explicit.satisfying_sets(&m, &mut plain, &ids).unwrap();
-        assert_eq!(plain.quotient_worlds(), 0);
-        for threads in [1, 4] {
-            let quotiented = engine_with(base.arena.clone(), threads, 0);
-            let mut qc = EvalCache::new();
-            quotiented.satisfying_sets(&m, &mut qc, &ids).unwrap();
-            assert!(
-                qc.quotient_worlds() > 0 && qc.quotient_worlds() < m.world_count(),
-                "quotient should engage and reduce (got {})",
-                qc.quotient_worlds()
-            );
-            for id in quotiented.arena().ids() {
-                assert_eq!(plain.get(id), qc.get(id), "threads={threads} id={id:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn quotient_artifact_reused_across_incremental_populates() {
-        // The kbp-systems driver populates one node at a time; the
-        // artifact must be reused (and refined, never coarsened) across
-        // those calls, and the final cache must match one big batch.
-        let m = dup_model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let ids: Vec<_> = guards().iter().map(|f| base.intern(f)).collect();
-        let engine = engine_with(base.arena.clone(), 1, 0);
-        let mut batch = EvalCache::new();
-        engine.populate(&m, &mut batch, &ids).unwrap();
-        let mut incr = EvalCache::new();
-        for &id in &ids {
-            engine.populate(&m, &mut incr, &[id]).unwrap();
-        }
-        for id in engine.arena().ids() {
-            assert_eq!(batch.get(id), incr.get(id), "id={id:?}");
-        }
-    }
-
-    #[test]
-    fn externally_inserted_seeds_force_quotient_refinement() {
-        // A cached set that is *not* constant on the vocabulary quotient
-        // (the shape of temporal boundary sets and announcement updates)
-        // must be folded into the initial split, not collapsed away.
-        let m = dup_model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let p1 = base.intern(&p(1));
-        let root = base.intern(&Formula::knows(Agent::new(0), p(1)));
-        // Bit 0 set but its duplicate (bit 4) clear: class-breaking.
-        let weird = BitSet::from_indices(m.world_count(), [0usize, 5]);
-        let quotiented = engine_with(base.arena.clone(), 1, 0);
-        let mut qc = EvalCache::new();
-        qc.insert(p1, weird.clone()).unwrap();
-        quotiented.populate(&m, &mut qc, &[root]).unwrap();
-        let explicit = engine_with(base.arena.clone(), 1, usize::MAX);
-        let mut plain = EvalCache::new();
-        plain.insert(p1, weird).unwrap();
-        explicit.populate(&m, &mut plain, &[root]).unwrap();
-        assert_eq!(plain.get(root), qc.get(root));
-    }
-
-    #[test]
-    fn boolean_only_batches_skip_the_quotient() {
-        let m = dup_model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let root = base.intern(&Formula::or([p(0), p(1)]));
-        let engine = engine_with(base.arena.clone(), 1, 0);
-        let mut cache = EvalCache::new();
-        engine.populate(&m, &mut cache, &[root]).unwrap();
-        assert_eq!(cache.quotient_worlds(), 0, "no epistemic node, no quotient");
-        assert!(cache.get(root).is_some());
-    }
-
-    #[test]
-    fn quotient_path_preserves_legacy_errors() {
-        let m = dup_model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let temporal = base.intern(&Formula::next(p(0)));
-        let bad_agent = base.intern(&Formula::knows(Agent::new(9), p(0)));
-        let engine = engine_with(base.arena.clone(), 1, 0);
-        let mut cache = EvalCache::new();
-        assert_eq!(
-            engine.populate(&m, &mut cache, &[temporal]),
-            Err(EvalError::Temporal)
-        );
-        let mut cache = EvalCache::new();
-        assert_eq!(
-            engine.populate(&m, &mut cache, &[bad_agent]),
-            Err(EvalError::AgentOutOfRange(Agent::new(9)))
-        );
-    }
-
-    #[test]
-    fn saturated_quotient_falls_back_to_explicit() {
-        // model() has no bisimilar worlds: the quotient is discrete, the
-        // artifact saturates, and evaluation falls through unchanged.
-        let m = model();
-        let mut base = EvalEngine::new(FormulaArena::new());
-        let ids: Vec<_> = guards().iter().map(|f| base.intern(f)).collect();
-        let engine = engine_with(base.arena.clone(), 1, 0);
-        let mut cache = EvalCache::new();
-        engine.satisfying_sets(&m, &mut cache, &ids).unwrap();
-        assert_eq!(cache.quotient_worlds(), m.world_count());
-        let explicit = engine_with(base.arena.clone(), 1, usize::MAX);
-        let mut plain = EvalCache::new();
-        explicit.satisfying_sets(&m, &mut plain, &ids).unwrap();
-        for id in engine.arena().ids() {
-            assert_eq!(plain.get(id), cache.get(id));
-        }
-    }
-
-    #[test]
-    fn quotient_env_gate_parses_like_the_shard_gate() {
-        // 0 is valid (force), huge is valid (disable), garbage is typed.
-        assert_eq!(
-            "0".trim().parse::<usize>().ok(),
-            Some(0),
-            "sanity: the gate accepts zero"
-        );
-        let engine = EvalEngine::new(FormulaArena::new()).with_quotient_min_worlds(0);
-        assert_eq!(engine.quotient_min_worlds(), 0);
-        let engine = engine.with_quotient_min_worlds(usize::MAX);
-        assert_eq!(engine.quotient_min_worlds(), usize::MAX);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::bitset::BitSet;
 use crate::model::{S5Model, WorldId};
 use crate::partition::Partition;
-use crate::shard::{run_sharded, shard_ranges};
 use kbp_logic::{Agent, AgentSet, Formula, FormulaArena, FormulaId, InternedNode, PropId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -126,12 +125,6 @@ pub struct EvalCache {
     sat: HashMap<FormulaId, BitSet>,
     joins: HashMap<AgentSet, Partition>,
     refinements: HashMap<AgentSet, Partition>,
-    /// The layer's quotient artifact (bisimulation classes, reduced model,
-    /// projected refinements), built lazily by the engine's quotient stage
-    /// and reused across `populate` calls on the same layer. Never
-    /// snapshot or persisted — it is a pure function of the model and the
-    /// vocabulary seen so far, and rebuilding is cheaper than shipping it.
-    quotient: Option<Box<crate::engine::LayerQuotient>>,
 }
 
 impl EvalCache {
@@ -148,7 +141,6 @@ impl EvalCache {
         self.sat.clear();
         self.joins.clear();
         self.refinements.clear();
-        self.quotient = None;
     }
 
     /// Number of distinct subformulas with a cached satisfaction set.
@@ -201,12 +193,9 @@ impl EvalCache {
     /// [`EvalCacheSnapshot::worlds`].
     #[must_use]
     pub fn snapshot(&self) -> EvalCacheSnapshot {
-        let mut inner = self.clone();
-        // The quotient artifact is layer-local scratch: cheap to rebuild,
-        // expensive to ship, and meaningless across the persistence
-        // boundary (snapshots already skip it on the wire).
-        inner.quotient = None;
-        EvalCacheSnapshot { inner }
+        EvalCacheSnapshot {
+            inner: self.clone(),
+        }
     }
 
     /// A fresh cache holding exactly the snapshot's contents; the inverse
@@ -286,23 +275,11 @@ impl EvalCache {
         self.sat.contains_key(&id)
     }
 
-    /// World count of the layer's quotient model, when the engine's
-    /// quotient stage has engaged on this cache's layer; `0` otherwise.
-    /// Diagnostic only — like shard plans, it never affects results.
+    /// Always `0`: the evaluation-time quotient this reported on is gone.
+    /// Inert; kept only while the `kbpbench` benchmark names it.
     #[must_use]
     pub fn quotient_worlds(&self) -> usize {
-        self.quotient.as_ref().map_or(0, |q| q.world_count())
-    }
-
-    /// Detaches the quotient artifact (the engine re-attaches it after
-    /// use; two-phase to keep the borrow checker out of the hot path).
-    pub(crate) fn take_quotient(&mut self) -> Option<Box<crate::engine::LayerQuotient>> {
-        self.quotient.take()
-    }
-
-    /// Re-attaches a quotient artifact.
-    pub(crate) fn set_quotient(&mut self, q: Option<Box<crate::engine::LayerQuotient>>) {
-        self.quotient = q;
+        0
     }
 
     /// The memoized join partition for `group`, if present.
@@ -325,11 +302,6 @@ impl EvalCache {
     /// wins, matching the evaluator's own memoization.
     pub(crate) fn insert_refinement(&mut self, group: AgentSet, part: Partition) {
         self.refinements.entry(group).or_insert(part);
-    }
-
-    /// Iterates over all cached satisfaction sets.
-    pub(crate) fn sat_entries(&self) -> impl Iterator<Item = (FormulaId, &BitSet)> {
-        self.sat.iter().map(|(&id, set)| (id, set))
     }
 
     /// The world count this cache is bound to, if any.
@@ -561,15 +533,11 @@ impl S5Model {
     /// Returns [`EvalError::AgentOutOfRange`] or
     /// [`EvalError::LengthMismatch`] on misuse.
     pub fn knowing(&self, agent: Agent, sat: &BitSet) -> Result<BitSet, EvalError> {
-        self.knowing_with(agent, sat, 1)
-    }
-
-    fn knowing_with(&self, agent: Agent, sat: &BitSet, shards: usize) -> Result<BitSet, EvalError> {
         if agent.index() >= self.agent_count() {
             return Err(EvalError::AgentOutOfRange(agent));
         }
         self.check_len(sat)?;
-        Ok(blocks_inside_sharded(self.partition(agent), sat, shards))
+        Ok(blocks_inside(self.partition(agent), sat))
     }
 
     /// Semantic `E_G`: worlds where every agent in `group` knows `sat`.
@@ -580,20 +548,11 @@ impl S5Model {
     /// [`EvalError::AgentOutOfRange`] or [`EvalError::LengthMismatch`] on
     /// misuse.
     pub fn everyone_knowing(&self, group: AgentSet, sat: &BitSet) -> Result<BitSet, EvalError> {
-        self.everyone_knowing_with(group, sat, 1)
-    }
-
-    fn everyone_knowing_with(
-        &self,
-        group: AgentSet,
-        sat: &BitSet,
-        shards: usize,
-    ) -> Result<BitSet, EvalError> {
         self.check_group(group)?;
         self.check_len(sat)?;
         let mut acc = BitSet::full(self.world_count());
         for agent in group.iter() {
-            acc.intersect_with(&self.knowing_with(agent, sat, shards)?);
+            acc.intersect_with(&self.knowing(agent, sat)?);
         }
         Ok(acc)
     }
@@ -651,22 +610,6 @@ impl S5Model {
     /// Returns [`EvalError::EmptyGroup`] or
     /// [`EvalError::AgentOutOfRange`] on misuse.
     pub fn group_join(&self, group: AgentSet) -> Result<Partition, EvalError> {
-        self.group_join_sharded(group, 1)
-    }
-
-    /// [`group_join`](Self::group_join) with each accumulation step
-    /// computed by the range-sharded join kernel
-    /// ([`Partition::join_with_sharded`]) on up to `shards` worker
-    /// threads. Bit-identical to the sequential accumulation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`group_join`](Self::group_join).
-    pub fn group_join_sharded(
-        &self,
-        group: AgentSet,
-        shards: usize,
-    ) -> Result<Partition, EvalError> {
         self.check_group(group)?;
         let mut it = group.iter();
         let Some(first) = it.next() else {
@@ -674,7 +617,7 @@ impl S5Model {
         };
         let mut acc = self.partition(first).clone();
         for a in it {
-            acc = acc.join_with_sharded(self.partition(a), shards);
+            acc = acc.join_with(self.partition(a));
         }
         Ok(acc)
     }
@@ -687,22 +630,6 @@ impl S5Model {
     /// Returns [`EvalError::EmptyGroup`] or
     /// [`EvalError::AgentOutOfRange`] on misuse.
     pub fn group_refinement(&self, group: AgentSet) -> Result<Partition, EvalError> {
-        self.group_refinement_sharded(group, 1)
-    }
-
-    /// [`group_refinement`](Self::group_refinement) with each step
-    /// computed by the range-sharded refine kernel
-    /// ([`Partition::refine_with_sharded`]) on up to `shards` worker
-    /// threads. Bit-identical to the sequential accumulation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`group_refinement`](Self::group_refinement).
-    pub fn group_refinement_sharded(
-        &self,
-        group: AgentSet,
-        shards: usize,
-    ) -> Result<Partition, EvalError> {
         self.check_group(group)?;
         let mut it = group.iter();
         let Some(first) = it.next() else {
@@ -710,7 +637,7 @@ impl S5Model {
         };
         let mut acc = self.partition(first).clone();
         for a in it {
-            acc = acc.refine_with_sharded(self.partition(a), shards);
+            acc = acc.refine_with(self.partition(a));
         }
         Ok(acc)
     }
@@ -775,22 +702,6 @@ impl S5Model {
         arena: &FormulaArena,
         id: FormulaId,
     ) -> Result<(), EvalError> {
-        self.eval_into_cache_sharded(cache, arena, id, 1)
-    }
-
-    /// [`eval_into_cache`](Self::eval_into_cache) with the partition and
-    /// sat-set kernels split over `kernel_shards` word-aligned world
-    /// ranges. `1` is the plain sequential walk; any value yields
-    /// bit-identical cache contents (the sharded kernels reproduce the
-    /// sequential block numbering exactly).
-    pub(crate) fn eval_into_cache_sharded(
-        &self,
-        cache: &mut EvalCache,
-        arena: &FormulaArena,
-        id: FormulaId,
-        kernel_shards: usize,
-    ) -> Result<(), EvalError> {
-        let ks = kernel_shards;
         if cache.sat.contains_key(&id) {
             return Ok(());
         }
@@ -805,7 +716,7 @@ impl S5Model {
                 self.prop_worlds(*p).clone()
             }
             InternedNode::Not(f) => {
-                self.eval_into_cache_sharded(cache, arena, *f, ks)?;
+                self.eval_into_cache(cache, arena, *f)?;
                 let mut s = cache.sat[f].clone();
                 s.complement();
                 s
@@ -813,7 +724,7 @@ impl S5Model {
             InternedNode::And(items) => {
                 let mut acc = BitSet::full(n);
                 for f in items {
-                    self.eval_into_cache_sharded(cache, arena, *f, ks)?;
+                    self.eval_into_cache(cache, arena, *f)?;
                     acc.intersect_with(&cache.sat[f]);
                 }
                 acc
@@ -821,52 +732,52 @@ impl S5Model {
             InternedNode::Or(items) => {
                 let mut acc = BitSet::new(n);
                 for f in items {
-                    self.eval_into_cache_sharded(cache, arena, *f, ks)?;
+                    self.eval_into_cache(cache, arena, *f)?;
                     acc.union_with(&cache.sat[f]);
                 }
                 acc
             }
             InternedNode::Implies(a, b) => {
-                self.eval_into_cache_sharded(cache, arena, *a, ks)?;
-                self.eval_into_cache_sharded(cache, arena, *b, ks)?;
+                self.eval_into_cache(cache, arena, *a)?;
+                self.eval_into_cache(cache, arena, *b)?;
                 let mut acc = cache.sat[a].clone();
                 acc.complement();
                 acc.union_with(&cache.sat[b]);
                 acc
             }
             InternedNode::Iff(a, b) => {
-                self.eval_into_cache_sharded(cache, arena, *a, ks)?;
-                self.eval_into_cache_sharded(cache, arena, *b, ks)?;
+                self.eval_into_cache(cache, arena, *a)?;
+                self.eval_into_cache(cache, arena, *b)?;
                 let mut acc = cache.sat[a].clone();
                 acc.xor_with(&cache.sat[b]);
                 acc.complement();
                 acc
             }
             InternedNode::Knows(agent, f) => {
-                self.eval_into_cache_sharded(cache, arena, *f, ks)?;
-                self.knowing_with(*agent, &cache.sat[f], ks)?
+                self.eval_into_cache(cache, arena, *f)?;
+                self.knowing(*agent, &cache.sat[f])?
             }
             InternedNode::Everyone(group, f) => {
-                self.eval_into_cache_sharded(cache, arena, *f, ks)?;
-                self.everyone_knowing_with(*group, &cache.sat[f], ks)?
+                self.eval_into_cache(cache, arena, *f)?;
+                self.everyone_knowing(*group, &cache.sat[f])?
             }
             InternedNode::Common(group, f) => {
-                self.eval_into_cache_sharded(cache, arena, *f, ks)?;
+                self.eval_into_cache(cache, arena, *f)?;
                 // Disjoint field borrows: the join partition cache and
                 // the satisfaction cache are separate maps.
                 let part = match cache.joins.entry(*group) {
                     Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(v) => v.insert(self.group_join_sharded(*group, ks)?),
+                    Entry::Vacant(v) => v.insert(self.group_join(*group)?),
                 };
-                blocks_inside_sharded(part, &cache.sat[f], ks)
+                blocks_inside(part, &cache.sat[f])
             }
             InternedNode::Distributed(group, f) => {
-                self.eval_into_cache_sharded(cache, arena, *f, ks)?;
+                self.eval_into_cache(cache, arena, *f)?;
                 let part = match cache.refinements.entry(*group) {
                     Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(v) => v.insert(self.group_refinement_sharded(*group, ks)?),
+                    Entry::Vacant(v) => v.insert(self.group_refinement(*group)?),
                 };
-                blocks_inside_sharded(part, &cache.sat[f], ks)
+                blocks_inside(part, &cache.sat[f])
             }
             InternedNode::Next(_)
             | InternedNode::Eventually(_)
@@ -968,75 +879,6 @@ pub fn blocks_inside(partition: &Partition, sat: &BitSet) -> BitSet {
         }
     }
     out
-}
-
-/// [`blocks_inside`] computed over word-aligned world ranges on up to
-/// `shards` worker threads, **bit-identical** to the sequential kernel.
-///
-/// Pass 1 scans each range's complement words in parallel, marking a
-/// per-shard `bad` vector; the vectors are OR-merged (marking is
-/// idempotent and order-free). Pass 2 exploits `out ⊆ sat`: each output
-/// word is the corresponding `sat` word with the bits of bad blocks
-/// cleared, so the ranges emit disjoint word chunks that concatenate
-/// into the result. The output is a *set*, so equality of sets is
-/// equality of words.
-///
-/// # Panics
-///
-/// Panics if `partition.len() != sat.len()`.
-#[must_use]
-pub fn blocks_inside_sharded(partition: &Partition, sat: &BitSet, shards: usize) -> BitSet {
-    assert_eq!(partition.len(), sat.len(), "universe size mismatch");
-    let n = sat.len();
-    let ranges = shard_ranges(n, shards);
-    if ranges.len() <= 1 {
-        return blocks_inside(partition, sat);
-    }
-    let block_ids = partition.block_ids();
-    let words = sat.words();
-    let scan = |&(lo, hi): &(usize, usize)| -> Vec<bool> {
-        let mut bad = vec![false; partition.block_count()];
-        for wi in lo / 64..hi.div_ceil(64) {
-            let mut miss = !words[wi];
-            if (wi + 1) * 64 > n {
-                miss &= u64::MAX >> (words.len() * 64 - n);
-            }
-            while miss != 0 {
-                let w = wi * 64 + miss.trailing_zeros() as usize;
-                bad[block_ids[w] as usize] = true;
-                miss &= miss - 1;
-            }
-        }
-        bad
-    };
-    let mut bad = vec![false; partition.block_count()];
-    for local in run_sharded(&ranges, scan) {
-        for (b, x) in local.into_iter().enumerate() {
-            bad[b] |= x;
-        }
-    }
-    let bad = &bad;
-    let emit = |&(lo, hi): &(usize, usize)| -> Vec<u64> {
-        let mut chunk = Vec::with_capacity(hi.div_ceil(64) - lo / 64);
-        for (wi, &src) in words.iter().enumerate().take(hi.div_ceil(64)).skip(lo / 64) {
-            let mut word = src;
-            let mut keep = word;
-            while keep != 0 {
-                let w = wi * 64 + keep.trailing_zeros() as usize;
-                if bad[block_ids[w] as usize] {
-                    word &= !(1u64 << (w & 63));
-                }
-                keep &= keep - 1;
-            }
-            chunk.push(word);
-        }
-        chunk
-    };
-    let mut out_words = Vec::with_capacity(words.len());
-    for chunk in run_sharded(&ranges, emit) {
-        out_words.extend(chunk);
-    }
-    BitSet::from_words(out_words, n)
 }
 
 #[cfg(test)]
@@ -1292,77 +1134,6 @@ mod tests {
         // After clearing, the cache rebinds to the new model.
         cache.clear();
         assert!(m2.satisfying_cached(&mut cache, &arena, id).is_ok());
-    }
-
-    #[test]
-    fn sharded_blocks_inside_matches_sequential() {
-        // Wide non-aligned universe; partition blocks interleave across
-        // word boundaries so both passes cross shard seams.
-        for n in [1usize, 64, 65, 130, 300] {
-            let part = Partition::from_keys(n, |x| x % 11);
-            let sat = BitSet::from_indices(n, (0..n).filter(|x| x % 3 != 0));
-            let seq = blocks_inside(&part, &sat);
-            for shards in [1usize, 2, 3, 7, 16] {
-                assert_eq!(
-                    blocks_inside_sharded(&part, &sat, shards),
-                    seq,
-                    "n={n} shards={shards}"
-                );
-            }
-            // Full and empty sat-sets are the degenerate extremes.
-            assert_eq!(
-                blocks_inside_sharded(&part, &BitSet::full(n), 3),
-                blocks_inside(&part, &BitSet::full(n))
-            );
-            assert_eq!(
-                blocks_inside_sharded(&part, &BitSet::new(n), 3),
-                blocks_inside(&part, &BitSet::new(n))
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_group_accumulators_match_sequential() {
-        let (m, _) = sample();
-        let g = AgentSet::all(2);
-        for shards in [1usize, 2, 4] {
-            assert_eq!(
-                m.group_join_sharded(g, shards).unwrap(),
-                m.group_join(g).unwrap()
-            );
-            assert_eq!(
-                m.group_refinement_sharded(g, shards).unwrap(),
-                m.group_refinement(g).unwrap()
-            );
-        }
-        assert_eq!(
-            m.group_join_sharded(AgentSet::EMPTY, 2),
-            Err(EvalError::EmptyGroup)
-        );
-    }
-
-    #[test]
-    fn sharded_cached_walk_matches_sequential_walk() {
-        let (m, _) = sample();
-        let g = AgentSet::all(2);
-        let formulas = [
-            Formula::knows(Agent::new(0), p(0)),
-            Formula::common(g, p(0)),
-            Formula::Distributed(g, Box::new(p(1))),
-            Formula::Everyone(g, Box::new(p(0))),
-        ];
-        let mut arena = FormulaArena::new();
-        let ids: Vec<_> = formulas.iter().map(|f| arena.intern(f)).collect();
-        let mut seq = EvalCache::new();
-        let mut sharded = EvalCache::new();
-        for &id in &ids {
-            m.eval_into_cache_sharded(&mut seq, &arena, id, 1).unwrap();
-            m.eval_into_cache_sharded(&mut sharded, &arena, id, 4)
-                .unwrap();
-        }
-        for id in arena.ids() {
-            assert_eq!(seq.get(id), sharded.get(id), "id={id:?}");
-        }
     }
 
     #[test]

@@ -62,19 +62,16 @@ mod eval;
 mod events;
 mod model;
 mod partition;
-mod shard;
 
 pub use announce::{AnnounceError, Announcement};
 pub use bisim::Quotient;
 pub use bitset::BitSet;
 pub use engine::{
-    env_gen_quotient_min_worlds, env_quotient_min_worlds, env_shard_min_worlds, env_threads,
-    parse_thread_count, EvalEngine, TemporalOps, ThreadConfigError,
-    DEFAULT_GEN_QUOTIENT_MIN_WORLDS, DEFAULT_QUOTIENT_MIN_WORLDS, DEFAULT_SHARD_MIN_WORLDS,
-    GEN_QUOTIENT_MIN_WORLDS_ENV, MAX_CONFIG_THREADS, QUOTIENT_MIN_WORLDS_ENV, SHARD_MIN_WORLDS_ENV,
-    THREADS_ENV,
+    env_gen_quotient_min_worlds, env_threads, parse_thread_count, EvalEngine, TemporalOps,
+    ThreadConfigError, DEFAULT_GEN_QUOTIENT_MIN_WORLDS, GEN_QUOTIENT_MIN_WORLDS_ENV,
+    MAX_CONFIG_THREADS, THREADS_ENV,
 };
-pub use eval::{blocks_inside, blocks_inside_sharded, EvalCache, EvalCacheSnapshot, EvalError};
+pub use eval::{blocks_inside, EvalCache, EvalCacheSnapshot, EvalError};
 pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};
 pub use model::{S5Builder, S5Model, WorldId};
 pub use partition::{Partition, UnionFind};

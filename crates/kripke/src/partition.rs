@@ -3,8 +3,6 @@
 //! In an S5 model each agent's accessibility relation is an equivalence
 //! relation, i.e. a [`Partition`] of the worlds into information cells.
 
-use crate::shard::{run_sharded, shard_ranges};
-
 /// A classic union–find (disjoint-set) structure over `0..len`.
 ///
 /// Used to close "indistinguishable" links declared by a model builder into
@@ -341,218 +339,13 @@ impl Partition {
         }
         uf.into_partition()
     }
-
-    /// [`refine_with`](Self::refine_with) computed over word-aligned
-    /// element ranges on up to `shards` worker threads, **bit-identical**
-    /// to the sequential kernel. The per-element labeling is
-    /// hashing-bound, so it uses [`PairMap`] rather than the standard
-    /// `HashMap` (SipHash costs more than the rest of the kernel
-    /// combined at realistic widths).
-    ///
-    /// Each shard labels its range by `(self-block, other-block)` pair in
-    /// shard-local first-occurrence order; the merge walks the shards in
-    /// range order, assigning each pair a fresh global id the first time
-    /// it is seen. A pair's global first occurrence lies in the first
-    /// shard containing it, and within that shard pairs are ordered by
-    /// first occurrence, so the assigned ids reproduce exactly the
-    /// sequential kernel's first-occurrence-in-element-order numbering.
-    ///
-    /// # Panics
-    ///
-    /// Panics on universe-size mismatch.
-    #[must_use]
-    pub fn refine_with_sharded(&self, other: &Partition, shards: usize) -> Partition {
-        assert_eq!(self.len(), other.len(), "partition length mismatch");
-        let n = self.len();
-        // Identical fast paths to the sequential kernel.
-        if other.block_count() <= 1 && n > 0 {
-            return self.clone();
-        }
-        if self.block_count() <= 1 {
-            return other.clone();
-        }
-        if self.block_count() == n || other.block_count() == n {
-            return Partition::discrete(n);
-        }
-        let ranges = shard_ranges(n, shards);
-        if ranges.len() <= 1 {
-            return self.refine_with(other);
-        }
-        // Per shard: tmp ids per (self-block, other-block) pair in
-        // first-occurrence order within the range, plus the pair list in
-        // tmp-id order.
-        let label = |&(lo, hi): &(usize, usize)| -> (Vec<u32>, Vec<u64>) {
-            let mut map = PairMap::for_inserts(hi - lo);
-            let mut local_of = Vec::with_capacity(hi - lo);
-            let mut pairs: Vec<u64> = Vec::new();
-            for x in lo..hi {
-                let key = (u64::from(self.block_of[x]) << 32) | u64::from(other.block_of[x]);
-                let id = map.get_or_insert_with(key, |next| {
-                    pairs.push(key);
-                    next
-                });
-                local_of.push(id);
-            }
-            (local_of, pairs)
-        };
-        let locals = run_sharded(&ranges, label);
-        // Canonical merge: shards in range order, pairs in tmp-id order.
-        let mut global = PairMap::for_inserts(locals.iter().map(|(_, p)| p.len()).sum());
-        let mut remaps: Vec<Vec<u32>> = Vec::with_capacity(locals.len());
-        for (_, pairs) in &locals {
-            let mut remap = Vec::with_capacity(pairs.len());
-            for &key in pairs {
-                remap.push(global.get_or_insert_with(key, |next| next));
-            }
-            remaps.push(remap);
-        }
-        let next = global.len() as u32;
-        let mut block_of = Vec::with_capacity(n);
-        let mut blocks: Vec<Vec<u32>> = vec![Vec::new(); next as usize];
-        for (((lo, _), (local_of, _)), remap) in ranges.iter().zip(&locals).zip(&remaps) {
-            for (i, &t) in local_of.iter().enumerate() {
-                let b = remap[t as usize];
-                block_of.push(b);
-                blocks[b as usize].push((lo + i) as u32);
-            }
-        }
-        Partition { block_of, blocks }
-    }
-
-    /// [`join_with`](Self::join_with) computed over word-aligned element
-    /// ranges on up to `shards` worker threads, **bit-identical** to the
-    /// sequential kernel.
-    ///
-    /// Each shard computes the connected components of the union relation
-    /// restricted to its range (consecutive same-block members are
-    /// chained, so a block's members inside the range always land in one
-    /// local component). The merge unions local components across shards
-    /// that touch the same block of either operand, then relabels all
-    /// elements in ascending order — the same first-occurrence labeling
-    /// as [`UnionFind::into_partition`], which depends only on the
-    /// equivalence classes and not on union order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on universe-size mismatch.
-    #[must_use]
-    pub fn join_with_sharded(&self, other: &Partition, shards: usize) -> Partition {
-        assert_eq!(self.len(), other.len(), "partition length mismatch");
-        let n = self.len();
-        // Identical fast paths to the sequential kernel.
-        if self.block_count() == n {
-            return other.clone();
-        }
-        if other.block_count() == n {
-            return self.clone();
-        }
-        if self.block_count() <= 1 || other.block_count() <= 1 {
-            return Partition::trivial(n);
-        }
-        let ranges = shard_ranges(n, shards);
-        if ranges.len() <= 1 {
-            return self.join_with(other);
-        }
-        // Per shard: canonical local component ids over the range, the
-        // component count, and for each operand the blocks it touches
-        // paired with one local-component representative.
-        struct ShardJoin {
-            comp_of: Vec<u32>,
-            ncomps: usize,
-            touched: [Vec<(u32, u32)>; 2],
-        }
-        let work = |&(lo, hi): &(usize, usize)| -> ShardJoin {
-            let m = hi - lo;
-            let mut uf = UnionFind::new(m);
-            // (block id, local index of the block's first member in range)
-            let mut firsts: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
-            for (pi, part) in [self, other].into_iter().enumerate() {
-                let mut last = vec![u32::MAX; part.block_count()];
-                for x in lo..hi {
-                    let b = part.block_of[x] as usize;
-                    let i = (x - lo) as u32;
-                    if last[b] == u32::MAX {
-                        firsts[pi].push((b as u32, i));
-                    } else {
-                        uf.union(last[b] as usize, i as usize);
-                    }
-                    last[b] = i;
-                }
-            }
-            let mut comp_of = vec![u32::MAX; m];
-            let mut rep_comp = vec![u32::MAX; m];
-            let mut ncomps = 0u32;
-            for (i, slot) in comp_of.iter_mut().enumerate() {
-                let r = uf.find(i);
-                if rep_comp[r] == u32::MAX {
-                    rep_comp[r] = ncomps;
-                    ncomps += 1;
-                }
-                *slot = rep_comp[r];
-            }
-            let touched = firsts.map(|list| {
-                list.into_iter()
-                    .map(|(b, i)| (b, comp_of[i as usize]))
-                    .collect()
-            });
-            ShardJoin {
-                comp_of,
-                ncomps: ncomps as usize,
-                touched,
-            }
-        };
-        let results = run_sharded(&ranges, work);
-        // Stitch: union local components across shards sharing a block.
-        let mut offsets = Vec::with_capacity(results.len());
-        let mut total = 0usize;
-        for r in &results {
-            offsets.push(total);
-            total += r.ncomps;
-        }
-        let mut guf = UnionFind::new(total);
-        for (pi, part) in [self, other].into_iter().enumerate() {
-            let mut anchor = vec![u32::MAX; part.block_count()];
-            for (si, r) in results.iter().enumerate() {
-                for &(b, c) in &r.touched[pi] {
-                    let g = offsets[si] + c as usize;
-                    if anchor[b as usize] == u32::MAX {
-                        anchor[b as usize] = g as u32;
-                    } else {
-                        guf.union(anchor[b as usize] as usize, g);
-                    }
-                }
-            }
-        }
-        // Final labeling: dense block ids by first occurrence in element
-        // order, exactly as `into_partition` assigns them.
-        let mut block_of = Vec::with_capacity(n);
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        let mut rep_to_block = vec![u32::MAX; total];
-        for (si, r) in results.iter().enumerate() {
-            let (lo, _) = ranges[si];
-            for (i, &c) in r.comp_of.iter().enumerate() {
-                let rep = guf.find(offsets[si] + c as usize);
-                let id = if rep_to_block[rep] == u32::MAX {
-                    let id = blocks.len() as u32;
-                    rep_to_block[rep] = id;
-                    blocks.push(Vec::new());
-                    id
-                } else {
-                    rep_to_block[rep]
-                };
-                block_of.push(id);
-                blocks[id as usize].push((lo + i) as u32);
-            }
-        }
-        Partition { block_of, blocks }
-    }
 }
 
 /// Minimal open-addressing map from packed block-pair keys to dense ids,
-/// for the sharded refine kernel and the bisimulation hash-signature
-/// kernel. Linear probing at ≤ 50% load with a Fibonacci multiplicative
-/// hash: the kernels perform one lookup per element, and the standard
-/// `HashMap`'s SipHash costs more than the rest of the kernel combined.
+/// for the bisimulation hash-signature kernel. Linear probing at ≤ 50%
+/// load with a Fibonacci multiplicative hash: the kernel performs one
+/// lookup per element, and the standard `HashMap`'s SipHash costs more
+/// than the rest of the kernel combined.
 /// Keys are packed pairs such as `(block_a << 32) | block_b` with
 /// `u64::MAX` as the empty sentinel — unreachable for real keys, since
 /// block ids are `u32` indices into universes far below `u32::MAX`
@@ -687,59 +480,6 @@ mod tests {
         let e = Partition::discrete(0);
         assert_eq!(e.refine_with(&e), e);
         assert_eq!(e.join_with(&e), e);
-    }
-
-    #[test]
-    fn sharded_refine_and_join_match_sequential() {
-        // Non-word-aligned universe, interleaved blocks, every shard
-        // count from degenerate to more-shards-than-words. `PartialEq`
-        // covers block ids and member order, so equality is bit-identity.
-        for n in [1usize, 63, 64, 65, 130, 300] {
-            let a = Partition::from_keys(n, |x| x % 7);
-            let b = Partition::from_keys(n, |x| (x / 64) % 3);
-            for shards in [1usize, 2, 3, 7, 16] {
-                assert_eq!(
-                    a.refine_with_sharded(&b, shards),
-                    a.refine_with(&b),
-                    "refine n={n} shards={shards}"
-                );
-                assert_eq!(
-                    a.join_with_sharded(&b, shards),
-                    a.join_with(&b),
-                    "join n={n} shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_kernels_replicate_fast_paths() {
-        let a = Partition::from_keys(130, |x| x % 2);
-        let d = Partition::discrete(130);
-        let t = Partition::trivial(130);
-        for shards in [1usize, 4] {
-            assert_eq!(a.refine_with_sharded(&d, shards), d);
-            assert_eq!(a.refine_with_sharded(&t, shards), a);
-            assert_eq!(t.refine_with_sharded(&a, shards), a);
-            assert_eq!(a.join_with_sharded(&d, shards), a);
-            assert_eq!(a.join_with_sharded(&t, shards), t);
-            assert_eq!(d.join_with_sharded(&a, shards), a);
-        }
-        let e = Partition::discrete(0);
-        assert_eq!(e.refine_with_sharded(&e, 4), e);
-        assert_eq!(e.join_with_sharded(&e, 4), e);
-    }
-
-    #[test]
-    fn sharded_join_stitches_components_across_ranges() {
-        // A block spanning shard boundaries must glue local components:
-        // pair up x and x + 150 in `a`, chain evens/odds in `b`.
-        let n = 300;
-        let a = Partition::from_keys(n, |x| x % 150);
-        let b = Partition::from_keys(n, |x| x % 2);
-        for shards in [2usize, 3, 5] {
-            assert_eq!(a.join_with_sharded(&b, shards), a.join_with(&b));
-        }
     }
 
     #[test]

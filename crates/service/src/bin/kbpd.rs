@@ -145,9 +145,9 @@ Environment (malformed values refuse startup with a typed error):
   KBP_SERVICE_WRITE_STALL_MS   close if a nonempty write buffer makes no
                                progress for this long (default 30000;
                                0 disables)
-  KBP_EVAL_THREADS             per-solve guard-evaluation sharding
-  KBP_SHARD_MIN_WORLDS         minimum layer width for intra-layer sharding
-  KBP_QUOTIENT_MIN_WORLDS      minimum layer width before epistemic guards
-                               are evaluated on the layer's bisimulation
-                               quotient (default 4096; 0 always, MAX never)
+  KBP_EVAL_THREADS             per-solve guard-evaluation worker threads
+                               (default: available parallelism)
+  KBP_GEN_QUOTIENT_MIN_WORLDS  minimum frontier width before layers are
+                               generated as bisimulation representatives
+                               (default 4096; 0 always, MAX never)
 ";

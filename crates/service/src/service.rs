@@ -12,7 +12,7 @@
 //!    pure functions of `(layer, formula)` — see
 //!    [`kbp_core::EngineSession`]);
 //! 2. the wire stats are the solver's clause-lookup counters, which are
-//!    independent of evaluation sharding and cache warmth —
+//!    independent of evaluation threading and cache warmth —
 //!    cache-housekeeping counters (`layers_carried`, `layers_restored`,
 //!    `arenas`) are deliberately *not* serialized;
 //! 3. responses are emitted in submission order (the batch runners sort
@@ -31,9 +31,7 @@ use kbp_core::{
     SolveOutcome, SolveStats, SyncSolver,
 };
 use kbp_faults::FaultyContext;
-use kbp_kripke::{
-    env_quotient_min_worlds, env_shard_min_worlds, env_threads, ThreadConfigError, THREADS_ENV,
-};
+use kbp_kripke::{env_gen_quotient_min_worlds, env_threads, ThreadConfigError, THREADS_ENV};
 use kbp_lang::{Compiled, Diagnostic, LineMap, Severity};
 use kbp_systems::{Context, FnContext, MapProtocol, Recall};
 use std::collections::HashMap;
@@ -239,9 +237,9 @@ impl ServiceConfig {
 
     /// Reads every `KBP_SERVICE_*` variable on top of the defaults, and
     /// *validates* the evaluation-engine variables (`KBP_EVAL_THREADS`,
-    /// `KBP_SHARD_MIN_WORLDS`, `KBP_QUOTIENT_MIN_WORLDS`) that the engine
-    /// itself tolerates: all configuration errors fail startup here,
-    /// through one typed path.
+    /// `KBP_GEN_QUOTIENT_MIN_WORLDS`) that the engine itself tolerates:
+    /// all configuration errors fail startup here, through one typed
+    /// path.
     ///
     /// # Errors
     ///
@@ -311,8 +309,7 @@ impl ServiceConfig {
         // defaults on garbage; a daemon should instead refuse to start,
         // so the malformed value is caught before the first request.
         env_threads(THREADS_ENV)?;
-        env_shard_min_worlds()?;
-        env_quotient_min_worlds()?;
+        env_gen_quotient_min_worlds()?;
         Ok(config)
     }
 
@@ -434,26 +431,14 @@ impl Default for ServiceConfig {
 }
 
 /// Aggregated per-layer evaluation counters across every solve the
-/// service has run: how often the engine sharded guard evaluation, and
-/// how much the bisimulation quotient shrank the layers it ran on.
+/// service has run: how much quotient-first generation shrank the layers
+/// it produced.
 /// Monitoring only — aggregates of [`LayerStats`], never echoed on job
 /// responses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Layers evaluated (every solve contributes its per-layer rows).
     pub layers: usize,
-    /// Layers whose guard evaluation ran sharded (`shards > 1`).
-    pub sharded_layers: usize,
-    /// Total shards across sharded layers (1 per sequential layer is
-    /// *not* counted — this sums only where sharding happened).
-    pub shards: usize,
-    /// Layers where the epistemic quotient ran (`quotient_worlds > 0`).
-    pub quotiented_layers: usize,
-    /// Quotient classes summed over quotiented layers.
-    pub quotient_worlds: usize,
-    /// Points summed over quotiented layers (denominator of
-    /// [`quotient_ratio_permille`](Self::quotient_ratio_permille)).
-    pub quotiented_points: usize,
     /// Layers generated directly on bisimulation representatives by the
     /// fused step+quotient path (`gen_quotient_worlds > 0`).
     pub gen_quotiented_layers: usize,
@@ -467,18 +452,6 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// Aggregate quotient compression in per-mille, `0..=1000`: how many
-    /// representative worlds survived per thousand points on the layers
-    /// where the quotient ran. `None` when it never ran.
-    #[must_use]
-    pub fn quotient_ratio_permille(&self) -> Option<u64> {
-        if self.quotiented_points == 0 {
-            None
-        } else {
-            Some((self.quotient_worlds as u64).saturating_mul(1000) / self.quotiented_points as u64)
-        }
-    }
-
     /// Aggregate generation-side compression in per-mille, `0..=1000`:
     /// how many representative worlds were resident per thousand
     /// explicit-equivalent points on the layers the fused step+quotient
@@ -513,7 +486,7 @@ pub struct ServiceStats {
     pub layers_total: usize,
     /// Layers rehydrated from cache snapshots instead of evaluated.
     pub layers_restored: usize,
-    /// Aggregated sharding/quotient counters across all solves.
+    /// Aggregated generation-quotient counters across all solves.
     pub eval: EvalStats,
     /// Client-defined DSL scenarios currently registered.
     pub definitions_active: usize,
@@ -631,11 +604,6 @@ pub struct Service {
     layers_total: AtomicUsize,
     layers_restored: AtomicUsize,
     eval_layers: AtomicUsize,
-    eval_sharded_layers: AtomicUsize,
-    eval_shards: AtomicUsize,
-    eval_quotiented_layers: AtomicUsize,
-    eval_quotient_worlds: AtomicUsize,
-    eval_quotiented_points: AtomicUsize,
     eval_gen_quotiented_layers: AtomicUsize,
     eval_gen_quotient_worlds: AtomicUsize,
     eval_gen_quotiented_points: AtomicUsize,
@@ -753,11 +721,6 @@ impl Service {
             layers_total: AtomicUsize::new(0),
             layers_restored: AtomicUsize::new(0),
             eval_layers: AtomicUsize::new(0),
-            eval_sharded_layers: AtomicUsize::new(0),
-            eval_shards: AtomicUsize::new(0),
-            eval_quotiented_layers: AtomicUsize::new(0),
-            eval_quotient_worlds: AtomicUsize::new(0),
-            eval_quotiented_points: AtomicUsize::new(0),
             eval_gen_quotiented_layers: AtomicUsize::new(0),
             eval_gen_quotient_worlds: AtomicUsize::new(0),
             eval_gen_quotiented_points: AtomicUsize::new(0),
@@ -809,11 +772,6 @@ impl Service {
             layers_restored: self.layers_restored.load(Ordering::Relaxed),
             eval: EvalStats {
                 layers: self.eval_layers.load(Ordering::Relaxed),
-                sharded_layers: self.eval_sharded_layers.load(Ordering::Relaxed),
-                shards: self.eval_shards.load(Ordering::Relaxed),
-                quotiented_layers: self.eval_quotiented_layers.load(Ordering::Relaxed),
-                quotient_worlds: self.eval_quotient_worlds.load(Ordering::Relaxed),
-                quotiented_points: self.eval_quotiented_points.load(Ordering::Relaxed),
                 gen_quotiented_layers: self.eval_gen_quotiented_layers.load(Ordering::Relaxed),
                 gen_quotient_worlds: self.eval_gen_quotient_worlds.load(Ordering::Relaxed),
                 gen_quotiented_points: self.eval_gen_quotiented_points.load(Ordering::Relaxed),
@@ -1112,7 +1070,7 @@ impl Service {
 
     /// Solves through the artifact cache when a session exists for the
     /// fingerprint; cold otherwise. Also feeds the warm-rate counters
-    /// and the aggregated per-layer sharding/quotient counters.
+    /// and the aggregated per-layer generation-quotient counters.
     #[allow(clippy::too_many_arguments)]
     fn solve_outcome(
         &self,
@@ -1151,24 +1109,10 @@ impl Service {
     /// Folds one solve's per-layer rows into the aggregate counters the
     /// `metrics` response surfaces.
     fn note_layer_stats(&self, per_layer: &[LayerStats]) {
-        let mut sharded_layers = 0;
-        let mut shards = 0;
-        let mut quotiented_layers = 0;
-        let mut quotient_worlds = 0;
-        let mut quotiented_points = 0;
         let mut gen_quotiented_layers = 0;
         let mut gen_quotient_worlds = 0;
         let mut gen_quotiented_points = 0;
         for layer in per_layer {
-            if layer.shards > 1 {
-                sharded_layers += 1;
-                shards += layer.shards;
-            }
-            if layer.quotient_worlds > 0 {
-                quotiented_layers += 1;
-                quotient_worlds += layer.quotient_worlds;
-                quotiented_points += layer.points;
-            }
             if layer.gen_quotient_worlds > 0 {
                 gen_quotiented_layers += 1;
                 gen_quotient_worlds += layer.gen_quotient_worlds;
@@ -1177,15 +1121,6 @@ impl Service {
         }
         self.eval_layers
             .fetch_add(per_layer.len(), Ordering::Relaxed);
-        self.eval_sharded_layers
-            .fetch_add(sharded_layers, Ordering::Relaxed);
-        self.eval_shards.fetch_add(shards, Ordering::Relaxed);
-        self.eval_quotiented_layers
-            .fetch_add(quotiented_layers, Ordering::Relaxed);
-        self.eval_quotient_worlds
-            .fetch_add(quotient_worlds, Ordering::Relaxed);
-        self.eval_quotiented_points
-            .fetch_add(quotiented_points, Ordering::Relaxed);
         self.eval_gen_quotiented_layers
             .fetch_add(gen_quotiented_layers, Ordering::Relaxed);
         self.eval_gen_quotient_worlds
@@ -1478,30 +1413,6 @@ impl Service {
                 "eval".into(),
                 obj(vec![
                     ("layers", Json::U64(stats.eval.layers as u64)),
-                    (
-                        "sharded_layers",
-                        Json::U64(stats.eval.sharded_layers as u64),
-                    ),
-                    ("shards", Json::U64(stats.eval.shards as u64)),
-                    (
-                        "quotiented_layers",
-                        Json::U64(stats.eval.quotiented_layers as u64),
-                    ),
-                    (
-                        "quotient_worlds",
-                        Json::U64(stats.eval.quotient_worlds as u64),
-                    ),
-                    (
-                        "quotiented_points",
-                        Json::U64(stats.eval.quotiented_points as u64),
-                    ),
-                    (
-                        "quotient_ratio_permille",
-                        stats
-                            .eval
-                            .quotient_ratio_permille()
-                            .map_or(Json::Null, Json::U64),
-                    ),
                     (
                         "gen_quotiented_layers",
                         Json::U64(stats.eval.gen_quotiented_layers as u64),
@@ -2115,11 +2026,7 @@ mod tests {
             Err(ConfigError::Threads(_))
         ));
         assert!(matches!(
-            run(&[(kbp_kripke::SHARD_MIN_WORLDS_ENV, "wide")]),
-            Err(ConfigError::Threads(_))
-        ));
-        assert!(matches!(
-            run(&[(kbp_kripke::QUOTIENT_MIN_WORLDS_ENV, "small")]),
+            run(&[(kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV, "wide")]),
             Err(ConfigError::Threads(_))
         ));
         let ok = run(&[
@@ -2465,10 +2372,8 @@ mod tests {
         let metrics = service.metrics_response(None, 0);
         let eval = metrics.get("eval").unwrap();
         assert!(eval.get("layers").unwrap().as_u64().unwrap() > 0);
-        // Small scenarios stay sequential and under the quotient
-        // threshold: the counters exist and read zero/null.
-        assert_eq!(eval.get("sharded_layers"), Some(&Json::U64(0)));
-        assert_eq!(eval.get("quotient_ratio_permille"), Some(&Json::Null));
+        // Small scenarios stay under the generation-quotient threshold:
+        // the counters exist and read zero/null.
         assert_eq!(eval.get("gen_quotiented_layers"), Some(&Json::U64(0)));
         assert_eq!(eval.get("gen_quotient_ratio_permille"), Some(&Json::Null));
         let defs = metrics.get("definitions").unwrap();
@@ -2478,14 +2383,7 @@ mod tests {
             defs.get("quota"),
             Some(&Json::U64(DEFAULT_CLIENT_DEFINITIONS as u64))
         );
-        // The aggregate ratio helper: per-mille of surviving worlds.
-        let eval = EvalStats {
-            quotient_worlds: 250,
-            quotiented_points: 1000,
-            ..EvalStats::default()
-        };
-        assert_eq!(eval.quotient_ratio_permille(), Some(250));
-        assert_eq!(EvalStats::default().quotient_ratio_permille(), None);
+        // The aggregate ratio helper: per-mille of resident worlds.
         let eval = EvalStats {
             gen_quotient_worlds: 40,
             gen_quotiented_points: 1000,

@@ -25,7 +25,6 @@ const KBP_VARS: &[&str] = &[
     "KBP_SERVICE_WRITE_BUDGET_BYTES",
     "KBP_SERVICE_WRITE_STALL_MS",
     "KBP_EVAL_THREADS",
-    "KBP_SHARD_MIN_WORLDS",
 ];
 
 struct Daemon {

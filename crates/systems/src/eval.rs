@@ -192,10 +192,7 @@ pub fn satisfying_layers(
 }
 
 /// Like [`satisfying_layers`], but static nodes are evaluated through
-/// `engine`, so its thread/sharding policy applies: a layer wide enough to
-/// clear the engine's `shard_min_worlds` gate has its partition and
-/// sat-set kernels split across world ranges even when the layer is
-/// evaluated on its own.
+/// `engine` and its shared arena.
 ///
 /// The walk uses the engine's arena; `roots` must be ids issued by
 /// [`EvalEngine::arena`].

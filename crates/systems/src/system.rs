@@ -22,7 +22,7 @@ use kbp_kripke::{
 };
 use kbp_logic::{Agent, PropId};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -577,7 +577,15 @@ impl<'c> SystemBuilder<'c> {
     /// run prefixes and a protocol must act at each of them.
     #[must_use]
     pub fn frontier_locals(&self) -> Vec<(Agent, LocalId)> {
+        // First-occurrence order; the hash set keeps the dedup linear in
+        // the frontier, which runs to thousands of member locals.
         let mut seen: Vec<(Agent, LocalId)> = Vec::new();
+        let mut known: HashSet<(Agent, LocalId)> = HashSet::new();
+        let mut note = |key: (Agent, LocalId)| {
+            if known.insert(key) {
+                seen.push(key);
+            }
+        };
         let layer = self.current();
         match layer.quotient() {
             Some(q) => {
@@ -585,10 +593,7 @@ impl<'c> SystemBuilder<'c> {
                     let agent = Agent::new(i);
                     for c in 0..q.class_count() {
                         for &l in q.members(agent, c) {
-                            let key = (agent, l);
-                            if !seen.contains(&key) {
-                                seen.push(key);
-                            }
+                            note((agent, l));
                         }
                     }
                 }
@@ -596,10 +601,7 @@ impl<'c> SystemBuilder<'c> {
             None => {
                 for node in layer.nodes() {
                     for (i, &l) in node.locals.iter().enumerate() {
-                        let key = (Agent::new(i), l);
-                        if !seen.contains(&key) {
-                            seen.push(key);
-                        }
+                        note((Agent::new(i), l));
                     }
                 }
             }
@@ -1615,6 +1617,52 @@ mod tests {
         for p in sys.points() {
             let _ = sys.global_state(p);
         }
+    }
+
+    #[test]
+    fn frontier_locals_keep_first_occurrence_order() {
+        // x sees the initial bit, y sees nothing; the step resets the bit,
+        // so both runs meet in one global state with x-histories apart.
+        let mut voc = Vocabulary::new();
+        let x = voc.add_agent("x");
+        let y = voc.add_agent("y");
+        let ctx = ContextBuilder::new(voc)
+            .initial_states([GlobalState::new(vec![0]), GlobalState::new(vec![1])])
+            .agent_actions(x, ["noop"])
+            .agent_actions(y, ["noop"])
+            .transition(|s, _| s.with_reg(0, 0))
+            .observe(|agent, s| {
+                if agent.index() == 0 {
+                    Obs(u64::from(s.reg(0)))
+                } else {
+                    Obs(0)
+                }
+            })
+            .props(|_, _| false)
+            .build();
+        let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        // Explicit frontier: node-major, agent-minor, y's shared local once.
+        let nodes = b.current().nodes();
+        assert_eq!(nodes.len(), 2);
+        assert_eq!(nodes[0].local(y), nodes[1].local(y));
+        let want = vec![
+            (x, nodes[0].local(x)),
+            (y, nodes[0].local(y)),
+            (x, nodes[1].local(x)),
+        ];
+        assert_eq!(b.frontier_locals(), want);
+        // Reduced frontier: one class standing for both runs; agent-major,
+        // then class, then sorted member locals.
+        b.set_gen_quotient_min_worlds(0);
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        b.step_with(&noop).unwrap();
+        assert!(b.current().is_reduced());
+        let q = b.current().quotient().unwrap();
+        assert_eq!(q.class_count(), 1);
+        let xs = q.members(x, 0);
+        assert_eq!(xs.len(), 2);
+        let want = vec![(x, xs[0]), (x, xs[1]), (y, q.members(y, 0)[0])];
+        assert_eq!(b.frontier_locals(), want);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! representative frontier *stops growing* where the explicit frontier
 //! keeps multiplying, so a solve that would need tens of gigabytes
 //! explicit completes in megabytes. A smaller instance of the same
-//! family is then solved fused, quotient-evaluated, and fully explicit,
-//! and crosschecked bit-for-bit — the evidence that the compressed
-//! answer is the explicit answer.
+//! family is then solved fused and fully explicit, and crosschecked
+//! bit-for-bit — the evidence that the compressed answer is the
+//! explicit answer.
 //!
 //! Run with: `cargo run --release --example quotient_witness -- [m] [horizon] [mode]`
 //! (default m = 3, horizon = 13: ~110M explicit-equivalent worlds, under
@@ -112,25 +112,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Crosscheck on a smaller instance of the same family: fused
-    // generation, resident quotient evaluation, and the fully explicit
-    // path must agree bit-for-bit.
+    // generation and the fully explicit path must agree bit-for-bit.
     let small = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
     let sctx = small.context();
     let skbp = small.kbp();
-    let solve = |gen: usize, quot: usize| {
+    let solve = |gen: usize| {
         SyncSolver::new(&sctx, &skbp)
             .horizon(7)
             .gen_quotient_min_worlds(gen)
-            .quotient_min_worlds(quot)
             .solve()
     };
-    let fused = solve(0, usize::MAX)?;
-    let quotiented = solve(usize::MAX, 0)?;
-    let explicit = solve(usize::MAX, usize::MAX)?;
+    let fused = solve(0)?;
+    let explicit = solve(usize::MAX)?;
     assert_eq!(fused.protocol(), explicit.protocol());
-    assert_eq!(quotiented.protocol(), explicit.protocol());
     assert_eq!(fused.stabilized(), explicit.stabilized());
-    assert_eq!(quotiented.stabilized(), explicit.stabilized());
     assert_eq!(
         fused
             .per_layer()
@@ -143,6 +138,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|l| l.points)
             .collect::<Vec<_>>(),
     );
-    println!("\n  crosscheck (m = 2, horizon = 7): fused == quotiented == explicit ✓");
+    println!("\n  crosscheck (m = 2, horizon = 7): fused == explicit ✓");
     Ok(())
 }

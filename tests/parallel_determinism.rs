@@ -1,37 +1,28 @@
-//! Determinism of the parallel evaluation engine and of cross-layer
-//! carry-forward.
+//! Determinism of the parallel evaluation engine, of cross-layer
+//! carry-forward, and of quotient-first generation.
 //!
 //! The solver's per-layer cache fill may shard guard components across
 //! worker threads (`SyncSolver::eval_threads` / `KBP_EVAL_THREADS`), may
-//! split a single wide layer's kernels into world-range shards
-//! (`SyncSolver::shard_min_worlds` / `KBP_SHARD_MIN_WORLDS`), and may map
-//! satisfaction sets through a verified layer isomorphism instead of
-//! re-evaluating (`SyncSolver::carry_forward`), may quotient a layer
-//! by bisimulation before evaluating epistemic guards
-//! (`SyncSolver::quotient_min_worlds` / `KBP_QUOTIENT_MIN_WORLDS`), and
-//! may *generate* layers directly on bisimulation representatives so the
-//! explicit frontier is never resident
-//! (`SyncSolver::gen_quotient_min_worlds` /
+//! map satisfaction sets through a verified layer isomorphism instead of
+//! re-evaluating (`SyncSolver::carry_forward`), and may *generate* layers
+//! directly on bisimulation representatives so the explicit frontier is
+//! never resident (`SyncSolver::gen_quotient_min_worlds` /
 //! `KBP_GEN_QUOTIENT_MIN_WORLDS`). None of these knobs is allowed to
 //! change *anything* observable: on every scenario in `kbp-scenarios`,
 //! the solution — protocol, stabilization point, stats, per-layer
 //! breakdown — must be bit-identical at 1 thread, 2 threads, and whatever
-//! `std::thread::available_parallelism` reports, with sharding forced on
-//! or off, carry-forward on or off, and both quotients forced on or off
-//! (stats count clause lookups and explicit-equivalent points, not
-//! physical evaluations or resident worlds, precisely so budget semantics
-//! stay deterministic too). The only sanctioned exceptions are the
-//! scheduling diagnostics themselves — `LayerStats::{shards,
-//! quotient_worlds, quotient_ratio, gen_quotient_worlds,
-//! gen_quotient_ratio}` and `SolveStats::{layers_sharded,
-//! layers_quotiented, layers_gen_quotiented}` — which are pinned against
-//! the configured *plan* (shards against the kernel planner at the
-//! recorded resident width, the quotient counters against the per-layer
-//! breakdown and the gates) and then normalized out of the bit-for-bit
-//! comparison.
+//! `std::thread::available_parallelism` reports, with carry-forward on or
+//! off and generation quotienting forced on or off (stats count clause
+//! lookups and explicit-equivalent points, not physical evaluations or
+//! resident worlds, precisely so budget semantics stay deterministic
+//! too). The only sanctioned exceptions are the generation diagnostics
+//! themselves — `LayerStats::{gen_quotient_worlds, gen_quotient_ratio}`
+//! and `SolveStats::layers_gen_quotiented` — which are pinned against the
+//! per-layer breakdown and the gate and then normalized out of the
+//! bit-for-bit comparison.
 
 use kbp_core::{Kbp, LayerStats, SyncSolver};
-use kbp_kripke::EvalEngine;
+use kbp_kripke::{EvalCache, EvalEngine};
 use kbp_logic::FormulaArena;
 use kbp_scenarios::bit_transmission::{BitTransmission, Channel};
 use kbp_scenarios::coordinated_attack::CoordinatedAttack;
@@ -92,16 +83,12 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Strips the scheduling diagnostics (shard plan and quotient stage) from
-/// a per-layer breakdown, after the caller has pinned them against the
-/// configured plan.
+/// Strips the generation diagnostics from a per-layer breakdown, after
+/// the caller has pinned them against the breakdown and the gate.
 fn without_schedule_diagnostics(per_layer: &[LayerStats]) -> Vec<LayerStats> {
     per_layer
         .iter()
         .map(|l| LayerStats {
-            shards: 0,
-            quotient_worlds: 0,
-            quotient_ratio: 0,
             gen_quotient_worlds: 0,
             gen_quotient_ratio: 0,
             ..*l
@@ -115,7 +102,7 @@ fn solutions_are_identical_across_thread_counts_sharding_and_carry_forward() {
         // Reference: sequential fill, carry-forward enabled on every
         // layer (threshold 0, so even the tiny scenario layers exercise
         // the renaming path rather than being gated by the width
-        // threshold). One thread means the shard plan is 1 everywhere.
+        // threshold), explicit generation.
         let reference = SyncSolver::new(&ctx, &kbp)
             .horizon(horizon)
             .recall(recall)
@@ -124,232 +111,88 @@ fn solutions_are_identical_across_thread_counts_sharding_and_carry_forward() {
             .gen_quotient_min_worlds(usize::MAX)
             .solve()
             .unwrap_or_else(|e| panic!("{name}: reference solve failed: {e}"));
-        assert!(
-            reference.per_layer().iter().all(|l| l.shards == 1),
-            "{name}: single-threaded reference must plan 1 shard per layer"
-        );
-        assert_eq!(reference.stats().layers_sharded, 0);
 
-        // min_worlds 0 forces intra-layer sharding wherever the layer is
-        // wide enough to have more than one word; usize::MAX disables it.
-        // The same convention holds for the quotient gate.
+        // min_gen 0 generates every layer quotient-first; usize::MAX keeps
+        // generation explicit.
         for threads in thread_counts() {
             for carry in [true, false] {
-                for min_worlds in [0usize, usize::MAX] {
-                    for (min_quotient, min_gen) in [
-                        (0usize, usize::MAX),
-                        (usize::MAX, usize::MAX),
-                        (usize::MAX, 0),
-                    ] {
-                        let solution = SyncSolver::new(&ctx, &kbp)
-                            .horizon(horizon)
-                            .recall(recall)
-                            .eval_threads(threads)
-                            .shard_min_worlds(min_worlds)
-                            .quotient_min_worlds(min_quotient)
-                            .gen_quotient_min_worlds(min_gen)
-                            .carry_threshold(0)
-                            .carry_forward(carry)
-                            .solve()
-                            .unwrap_or_else(|e| {
-                                panic!(
-                                    "{name}: solve failed at {threads} threads, carry={carry}, \
-                                     min_worlds={min_worlds}, min_quotient={min_quotient}, \
-                                     min_gen={min_gen}: {e}"
-                                )
-                            });
-                        let at = format!(
-                            "{threads} threads, carry={carry}, min_worlds={min_worlds}, \
-                             min_quotient={min_quotient}, min_gen={min_gen}"
-                        );
-                        assert_eq!(
-                            reference.protocol(),
-                            solution.protocol(),
-                            "{name}: protocol diverged at {at}"
-                        );
-                        assert_eq!(
-                            reference.stabilized(),
-                            solution.stabilized(),
-                            "{name}: stabilization diverged at {at}"
-                        );
-                        // The recorded shard counts must equal the pure
-                        // plan for this configuration at the width the
-                        // kernels actually ran at (the recorded quotient
-                        // width when the stage engaged) — never e.g.
-                        // collapse to 1 on carried or restored layers.
-                        let planner = EvalEngine::new(FormulaArena::new())
-                            .with_threads(threads)
-                            .with_shard_min_worlds(min_worlds);
+                for min_gen in [usize::MAX, 0] {
+                    let solution = SyncSolver::new(&ctx, &kbp)
+                        .horizon(horizon)
+                        .recall(recall)
+                        .eval_threads(threads)
+                        .gen_quotient_min_worlds(min_gen)
+                        .carry_threshold(0)
+                        .carry_forward(carry)
+                        .solve()
+                        .unwrap_or_else(|e| {
+                            panic!(
+                                "{name}: solve failed at {threads} threads, carry={carry}, \
+                                 min_gen={min_gen}: {e}"
+                            )
+                        });
+                    let at = format!("{threads} threads, carry={carry}, min_gen={min_gen}");
+                    assert_eq!(
+                        reference.protocol(),
+                        solution.protocol(),
+                        "{name}: protocol diverged at {at}"
+                    );
+                    assert_eq!(
+                        reference.stabilized(),
+                        solution.stabilized(),
+                        "{name}: stabilization diverged at {at}"
+                    );
+                    if min_gen == usize::MAX {
                         for layer in solution.per_layer() {
-                            // The kernels run at the resident width: the
-                            // generation quotient keeps only the
-                            // representatives resident, and the eval
-                            // quotient shrinks an explicit layer further.
-                            let width = if layer.quotient_worlds > 0 {
-                                layer.quotient_worlds.min(layer.points)
-                            } else if layer.gen_quotient_worlds > 0 {
-                                layer.gen_quotient_worlds.min(layer.points)
-                            } else {
-                                layer.points
-                            };
                             assert_eq!(
-                                layer.shards,
-                                planner.kernel_shards(width),
-                                "{name}: layer {} shard plan diverged at {at}",
+                                (layer.gen_quotient_worlds, layer.gen_quotient_ratio),
+                                (0, 0),
+                                "{name}: layer {} generation-quotiented while disabled at {at}",
                                 layer.layer
                             );
-                            if min_quotient == usize::MAX {
-                                assert_eq!(
-                                    (layer.quotient_worlds, layer.quotient_ratio),
-                                    (0, 0),
-                                    "{name}: layer {} quotiented while disabled at {at}",
-                                    layer.layer
-                                );
-                            }
-                            if min_gen == usize::MAX {
-                                assert_eq!(
-                                    (layer.gen_quotient_worlds, layer.gen_quotient_ratio),
-                                    (0, 0),
-                                    "{name}: layer {} generation-quotiented while disabled at {at}",
-                                    layer.layer
-                                );
-                            }
                         }
-                        let planned_sharded =
-                            solution.per_layer().iter().filter(|l| l.shards > 1).count();
-                        let recorded_quotiented = solution
-                            .per_layer()
-                            .iter()
-                            .filter(|l| l.quotient_worlds > 0 && l.quotient_worlds < l.points)
-                            .count();
-                        let recorded_gen_quotiented = solution
-                            .per_layer()
-                            .iter()
-                            .filter(|l| {
-                                l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points
-                            })
-                            .count();
-                        // With the plan pinned, everything else must be
-                        // bit-identical to the sequential reference.
-                        assert_eq!(
-                            without_schedule_diagnostics(reference.per_layer()),
-                            without_schedule_diagnostics(solution.per_layer()),
-                            "{name}: per-layer stats diverged at {at}"
-                        );
-                        // Stats are clause-lookup counts, independent of
-                        // sharding and quotienting; only the carried-layer
-                        // counter may (and should) differ when
-                        // carry-forward is disabled, and the sharded- and
-                        // quotiented-layer counters must match their
-                        // recorded plans.
-                        let mut expected = reference.stats();
-                        let got = solution.stats();
-                        assert_eq!(
-                            got.layers_sharded, planned_sharded,
-                            "{name}: layers_sharded diverged from the plan at {at}"
-                        );
-                        assert_eq!(
-                            got.layers_quotiented, recorded_quotiented,
-                            "{name}: layers_quotiented diverged from the breakdown at {at}"
-                        );
-                        assert_eq!(
-                            got.layers_gen_quotiented, recorded_gen_quotiented,
-                            "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
-                        );
-                        expected.layers_sharded = planned_sharded;
-                        expected.layers_quotiented = got.layers_quotiented;
-                        expected.layers_gen_quotiented = got.layers_gen_quotiented;
-                        if !carry {
-                            assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
-                            expected.layers_carried = 0;
-                        }
-                        if min_gen == 0 {
-                            // Generation-side compression can make
-                            // consecutive reduced layers isomorphic where
-                            // the explicit layers keep growing, so the
-                            // fused leg may carry *more* layers — warmth
-                            // the diagnostics are allowed to show.
-                            expected.layers_carried = got.layers_carried;
-                        }
-                        assert_eq!(expected, got, "{name}: stats diverged at {at}");
                     }
+                    let recorded_gen_quotiented = solution
+                        .per_layer()
+                        .iter()
+                        .filter(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
+                        .count();
+                    // With the diagnostics pinned, everything else must be
+                    // bit-identical to the sequential reference.
+                    assert_eq!(
+                        without_schedule_diagnostics(reference.per_layer()),
+                        without_schedule_diagnostics(solution.per_layer()),
+                        "{name}: per-layer stats diverged at {at}"
+                    );
+                    // Stats are clause-lookup counts, independent of
+                    // threading and generation; only the carried-layer
+                    // counter may (and should) differ when carry-forward is
+                    // disabled, and the generation counter must match the
+                    // recorded breakdown.
+                    let mut expected = reference.stats();
+                    let got = solution.stats();
+                    assert_eq!(
+                        got.layers_gen_quotiented, recorded_gen_quotiented,
+                        "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
+                    );
+                    expected.layers_gen_quotiented = got.layers_gen_quotiented;
+                    if !carry {
+                        assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
+                        expected.layers_carried = 0;
+                    }
+                    if min_gen == 0 {
+                        // Generation-side compression can make consecutive
+                        // reduced layers isomorphic where the explicit
+                        // layers keep growing, so the fused leg may carry
+                        // *more* layers — warmth the diagnostics are
+                        // allowed to show.
+                        expected.layers_carried = got.layers_carried;
+                    }
+                    assert_eq!(expected, got, "{name}: stats diverged at {at}");
                 }
             }
         }
     }
-}
-
-#[test]
-fn forced_sharding_actually_occurs_somewhere() {
-    // The sharded kernels must be exercised non-vacuously by the matrix
-    // above: at 2+ threads with the gate at 0, the sequence-transmission
-    // unrolling (whose later layers hold hundreds of points, i.e. several
-    // 64-world words) must plan more than one shard somewhere.
-    let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
-    let ctx = st.context();
-    let kbp = st.kbp();
-    // The quotient is pinned off so the shard plan is judged at the full
-    // layer width — a compressing quotient could otherwise shrink wide
-    // layers below the sharding crossover.
-    let solution = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
-        .eval_threads(2)
-        .shard_min_worlds(0)
-        .quotient_min_worlds(usize::MAX)
-        .solve()
-        .expect("sequence transmission solves");
-    assert!(
-        solution.stats().layers_sharded > 0,
-        "expected at least one sharded layer, got {:?}",
-        solution.per_layer()
-    );
-    assert!(
-        solution.per_layer().iter().any(|l| l.points > 64),
-        "matrix lost its wide layer — sharding assertions are vacuous"
-    );
-}
-
-#[test]
-fn forced_quotienting_actually_occurs_somewhere() {
-    // The quotient leg of the matrix above must be non-vacuous: with the
-    // gate at 0, the sequence-transmission unrolling (few propositions,
-    // many points per valuation) must evaluate at least one layer on a
-    // strictly smaller bisimulation quotient — and still answer exactly
-    // what the quotient-free solve answers.
-    let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
-    let ctx = st.context();
-    let kbp = st.kbp();
-    let quotiented = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
-        .quotient_min_worlds(0)
-        .solve()
-        .expect("sequence transmission solves");
-    assert!(
-        quotiented.stats().layers_quotiented > 0,
-        "expected at least one quotiented layer, got {:?}",
-        quotiented.per_layer()
-    );
-    let shrunk = quotiented
-        .per_layer()
-        .iter()
-        .find(|l| l.quotient_worlds > 0 && l.quotient_worlds < l.points)
-        .expect("a strictly compressing layer");
-    assert!(
-        (1..1000).contains(&shrunk.quotient_ratio),
-        "per-mille ratio of a strictly compressing layer must be in (0, 1000), got {}",
-        shrunk.quotient_ratio
-    );
-    let explicit = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
-        .quotient_min_worlds(usize::MAX)
-        .solve()
-        .expect("sequence transmission solves");
-    assert_eq!(quotiented.protocol(), explicit.protocol());
-    assert_eq!(quotiented.stabilized(), explicit.stabilized());
-    assert_eq!(
-        without_schedule_diagnostics(quotiented.per_layer()),
-        without_schedule_diagnostics(explicit.per_layer())
-    );
 }
 
 #[test]
@@ -367,7 +210,6 @@ fn forced_gen_quotienting_actually_occurs_somewhere() {
     let fused = SyncSolver::new(&ctx, &kbp)
         .horizon(6)
         .gen_quotient_min_worlds(0)
-        .quotient_min_worlds(usize::MAX)
         .solve()
         .expect("sequence transmission solves");
     assert!(
@@ -388,7 +230,6 @@ fn forced_gen_quotienting_actually_occurs_somewhere() {
     let explicit = SyncSolver::new(&ctx, &kbp)
         .horizon(6)
         .gen_quotient_min_worlds(usize::MAX)
-        .quotient_min_worlds(usize::MAX)
         .solve()
         .expect("sequence transmission solves");
     assert_eq!(fused.protocol(), explicit.protocol());
@@ -450,12 +291,76 @@ fn default_carry_threshold_gates_tiny_layers_without_changing_answers() {
         .expect("bit transmission solves");
     assert_eq!(gated.protocol(), eager.protocol());
     assert_eq!(gated.stabilized(), eager.stabilized());
-    // Normalized: under a forced process-wide quotient gate the eager
-    // run's carried layers skip the fill (quotient stats 0) while the
-    // gated run re-evaluates them — warmth the diagnostics are allowed
-    // to show.
     assert_eq!(
         without_schedule_diagnostics(gated.per_layer()),
         without_schedule_diagnostics(eager.per_layer())
     );
+}
+
+#[test]
+#[allow(deprecated)]
+fn removed_shard_and_quotient_gates_are_inert() {
+    // The shard and evaluation-quotient knobs survive only as no-ops for
+    // the benchmark harness: forcing them must change nothing, and the
+    // counters they fed read their constant values.
+    let mc = MuddyChildren::new(3);
+    let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
+    for (name, ctx, kbp, horizon) in [
+        ("muddy_children", mc.context(), mc.kbp(), 4),
+        ("sequence_transmission", st.context(), st.kbp(), 6),
+    ] {
+        let default = SyncSolver::new(&ctx, &kbp)
+            .horizon(horizon)
+            .solve()
+            .expect("default solve");
+        let forced = SyncSolver::new(&ctx, &kbp)
+            .horizon(horizon)
+            .shard_min_worlds(0)
+            .quotient_min_worlds(0)
+            .solve()
+            .expect("forced solve");
+        assert_eq!(default.protocol(), forced.protocol(), "{name}: protocol");
+        assert_eq!(
+            default.stabilized(),
+            forced.stabilized(),
+            "{name}: stabilized"
+        );
+        assert_eq!(default.stats(), forced.stats(), "{name}: stats");
+        assert_eq!(default.per_layer(), forced.per_layer(), "{name}: per-layer");
+        assert!(
+            forced.per_layer().iter().all(|l| l.shards == 1),
+            "{name}: shards"
+        );
+        assert_eq!(forced.stats().layers_sharded, 0, "{name}: layers_sharded");
+        assert_eq!(
+            forced.stats().layers_quotiented,
+            0,
+            "{name}: layers_quotiented"
+        );
+
+        let mut engine = EvalEngine::new(FormulaArena::new());
+        let roots: Vec<_> = kbp
+            .programs()
+            .iter()
+            .flat_map(|p| p.clauses())
+            .map(|c| engine.intern(&c.guard))
+            .collect();
+        let model = forced.system().layer(horizon).model();
+        let mut prereduced = EvalCache::new();
+        engine
+            .populate_prereduced(model, &mut prereduced, &roots)
+            .expect("prereduced fill");
+        assert_eq!(prereduced.quotient_worlds(), 0, "{name}: quotient_worlds");
+        let mut plain = EvalCache::new();
+        for &root in &roots {
+            engine
+                .populate(model, &mut plain, &[root])
+                .expect("plain fill");
+            assert_eq!(
+                prereduced.get(root),
+                plain.get(root),
+                "{name}: root {root:?}"
+            );
+        }
+    }
 }

@@ -610,9 +610,7 @@ fn solve_diagnostics_roundtrip() {
         points: 17,
         guard_evaluations: 51,
         protocol_entries: 9,
-        shards: 2,
-        quotient_worlds: 6,
-        quotient_ratio: 352,
+        shards: 1,
         gen_quotient_worlds: 5,
         gen_quotient_ratio: 294,
     };

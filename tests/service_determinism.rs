@@ -83,32 +83,6 @@ fn batch_output_is_invariant_across_workers_and_cache() {
 }
 
 #[test]
-fn batch_output_is_invariant_under_forced_intra_layer_sharding() {
-    // Forcing the world-range sharding gate to 0 makes every solver
-    // inside the service shard any layer wider than one 64-world word —
-    // and must not move a single byte on the wire. The variable is read
-    // at engine construction (one engine per solve/session), so setting
-    // it here covers every job in the batch. Mutating the environment is
-    // safe precisely because of what this test asserts: responses do not
-    // depend on the sharding configuration.
-    let jobs = mixed_batch();
-    let reference = render(
-        &Service::new(ServiceConfig::new().workers(1).cache(false)),
-        &jobs,
-    );
-    std::env::set_var(kbp_kripke::SHARD_MIN_WORLDS_ENV, "0");
-    let sharded = render(
-        &Service::new(ServiceConfig::new().workers(2).cache(true)),
-        &jobs,
-    );
-    std::env::remove_var(kbp_kripke::SHARD_MIN_WORLDS_ENV);
-    assert_eq!(
-        sharded, reference,
-        "intra-layer sharding leaked into the wire format"
-    );
-}
-
-#[test]
 fn artifact_cache_respects_its_session_bound() {
     // Distinct scenarios hash to distinct context fingerprints; with the
     // bound forced to 1, every switch evicts the previous session — and
