@@ -272,7 +272,7 @@ impl<'a> Enumerator<'a> {
         // run: every guard of every program is interned once, and both the
         // layer-by-layer pruning and the end-of-horizon verification
         // evaluate against the same interned ids.
-        let mut engine = EvalEngine::from_env(FormulaArena::new()).map_err(SolveError::Config)?;
+        let mut engine = EvalEngine::new(FormulaArena::new());
         let mut full_ids: Vec<Vec<FormulaId>> = Vec::new();
         let mut past_ids: Vec<Vec<Option<FormulaId>>> = Vec::new();
         for program in self.kbp.programs() {
@@ -389,8 +389,7 @@ impl Search<'_, '_> {
         type Slot = (Agent, LocalId, Vec<Obs>, Vec<Vec<ActionId>>);
         let mut slots: Vec<Slot> = Vec::new();
         // One cache per layer visit: the engine fills it for all
-        // past-determined guards at once (sharded across threads when
-        // the component structure allows), so distinct subformulas are
+        // past-determined guards at once, so distinct subformulas are
         // evaluated once across all programs.
         let mut cache = EvalCache::new();
         self.engine.populate(model, &mut cache, &self.past_flat)?;

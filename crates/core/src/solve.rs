@@ -18,7 +18,7 @@
 
 use crate::budget::{Budget, BudgetExhausted, LayerStats, Resource};
 use crate::program::{Kbp, KbpError};
-use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError, ThreadConfigError};
+use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
     layer_renaming, Context, GenerateError, InterpretedSystem, MapProtocol, Recall, StepChoices,
@@ -73,9 +73,6 @@ pub enum SolveError {
     /// partial result to return; use
     /// [`SyncSolver::solve_budgeted`] to recover the work done so far).
     Budget(BudgetExhausted),
-    /// A thread-count environment variable (`KBP_EVAL_THREADS`) held a
-    /// value that cannot mean a worker-pool size.
-    Config(ThreadConfigError),
 }
 
 impl fmt::Display for SolveError {
@@ -110,7 +107,6 @@ impl fmt::Display for SolveError {
                  length-{history_len} history (internal error)"
             ),
             SolveError::Budget(e) => write!(f, "{e}"),
-            SolveError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -121,7 +117,6 @@ impl Error for SolveError {
             SolveError::Kbp(e) => Some(e),
             SolveError::Generate(e) => Some(e),
             SolveError::Eval(e) => Some(e),
-            SolveError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -378,32 +373,13 @@ pub struct EngineSession {
 }
 
 impl EngineSession {
-    /// Creates an empty session with the default engine thread policy.
+    /// Creates an empty session.
     #[must_use]
     pub fn new() -> Self {
         EngineSession {
             engine: EvalEngine::new(FormulaArena::new()),
             layers: Vec::new(),
         }
-    }
-
-    /// Like [`new`](Self::new), but a malformed `KBP_EVAL_THREADS` value
-    /// is surfaced as a typed error instead of being ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThreadConfigError`] for an unusable `KBP_EVAL_THREADS`
-    /// value.
-    pub fn from_env() -> Result<Self, ThreadConfigError> {
-        Ok(EngineSession {
-            engine: EvalEngine::from_env(FormulaArena::new())?,
-            layers: Vec::new(),
-        })
-    }
-
-    /// Overrides the engine's worker-thread count for subsequent solves.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.engine.set_threads(threads);
     }
 
     /// Number of layers with a stored snapshot.
@@ -434,11 +410,8 @@ impl Default for EngineSession {
 }
 
 // A session persists as its interned arena plus the per-layer snapshot
-// store — exactly the state that makes a warm solve skip work. Engine
-// runtime policy (thread count) is deliberately *not*
-// persisted: a reloaded session adopts the current process
-// configuration, keeping "same env ⇒ same wire bytes" true across
-// restarts. Rebuilding the engine from the serialized arena keeps every
+// store — exactly the state that makes a warm solve skip work.
+// Rebuilding the engine from the serialized arena keeps every
 // stored `FormulaId` aligned, because hash-consed re-interning is
 // deterministic over a fixed node list.
 impl serde::Serialize for EngineSession {
@@ -517,10 +490,8 @@ pub struct SyncSolver<'a> {
     recall: Recall,
     node_limit: Option<usize>,
     budget: Budget,
-    eval_threads: Option<usize>,
     gen_quotient_min_worlds: Option<usize>,
     carry_forward: bool,
-    carry_threshold: usize,
 }
 
 impl fmt::Debug for SyncSolver<'_> {
@@ -545,10 +516,8 @@ impl<'a> SyncSolver<'a> {
             recall: Recall::Perfect,
             node_limit: None,
             budget: Budget::default(),
-            eval_threads: None,
             gen_quotient_min_worlds: None,
             carry_forward: true,
-            carry_threshold: DEFAULT_CARRY_THRESHOLD,
         }
     }
 
@@ -581,13 +550,11 @@ impl<'a> SyncSolver<'a> {
         self
     }
 
-    /// Sets the guard-evaluation worker-thread count (default: the
-    /// `KBP_EVAL_THREADS` environment variable if set, else
-    /// [`std::thread::available_parallelism`]). `1` forces the sequential
-    /// path; the solution is bit-identical for every value.
+    /// Ignores its argument: guard evaluation is single-threaded. Inert;
+    /// kept only while the `kbpbench` benchmark names it.
+    #[deprecated(note = "guard evaluation is single-threaded; this does nothing")]
     #[must_use]
-    pub fn eval_threads(mut self, threads: usize) -> Self {
-        self.eval_threads = Some(threads.max(1));
+    pub fn eval_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -622,28 +589,14 @@ impl<'a> SyncSolver<'a> {
     }
 
     /// Enables or disables cross-layer cache carry-forward (default: on).
-    /// When consecutive layers are certified isomorphic by
+    /// When consecutive layers at least [`DEFAULT_CARRY_THRESHOLD`] points
+    /// wide are certified isomorphic by
     /// [`kbp_systems::layer_renaming`], guard satisfaction sets are mapped
     /// through the renaming instead of recomputed; disabling this is only
     /// useful for benchmarking, as outputs are identical either way.
     #[must_use]
     pub fn carry_forward(mut self, enabled: bool) -> Self {
         self.carry_forward = enabled;
-        self
-    }
-
-    /// Sets the minimum frontier width (points in the layer) before the
-    /// solver attempts carry-forward (default:
-    /// [`DEFAULT_CARRY_THRESHOLD`]). Below the threshold the
-    /// `layer_renaming` certificate costs about as much as refilling the
-    /// cache, so small layers are always re-evaluated; `0` attempts the
-    /// renaming on every layer. The threshold only affects where time is
-    /// spent ([`SolveStats::layers_carried`]) — solutions are identical
-    /// for every value, and `layers_carried` is deterministic for a
-    /// given configuration.
-    #[must_use]
-    pub fn carry_threshold(mut self, min_points: usize) -> Self {
-        self.carry_threshold = min_points;
         self
     }
 
@@ -743,14 +696,10 @@ impl<'a> SyncSolver<'a> {
                 (engine, Some(layers))
             }
             None => {
-                local_engine =
-                    EvalEngine::from_env(FormulaArena::new()).map_err(SolveError::Config)?;
+                local_engine = EvalEngine::new(FormulaArena::new());
                 (&mut local_engine, None)
             }
         };
-        if let Some(threads) = self.eval_threads {
-            engine.set_threads(threads);
-        }
         let guard_ids: Vec<Vec<FormulaId>> = self
             .kbp
             .programs()
@@ -848,7 +797,7 @@ impl<'a> SyncSolver<'a> {
                 // On layers below the width threshold the certificate
                 // costs about as much as refilling, so skip it there.
                 let carried = self.carry_forward
-                    && frontier >= self.carry_threshold
+                    && frontier >= DEFAULT_CARRY_THRESHOLD
                     && layer_renaming(builder.layer(t - 1), builder.current())
                         .and_then(|r| cache.carried_forward(&r).ok())
                         .map(|c| cache = c)
@@ -1440,22 +1389,5 @@ mod tests {
             .solve_budgeted_with(&mut session)
             .unwrap();
         assert_eq!(again.solution().unwrap().stats().layers_restored, 0);
-    }
-
-    #[test]
-    fn carry_threshold_gates_tiny_layers() {
-        let ctx = peek_announce_context();
-        let kbp = peek_announce_kbp();
-        // Layers here have ≤ 4 points: the default threshold (32) must
-        // suppress every carry attempt, and forcing the threshold to 0
-        // must leave the answer untouched.
-        let default_sol = SyncSolver::new(&ctx, &kbp).horizon(4).solve().unwrap();
-        assert_eq!(default_sol.stats().layers_carried, 0);
-        let eager_sol = SyncSolver::new(&ctx, &kbp)
-            .horizon(4)
-            .carry_threshold(0)
-            .solve()
-            .unwrap();
-        assert_eq!(*eager_sol.protocol(), *default_sol.protocol());
     }
 }

@@ -125,17 +125,13 @@ fn split_by_partition(colour: &mut Vec<u32>, count: &mut usize, split: &Partitio
 
 /// The exact partition-refinement kernel behind [`S5Model::bisimilarity`].
 ///
-/// Initial split: `props` (the evaluation vocabulary), then `seeds`
-/// (arbitrary world sets that must stay class-constant, e.g. cached
-/// sat-sets reused as boolean subformulas), then `splits` (partitions
-/// folded in wholesale). Rounds then refine against every relation in
-/// `relations` (agent partitions first, then any extra equivalence
-/// relations such as distributed-knowledge refinements) until a full
-/// round leaves the class count unchanged.
+/// Initial split: `props` (the evaluation vocabulary), then `splits`
+/// (partitions folded in wholesale). Rounds then refine against every
+/// agent partition in `relations` until a full round leaves the class
+/// count unchanged.
 fn refine_bisim(
     model: &S5Model,
     props: &[PropId],
-    seeds: &[&BitSet],
     splits: &[&Partition],
     relations: &[&Partition],
 ) -> Partition {
@@ -147,12 +143,6 @@ fn refine_bisim(
     let mut count: usize = 1;
     for &p in props {
         split_by_bits(&mut colour, &mut count, model.prop_worlds(p).words());
-        if count == n {
-            return Partition::discrete(n);
-        }
-    }
-    for seed in seeds {
-        split_by_bits(&mut colour, &mut count, seed.words());
         if count == n {
             return Partition::discrete(n);
         }
@@ -193,31 +183,26 @@ impl S5Model {
         let relations: Vec<&Partition> = (0..self.agent_count())
             .map(|a| self.partition(Agent::new(a)))
             .collect();
-        refine_bisim(self, &props, &[], &[], &relations)
+        refine_bisim(self, &props, &[], &relations)
     }
 
     /// Vocabulary-aware bisimilarity: like [`S5Model::bisimilarity`], but
     /// the initial split uses only `props` (the propositions that occur in
-    /// the formulas about to be evaluated), plus arbitrary `seeds` world
-    /// sets and `splits` partitions that must come out class-constant, and
-    /// refines against `relations` in addition to every agent partition.
+    /// the formulas about to be evaluated), plus `splits` partitions that
+    /// must come out class-constant.
     ///
     /// Worlds merged by the resulting partition agree on every formula
-    /// built from `props`/`seeds` with `K`/`E_G`/`C_G` modalities, and on
-    /// `D_G` for every group whose explicit refinement partition is
-    /// included in `relations`.
+    /// built from `props` with `K`/`E_G`/`C_G` modalities.
     ///
     /// # Errors
     ///
     /// [`EvalError::PropOutOfRange`] if a prop exceeds the model's
-    /// vocabulary; [`EvalError::LengthMismatch`] if a seed or partition is
-    /// not sized to this model's universe.
+    /// vocabulary; [`EvalError::LengthMismatch`] if a split is not sized
+    /// to this model's universe.
     pub fn bisimilarity_within(
         &self,
         props: &[PropId],
-        seeds: &[&BitSet],
         splits: &[&Partition],
-        relations: &[&Partition],
     ) -> Result<Partition, EvalError> {
         let n = self.world_count();
         for &p in props {
@@ -225,15 +210,7 @@ impl S5Model {
                 return Err(EvalError::PropOutOfRange(p));
             }
         }
-        for seed in seeds {
-            if seed.len() != n {
-                return Err(EvalError::LengthMismatch {
-                    expected: n,
-                    got: seed.len(),
-                });
-            }
-        }
-        for part in splits.iter().chain(relations.iter()) {
+        for part in splits {
             if part.len() != n {
                 return Err(EvalError::LengthMismatch {
                     expected: n,
@@ -244,8 +221,7 @@ impl S5Model {
         let agents: Vec<&Partition> = (0..self.agent_count())
             .map(|a| self.partition(Agent::new(a)))
             .collect();
-        let all: Vec<&Partition> = agents.iter().chain(relations.iter()).copied().collect();
-        Ok(refine_bisim(self, props, seeds, splits, &all))
+        Ok(refine_bisim(self, props, splits, &agents))
     }
 
     /// Packages a class partition as a [`Quotient`]: the quotient model
@@ -458,15 +434,13 @@ mod tests {
         let w1 = b.add_world([PropId::new(0), PropId::new(1)]);
         b.link(Agent::new(0), w0, w1);
         let m = b.build();
-        let narrow = m
-            .bisimilarity_within(&[PropId::new(0)], &[], &[], &[])
-            .unwrap();
+        let narrow = m.bisimilarity_within(&[PropId::new(0)], &[]).unwrap();
         assert_eq!(narrow.block_count(), 1);
         assert_eq!(m.bisimilarity().block_count(), 2);
     }
 
     #[test]
-    fn seeds_and_splits_stay_class_constant() {
+    fn splits_stay_class_constant() {
         let mut b = S5Builder::new(1, 1);
         let w0 = b.add_world([PropId::new(0)]);
         let w1 = b.add_world([PropId::new(0)]);
@@ -475,73 +449,13 @@ mod tests {
         b.link(Agent::new(0), w1, w2);
         let m = b.build();
         // Without extras every world merges.
-        let free = m
-            .bisimilarity_within(&[PropId::new(0)], &[], &[], &[])
-            .unwrap();
+        let free = m.bisimilarity_within(&[PropId::new(0)], &[]).unwrap();
         assert_eq!(free.block_count(), 1);
-        // A seed separating w2 keeps it in its own class.
-        let seed = BitSet::from_indices(3, [w2.index()]);
-        let seeded = m
-            .bisimilarity_within(&[PropId::new(0)], &[&seed], &[], &[])
-            .unwrap();
-        assert!(!seeded.same_block(w0.index(), w2.index()));
-        for (b_id, members) in [&seeded].iter().flat_map(|p| p.blocks().enumerate()) {
-            let first = seed.contains(members[0] as usize);
-            for &w in members {
-                assert_eq!(
-                    seed.contains(w as usize),
-                    first,
-                    "seed not constant on block {b_id}"
-                );
-            }
-        }
         // A split partition is refined, never coarsened.
         let split = Partition::from_keys(3, |w| usize::from(w == 1));
-        let split_part = m.bisimilarity_within(&[], &[], &[&split], &[]).unwrap();
+        let split_part = m.bisimilarity_within(&[], &[&split]).unwrap();
         assert!(!split_part.same_block(w0.index(), w1.index()));
         assert!(split_part.same_block(w0.index(), w2.index()));
-    }
-
-    #[test]
-    fn extra_relations_enforce_stability() {
-        // Four isolated worlds, prop 0 true only at w3; extra relation
-        // (e.g. a distributed-knowledge refinement) {{0,1},{2,3}}. The
-        // cells of w0 and w2 cover different class sets ({p-false} vs
-        // {p-false, p-true}), so stability must split w2 away from w0
-        // even though no agent distinguishes them.
-        let mut b = S5Builder::new(1, 1);
-        let w0 = b.add_world([]);
-        let _w1 = b.add_world([]);
-        let w2 = b.add_world([]);
-        let _w3 = b.add_world([PropId::new(0)]);
-        let m = b.build();
-        let free = m
-            .bisimilarity_within(&[PropId::new(0)], &[], &[], &[])
-            .unwrap();
-        assert!(free.same_block(w0.index(), w2.index()));
-        let extra = Partition::from_keys(4, |w| w / 2);
-        let part = m
-            .bisimilarity_within(&[PropId::new(0)], &[], &[], &[&extra])
-            .unwrap();
-        assert!(!part.same_block(w0.index(), w2.index()));
-        // Stability: members of one class have extra-cells covering the
-        // same set of classes.
-        for members in part.blocks() {
-            let cover = |w: u32| {
-                let mut v: Vec<usize> = extra
-                    .block(extra.block_of(w as usize))
-                    .iter()
-                    .map(|&x| part.block_of(x as usize))
-                    .collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            let first = cover(members[0]);
-            for &w in members {
-                assert_eq!(cover(w), first);
-            }
-        }
     }
 
     #[test]
@@ -550,17 +464,12 @@ mod tests {
         b.add_world([PropId::new(0)]);
         let m = b.build();
         assert!(matches!(
-            m.bisimilarity_within(&[PropId::new(9)], &[], &[], &[]),
+            m.bisimilarity_within(&[PropId::new(9)], &[]),
             Err(EvalError::PropOutOfRange(_))
-        ));
-        let short = BitSet::new(7);
-        assert!(matches!(
-            m.bisimilarity_within(&[], &[&short], &[], &[]),
-            Err(EvalError::LengthMismatch { .. })
         ));
         let wrong = Partition::discrete(5);
         assert!(matches!(
-            m.bisimilarity_within(&[], &[], &[], &[&wrong]),
+            m.bisimilarity_within(&[], &[&wrong]),
             Err(EvalError::LengthMismatch { .. })
         ));
     }

@@ -9,34 +9,21 @@
 //! sharing) and one kernel (the word-level partition routines of this
 //! crate).
 //!
-//! Two extras live here because they only make sense at the batch level:
+//! The walk is sequential: one postorder pass per batch of roots.
 //!
-//! * **Parallel sharded fill** ([`EvalEngine::populate`]): independent
-//!   root formulas — those sharing no uncached subformula and no group
-//!   modality's agent set (group joins are memoized per agent set, and
-//!   must not be rebuilt once per shard) — are sharded across
-//!   `std::thread::scope` workers, each filling a private cache;
-//!   the shards are merged before any result is read. Because each cached
-//!   value is a pure function of `(model, FormulaId)`, the merged cache is
-//!   bit-identical to the sequential one regardless of sharding.
-//! * **Temporal hooks** ([`TemporalOps`] / [`EvalEngine::populate_temporal`]):
-//!   the static kernel cannot evaluate `X/F/G/U`; a consumer that can
-//!   (backward induction in `kbp-systems`, CTL fixpoints in `kbp-mck`)
-//!   supplies the four set-level operators and the engine drives the
-//!   postorder walk, memoizing temporal results per [`FormulaId`] like any
-//!   other node.
+//! **Temporal hooks** ([`TemporalOps`] / [`EvalEngine::populate_temporal`]):
+//! the static kernel cannot evaluate `X/F/G/U`; a consumer that can
+//! (backward induction in `kbp-systems`, CTL fixpoints in `kbp-mck`)
+//! supplies the four set-level operators and the engine drives the
+//! postorder walk, memoizing temporal results per [`FormulaId`] like any
+//! other node.
 
 use crate::bitset::BitSet;
 use crate::eval::{EvalCache, EvalError};
 use crate::model::S5Model;
-use kbp_logic::{AgentSet, Formula, FormulaArena, FormulaId, InternedNode};
-use std::collections::HashMap;
+use kbp_logic::{Formula, FormulaArena, FormulaId, InternedNode};
 use std::error::Error;
 use std::fmt;
-use std::thread;
-
-/// Environment variable overriding the engine's worker-thread count.
-pub const THREADS_ENV: &str = "KBP_EVAL_THREADS";
 
 /// Environment variable overriding the *generation* quotient gate:
 /// frontiers with at least this many points are folded to bisimulation
@@ -193,9 +180,8 @@ pub trait TemporalOps {
 /// The unified arena-based evaluator.
 ///
 /// Owns the [`FormulaArena`] for a whole run (a solve, an enumeration, a
-/// model-checking session) plus the parallelism policy. Per-layer state
-/// lives in the caller's [`EvalCache`]s, so one engine serves any number
-/// of layers/models.
+/// model-checking session). Per-layer state lives in the caller's
+/// [`EvalCache`]s, so one engine serves any number of layers/models.
 ///
 /// # Example
 ///
@@ -223,64 +209,23 @@ pub trait TemporalOps {
 #[derive(Debug)]
 pub struct EvalEngine {
     arena: FormulaArena,
-    threads: usize,
-}
-
-fn default_threads() -> usize {
-    if let Ok(Some(n)) = env_threads(THREADS_ENV) {
-        return n;
-    }
-    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 impl EvalEngine {
-    /// Wraps `arena` with the default thread policy: `KBP_EVAL_THREADS`
-    /// if set to a positive integer, else
-    /// [`std::thread::available_parallelism`]. A malformed
-    /// `KBP_EVAL_THREADS` value is ignored here; use
-    /// [`from_env`](Self::from_env) to surface it as a typed error
-    /// instead.
+    /// Wraps `arena`.
     #[must_use]
     pub fn new(arena: FormulaArena) -> Self {
-        EvalEngine {
-            arena,
-            threads: default_threads(),
-        }
+        EvalEngine { arena }
     }
 
-    /// Like [`new`](Self::new), but a malformed `KBP_EVAL_THREADS` value
-    /// is a typed [`ThreadConfigError`] instead of a silent fallback to
-    /// [`std::thread::available_parallelism`].
+    /// Same as [`new`](Self::new); never fails. Inert; kept only while
+    /// the `kbpbench` benchmark names it.
     ///
     /// # Errors
     ///
-    /// Returns [`ThreadConfigError`] if `KBP_EVAL_THREADS` is set to `0`,
-    /// a non-number, or a value above [`MAX_CONFIG_THREADS`].
+    /// None: the engine reads no environment variable.
     pub fn from_env(arena: FormulaArena) -> Result<Self, ThreadConfigError> {
-        let threads = env_threads(THREADS_ENV)?.unwrap_or_else(|| {
-            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        Ok(EvalEngine { arena, threads })
-    }
-
-    /// Overrides the worker-thread count (clamped to ≥ 1); `1` forces the
-    /// sequential path.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// In-place variant of [`with_threads`](Self::with_threads), for
-    /// engines owned by a long-lived session.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker-thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
+        Ok(Self::new(arena))
     }
 
     /// The engine's arena.
@@ -295,15 +240,13 @@ impl EvalEngine {
     }
 
     /// Fills `cache` with the satisfaction sets of `roots` (and all their
-    /// subformulas) on `model`, sharding independent roots across worker
-    /// threads when profitable. Already-cached formulas are not
-    /// recomputed. The resulting cache contents are identical for every
-    /// thread count.
+    /// subformulas) on `model`, in one postorder walk. Already-cached
+    /// formulas are not recomputed: a seeded entry is authoritative.
     ///
     /// # Errors
     ///
     /// Same conditions as [`S5Model::satisfying_cached`]; on error the
-    /// cache retains any entries merged so far (all of them valid).
+    /// cache retains the entries filled so far (all of them valid).
     pub fn populate(
         &self,
         model: &S5Model,
@@ -311,43 +254,8 @@ impl EvalEngine {
         roots: &[FormulaId],
     ) -> Result<(), EvalError> {
         cache.bind(model.world_count())?;
-        let mut todo: Vec<FormulaId> = roots.iter().copied().filter(|&r| !cache.has(r)).collect();
-        todo.sort_unstable();
-        todo.dedup();
-        let shards = if self.threads > 1 && todo.len() > 1 {
-            self.shard(&todo, cache)
-        } else {
-            Vec::new()
-        };
-        if shards.len() <= 1 {
-            for &id in &todo {
-                model.eval_into_cache(cache, &self.arena, id)?;
-            }
-            return Ok(());
-        }
-        let results: Vec<Result<EvalCache, EvalError>> = thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|(shard_roots, mut local)| {
-                    scope.spawn(move || -> Result<EvalCache, EvalError> {
-                        for id in shard_roots {
-                            model.eval_into_cache(&mut local, &self.arena, id)?;
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or(Err(EvalError::Internal(
-                        "parallel evaluation worker panicked",
-                    )))
-                })
-                .collect()
-        });
-        for result in results {
-            cache.absorb(result?);
+        for &id in roots {
+            model.eval_into_cache(cache, &self.arena, id)?;
         }
         Ok(())
     }
@@ -367,139 +275,9 @@ impl EvalEngine {
         self.populate(model, cache, roots)
     }
 
-    /// Groups `todo` roots into connected components (two roots are
-    /// connected when they share an *uncached* subformula — sharing only
-    /// cached nodes is fine, each worker starts from the cached value —
-    /// or when their uncached group modalities name the same [`AgentSet`]:
-    /// group evaluation memoizes one partition join per agent set in the
-    /// cache, and splitting such roots across shards would rebuild that
-    /// join once per shard, easily costing more than the sharding saves),
-    /// then distributes components over at most `self.threads` shards by
-    /// greedy least-loaded assignment. Returns one `(roots, seeded local
-    /// cache)` pair per shard; deterministic for a given input.
-    fn shard(&self, todo: &[FormulaId], cache: &EvalCache) -> Vec<(Vec<FormulaId>, EvalCache)> {
-        const UNOWNED: u32 = u32::MAX;
-        let mut owner = vec![UNOWNED; self.arena.len()];
-        // Union-find over root indices.
-        let mut parent: Vec<u32> = (0..todo.len() as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        // Per-root DFS over uncached nodes: `weight` counts the nodes a
-        // root must evaluate; `boundary` collects the cached nodes its
-        // evaluation will read (the seeds for its shard's local cache).
-        let mut weight = vec![0usize; todo.len()];
-        let mut boundary: Vec<Vec<FormulaId>> = vec![Vec::new(); todo.len()];
-        let mut stack: Vec<FormulaId> = Vec::new();
-        let mut group_owner: HashMap<AgentSet, u32> = HashMap::new();
-        for (ri, &root) in todo.iter().enumerate() {
-            let ri32 = ri as u32;
-            stack.push(root);
-            while let Some(id) = stack.pop() {
-                if cache.has(id) {
-                    boundary[ri].push(id);
-                    continue;
-                }
-                let prev = owner[id.index()];
-                if prev == UNOWNED {
-                    owner[id.index()] = ri32;
-                    weight[ri] += 1;
-                    if let InternedNode::Everyone(g, _)
-                    | InternedNode::Common(g, _)
-                    | InternedNode::Distributed(g, _) = self.arena.node(id)
-                    {
-                        let joined = *group_owner.entry(*g).or_insert(ri32);
-                        if joined != ri32 {
-                            let (a, b) = (find(&mut parent, ri32), find(&mut parent, joined));
-                            if a != b {
-                                parent[a as usize] = b;
-                            }
-                        }
-                    }
-                    self.arena.visit_children(id, &mut |c| stack.push(c));
-                } else {
-                    let (a, b) = (find(&mut parent, ri32), find(&mut parent, prev));
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-        // Components in first-occurrence order.
-        let mut comp_index: HashMap<u32, usize> = HashMap::new();
-        let mut comps: Vec<(Vec<usize>, usize)> = Vec::new(); // (root indices, weight)
-        for (ri, &w) in weight.iter().enumerate() {
-            let rep = find(&mut parent, ri as u32);
-            let ci = *comp_index.entry(rep).or_insert_with(|| {
-                comps.push((Vec::new(), 0));
-                comps.len() - 1
-            });
-            comps[ci].0.push(ri);
-            comps[ci].1 += w;
-        }
-        let shard_count = self.threads.min(comps.len());
-        if shard_count <= 1 {
-            return Vec::new();
-        }
-        // Heaviest components first (stable sort keeps determinism), then
-        // greedy least-loaded placement with lowest-index tie-break.
-        let mut order: Vec<usize> = (0..comps.len()).collect();
-        order.sort_by(|&a, &b| comps[b].1.cmp(&comps[a].1).then(a.cmp(&b)));
-        let mut shards: Vec<(Vec<FormulaId>, EvalCache)> = Vec::new();
-        for _ in 0..shard_count {
-            let mut local = EvalCache::new();
-            // Binding cannot fail on a fresh cache.
-            let _ = local.bind(cache.worlds().unwrap_or(0));
-            shards.push((Vec::new(), local));
-        }
-        let mut load = vec![0usize; shard_count];
-        let mut shard_of_root = vec![usize::MAX; todo.len()];
-        for ci in order {
-            let mut best = 0;
-            for s in 1..shard_count {
-                if load[s] < load[best] {
-                    best = s;
-                }
-            }
-            load[best] += comps[ci].1;
-            for &ri in &comps[ci].0 {
-                shard_of_root[ri] = best;
-                shards[best].0.push(todo[ri]);
-                for &seed in &boundary[ri] {
-                    if !shards[best].1.has(seed) {
-                        if let Some(set) = cache.get(seed) {
-                            let _ = shards[best].1.insert(seed, set.clone());
-                        }
-                    }
-                }
-            }
-        }
-        // Hand each group's memoized partitions to the one shard that
-        // evaluates it (all roots naming a group share a component, so the
-        // owner root's shard is that shard), sparing the worker a rebuild.
-        for (g, &ri) in &group_owner {
-            let s = shard_of_root[ri as usize];
-            if s == usize::MAX {
-                continue;
-            }
-            if let Some(p) = cache.join(g) {
-                shards[s].1.insert_join(*g, p.clone());
-            }
-            if let Some(p) = cache.refinement(g) {
-                shards[s].1.insert_refinement(*g, p.clone());
-            }
-        }
-        shards
-    }
-
     /// Like [`populate`](Self::populate), but accepts temporal operators:
     /// `X/F/G/U` nodes are computed from their (already evaluated)
     /// children via `ops` and memoized in `cache` like any other node.
-    /// Sequential — temporal fixpoints chain, so sharding does not pay.
     ///
     /// # Errors
     ///
@@ -569,6 +347,8 @@ mod tests {
     use crate::model::S5Builder;
     use kbp_logic::{Agent, AgentSet, PropId};
 
+    const VAR: &str = "KBP_TEST_THREADS";
+
     fn p(i: u32) -> Formula {
         Formula::prop(PropId::new(i))
     }
@@ -598,37 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_matches_sequential_bit_for_bit() {
-        let m = model();
-        let mut engine = EvalEngine::new(FormulaArena::new());
-        let ids: Vec<_> = guards().iter().map(|f| engine.intern(f)).collect();
-
-        let seq_engine = EvalEngine {
-            arena: engine.arena.clone(),
-            threads: 1,
-        };
-        let mut seq = EvalCache::new();
-        let seq_sets = seq_engine.satisfying_sets(&m, &mut seq, &ids).unwrap();
-
-        for threads in [2, 3, 8] {
-            let par_engine = EvalEngine {
-                arena: engine.arena.clone(),
-                threads,
-            };
-            let mut par = EvalCache::new();
-            let par_sets = par_engine.satisfying_sets(&m, &mut par, &ids).unwrap();
-            assert_eq!(seq_sets, par_sets, "threads={threads}");
-            // Full cache agreement, not just the roots.
-            for id in par_engine.arena().ids() {
-                assert_eq!(seq.get(id), par.get(id), "threads={threads} id={id:?}");
-            }
-        }
-    }
-
-    #[test]
     fn populate_respects_existing_cache_entries() {
         let m = model();
-        let mut engine = EvalEngine::new(FormulaArena::new()).with_threads(4);
+        let mut engine = EvalEngine::new(FormulaArena::new());
         let ids: Vec<_> = guards().iter().map(|f| engine.intern(f)).collect();
         let mut cache = EvalCache::new();
         // Pre-seed a shared subformula with a *wrong* value; populate must
@@ -643,9 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_errors_propagate() {
+    fn eval_errors_propagate() {
         let m = model();
-        let mut engine = EvalEngine::new(FormulaArena::new()).with_threads(4);
+        let mut engine = EvalEngine::new(FormulaArena::new());
         let bad = engine.intern(&Formula::knows(Agent::new(9), p(0)));
         let ok = engine.intern(&p(0));
         let mut cache = EvalCache::new();
@@ -686,55 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn roots_sharing_an_agent_set_form_one_shard_component() {
-        let m = model();
-        let g = AgentSet::all(2);
-        let mut engine = EvalEngine::new(FormulaArena::new()).with_threads(4);
-        // Three group roots over the same agent set with disjoint bodies,
-        // plus one K root sharing no subformula with them: the group roots
-        // must land in one component (shared join memo), so two shards form.
-        let ids: Vec<_> = [
-            Formula::common(g, p(0)),
-            Formula::distributed(g, p(1)),
-            Formula::Everyone(g, Box::new(p(2))),
-            Formula::knows(Agent::new(0), Formula::True),
-        ]
-        .iter()
-        .map(|f| engine.intern(f))
-        .collect();
-        let shards = engine.shard(&ids, &EvalCache::new());
-        assert_eq!(shards.len(), 2, "group roots should coalesce");
-        let group_shard = shards
-            .iter()
-            .find(|(roots, _)| roots.len() == 3)
-            .expect("one shard holds all three group roots");
-        for &id in &ids[..3] {
-            assert!(group_shard.0.contains(&id));
-        }
-        // And the parallel result still matches the sequential one.
-        let seq_engine = EvalEngine {
-            arena: engine.arena.clone(),
-            threads: 1,
-        };
-        let mut seq = EvalCache::new();
-        let mut par = EvalCache::new();
-        assert_eq!(
-            seq_engine.satisfying_sets(&m, &mut seq, &ids).unwrap(),
-            engine.satisfying_sets(&m, &mut par, &ids).unwrap()
-        );
-    }
-
-    #[test]
-    fn env_override_is_clamped() {
-        let engine = EvalEngine::new(FormulaArena::new()).with_threads(0);
-        assert_eq!(engine.threads(), 1);
-    }
-
-    #[test]
     fn thread_config_zero_is_a_typed_error() {
         assert_eq!(
-            parse_thread_count(THREADS_ENV, "0"),
-            Err(ThreadConfigError::Zero { var: THREADS_ENV })
+            parse_thread_count(VAR, "0"),
+            Err(ThreadConfigError::Zero { var: VAR })
         );
     }
 
@@ -742,9 +449,9 @@ mod tests {
     fn thread_config_garbage_is_a_typed_error() {
         for raw in ["four", "", " ", "-2", "3.5", "0x10", "1 2"] {
             assert_eq!(
-                parse_thread_count(THREADS_ENV, raw),
+                parse_thread_count(VAR, raw),
                 Err(ThreadConfigError::NotANumber {
-                    var: THREADS_ENV,
+                    var: VAR,
                     value: raw.to_owned(),
                 }),
                 "raw={raw:?}"
@@ -756,25 +463,25 @@ mod tests {
     fn thread_config_huge_is_a_typed_error() {
         let raw = format!("{}", MAX_CONFIG_THREADS + 1);
         assert_eq!(
-            parse_thread_count(THREADS_ENV, &raw),
+            parse_thread_count(VAR, &raw),
             Err(ThreadConfigError::TooLarge {
-                var: THREADS_ENV,
+                var: VAR,
                 value: raw.clone(),
             })
         );
         // usize overflow is reported as not-a-number by the parser.
         assert!(matches!(
-            parse_thread_count(THREADS_ENV, "99999999999999999999999999"),
+            parse_thread_count(VAR, "99999999999999999999999999"),
             Err(ThreadConfigError::NotANumber { .. })
         ));
     }
 
     #[test]
     fn thread_config_accepts_sane_values() {
-        assert_eq!(parse_thread_count(THREADS_ENV, "1"), Ok(1));
-        assert_eq!(parse_thread_count(THREADS_ENV, " 8 "), Ok(8));
+        assert_eq!(parse_thread_count(VAR, "1"), Ok(1));
+        assert_eq!(parse_thread_count(VAR, " 8 "), Ok(8));
         assert_eq!(
-            parse_thread_count(THREADS_ENV, &format!("{MAX_CONFIG_THREADS}")),
+            parse_thread_count(VAR, &format!("{MAX_CONFIG_THREADS}")),
             Ok(MAX_CONFIG_THREADS)
         );
     }

@@ -255,21 +255,6 @@ impl EvalCache {
         Ok(out)
     }
 
-    /// Merges `other`'s entries into this cache; on key collision the
-    /// existing entry wins (all evaluators compute identical values for a
-    /// given key against a given model, so the choice is immaterial).
-    pub(crate) fn absorb(&mut self, other: EvalCache) {
-        for (id, set) in other.sat {
-            self.sat.entry(id).or_insert(set);
-        }
-        for (g, p) in other.joins {
-            self.joins.entry(g).or_insert(p);
-        }
-        for (g, p) in other.refinements {
-            self.refinements.entry(g).or_insert(p);
-        }
-    }
-
     /// Whether `id` already has a cached satisfaction set.
     pub(crate) fn has(&self, id: FormulaId) -> bool {
         self.sat.contains_key(&id)
@@ -280,33 +265,6 @@ impl EvalCache {
     #[must_use]
     pub fn quotient_worlds(&self) -> usize {
         0
-    }
-
-    /// The memoized join partition for `group`, if present.
-    pub(crate) fn join(&self, group: &AgentSet) -> Option<&Partition> {
-        self.joins.get(group)
-    }
-
-    /// Pre-seeds the join partition for `group`; an existing entry wins,
-    /// matching the evaluator's own memoization.
-    pub(crate) fn insert_join(&mut self, group: AgentSet, part: Partition) {
-        self.joins.entry(group).or_insert(part);
-    }
-
-    /// The memoized refinement partition for `group`, if present.
-    pub(crate) fn refinement(&self, group: &AgentSet) -> Option<&Partition> {
-        self.refinements.get(group)
-    }
-
-    /// Pre-seeds the refinement partition for `group`; an existing entry
-    /// wins, matching the evaluator's own memoization.
-    pub(crate) fn insert_refinement(&mut self, group: AgentSet, part: Partition) {
-        self.refinements.entry(group).or_insert(part);
-    }
-
-    /// The world count this cache is bound to, if any.
-    pub(crate) fn worlds(&self) -> Option<usize> {
-        self.worlds
     }
 
     pub(crate) fn bind(&mut self, worlds: usize) -> Result<(), EvalError> {

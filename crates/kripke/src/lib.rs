@@ -69,7 +69,7 @@ pub use bitset::BitSet;
 pub use engine::{
     env_gen_quotient_min_worlds, env_threads, parse_thread_count, EvalEngine, TemporalOps,
     ThreadConfigError, DEFAULT_GEN_QUOTIENT_MIN_WORLDS, GEN_QUOTIENT_MIN_WORLDS_ENV,
-    MAX_CONFIG_THREADS, THREADS_ENV,
+    MAX_CONFIG_THREADS,
 };
 pub use eval::{blocks_inside, EvalCache, EvalCacheSnapshot, EvalError};
 pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};

@@ -31,7 +31,7 @@ use kbp_core::{
     SolveOutcome, SolveStats, SyncSolver,
 };
 use kbp_faults::FaultyContext;
-use kbp_kripke::{env_gen_quotient_min_worlds, env_threads, ThreadConfigError, THREADS_ENV};
+use kbp_kripke::{env_gen_quotient_min_worlds, env_threads, ThreadConfigError};
 use kbp_lang::{Compiled, Diagnostic, LineMap, Severity};
 use kbp_systems::{Context, FnContext, MapProtocol, Recall};
 use std::collections::HashMap;
@@ -122,7 +122,8 @@ pub const DEFAULT_WRITE_STALL_MS: u64 = 30_000;
 /// fail startup, not silently serve with one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// A numeric variable did not parse (bad number, zero, or absurd).
+    /// The worker count did not parse (bad number, zero, or absurd), or
+    /// the generation gate was not a number.
     Threads(ThreadConfigError),
     /// A boolean flag was neither truthy (`1`/`on`/`true`) nor falsy
     /// (`0`/`off`/`false`).
@@ -236,8 +237,8 @@ impl ServiceConfig {
     }
 
     /// Reads every `KBP_SERVICE_*` variable on top of the defaults, and
-    /// *validates* the evaluation-engine variables (`KBP_EVAL_THREADS`,
-    /// `KBP_GEN_QUOTIENT_MIN_WORLDS`) that the engine itself tolerates:
+    /// *validates* the evaluation-engine variable
+    /// `KBP_GEN_QUOTIENT_MIN_WORLDS` that the engine itself tolerates:
     /// all configuration errors fail startup here, through one typed
     /// path.
     ///
@@ -251,12 +252,12 @@ impl ServiceConfig {
         if let Some(workers) = env_threads(WORKERS_ENV)? {
             config.workers = workers;
         }
-        if let Some(capacity) = env_threads(QUEUE_ENV)? {
+        if let Some(capacity) = env_size(QUEUE_ENV)? {
             config.queue_capacity = capacity;
         }
         // Zero is rejected (like the other counts): to run cache-less,
         // set KBP_SERVICE_CACHE=off rather than a zero-session cache.
-        if let Some(sessions) = env_threads(CACHE_SESSIONS_ENV)? {
+        if let Some(sessions) = env_size(CACHE_SESSIONS_ENV)? {
             config.cache_sessions = sessions;
         }
         if let Ok(raw) = std::env::var(CACHE_ENV) {
@@ -305,10 +306,9 @@ impl ServiceConfig {
         if let Some(defs) = env_bound(CLIENT_DEFINITIONS_ENV)? {
             config.client_definitions = usize::try_from(defs).unwrap_or(usize::MAX);
         }
-        // The engine reads these lazily per solve and falls back to
-        // defaults on garbage; a daemon should instead refuse to start,
+        // The engine reads this lazily per solve and falls back to the
+        // default on garbage; a daemon should instead refuse to start,
         // so the malformed value is caught before the first request.
-        env_threads(THREADS_ENV)?;
         env_gen_quotient_min_worlds()?;
         Ok(config)
     }
@@ -399,7 +399,8 @@ impl ServiceConfig {
 }
 
 /// Reads a positive-integer bound (no thread-count cap — line limits
-/// are legitimately megabytes). `Ok(None)` when unset or empty.
+/// are legitimately megabytes, queues and caches legitimately
+/// thousands). `Ok(None)` when unset or empty.
 fn env_size(var: &'static str) -> Result<Option<usize>, ConfigError> {
     match std::env::var(var) {
         Err(_) => Ok(None),
@@ -1975,7 +1976,11 @@ mod tests {
         ));
         assert!(matches!(
             run(&[(QUEUE_ENV, "0")]),
-            Err(ConfigError::Threads(_))
+            Err(ConfigError::Size { .. })
+        ));
+        assert!(matches!(
+            run(&[(QUEUE_ENV, "deep")]),
+            Err(ConfigError::Size { .. })
         ));
         assert!(matches!(
             run(&[(CACHE_ENV, "maybe")]),
@@ -1983,12 +1988,17 @@ mod tests {
         ));
         assert!(matches!(
             run(&[(CACHE_SESSIONS_ENV, "lots")]),
-            Err(ConfigError::Threads(_))
+            Err(ConfigError::Size { .. })
         ));
         assert!(matches!(
             run(&[(CACHE_SESSIONS_ENV, "0")]),
-            Err(ConfigError::Threads(_))
+            Err(ConfigError::Size { .. })
         ));
+        // Queue and cache bounds are sizes, not thread counts: no
+        // thread cap applies to them.
+        let big = run(&[(QUEUE_ENV, "5000"), (CACHE_SESSIONS_ENV, "10000")]).unwrap();
+        assert_eq!(big.queue_capacity, 5000);
+        assert_eq!(big.cache_sessions, 10000);
         // The new daemon bounds: zero and garbage are startup errors.
         for var in [CLIENT_PENDING_ENV, MAX_CONNECTIONS_ENV, MAX_LINE_ENV] {
             assert!(
@@ -2018,13 +2028,8 @@ mod tests {
         assert_eq!(disabled.idle_timeout_ms, 0);
         let unlimited = run(&[(CLIENT_DEFINITIONS_ENV, "0")]).unwrap();
         assert_eq!(unlimited.client_definitions, 0);
-        // The engine variables are validated here too (satellite of the
-        // daemon-robustness sweep): the engine itself would silently
-        // fall back, the daemon must not start.
-        assert!(matches!(
-            run(&[(THREADS_ENV, "fast")]),
-            Err(ConfigError::Threads(_))
-        ));
+        // The engine variable is validated here too: the engine itself
+        // would silently fall back, the daemon must not start.
         assert!(matches!(
             run(&[(kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV, "wide")]),
             Err(ConfigError::Threads(_))

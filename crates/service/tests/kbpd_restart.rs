@@ -23,7 +23,6 @@ const KBP_VARS: &[&str] = &[
     "KBP_SERVICE_IDLE_TIMEOUT_MS",
     "KBP_SERVICE_WRITE_BUDGET_BYTES",
     "KBP_SERVICE_WRITE_STALL_MS",
-    "KBP_EVAL_THREADS",
 ];
 
 fn temp_dir(tag: &str) -> PathBuf {

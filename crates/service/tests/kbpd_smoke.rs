@@ -17,7 +17,6 @@ fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
         "KBP_SERVICE_WORKERS",
         "KBP_SERVICE_QUEUE",
         "KBP_SERVICE_CACHE",
-        "KBP_EVAL_THREADS",
     ] {
         cmd.env_remove(var);
     }
@@ -48,7 +47,6 @@ fn golden_three_job_batch() {
         &[("KBP_SERVICE_WORKERS", "1")][..],
         &[("KBP_SERVICE_WORKERS", "2")][..],
         &[("KBP_SERVICE_WORKERS", "4"), ("KBP_SERVICE_CACHE", "off")][..],
-        &[("KBP_SERVICE_WORKERS", "2"), ("KBP_EVAL_THREADS", "2")][..],
     ] {
         let output = run_kbpd(envs, INPUT);
         assert!(output.status.success(), "kbpd failed under {envs:?}");

@@ -806,7 +806,7 @@ impl<'c> SystemBuilder<'c> {
             .collect();
         let classes = self.layers[t]
             .model
-            .bisimilarity_within(&props, &[], &[&state_split], &[])
+            .bisimilarity_within(&props, &[&state_split])
             .map_err(|e| GenerateError::Quotient(e.to_string()))?;
         let k = classes.block_count();
         let mut reps = Vec::with_capacity(k);
@@ -1074,7 +1074,7 @@ impl<'c> SystemBuilder<'c> {
         let state_split = Partition::from_keys(n_new, |w| children[w].state);
         let props: Vec<PropId> = (0..prop_count).map(|p| PropId::new(p as u32)).collect();
         let classes = cmodel
-            .bisimilarity_within(&props, &[], &[&state_split], &[])
+            .bisimilarity_within(&props, &[&state_split])
             .map_err(|e| GenerateError::Quotient(e.to_string()))?;
 
         // Fold duplicates by multiplicity: one node per class.

@@ -1,18 +1,16 @@
-//! Determinism of the parallel evaluation engine, of cross-layer
-//! carry-forward, and of quotient-first generation.
+//! Determinism of cross-layer carry-forward and of quotient-first
+//! generation.
 //!
-//! The solver's per-layer cache fill may shard guard components across
-//! worker threads (`SyncSolver::eval_threads` / `KBP_EVAL_THREADS`), may
-//! map satisfaction sets through a verified layer isomorphism instead of
-//! re-evaluating (`SyncSolver::carry_forward`), and may *generate* layers
-//! directly on bisimulation representatives so the explicit frontier is
-//! never resident (`SyncSolver::gen_quotient_min_worlds` /
-//! `KBP_GEN_QUOTIENT_MIN_WORLDS`). None of these knobs is allowed to
-//! change *anything* observable: on every scenario in `kbp-scenarios`,
-//! the solution — protocol, stabilization point, stats, per-layer
-//! breakdown — must be bit-identical at 1 thread, 2 threads, and whatever
-//! `std::thread::available_parallelism` reports, with carry-forward on or
-//! off and generation quotienting forced on or off (stats count clause
+//! The solver may map satisfaction sets through a verified layer
+//! isomorphism instead of re-evaluating (`SyncSolver::carry_forward`),
+//! and may *generate* layers directly on bisimulation representatives so
+//! the explicit frontier is never resident
+//! (`SyncSolver::gen_quotient_min_worlds` /
+//! `KBP_GEN_QUOTIENT_MIN_WORLDS`). Neither knob is allowed to change
+//! *anything* observable: on every scenario in `kbp-scenarios`, the
+//! solution — protocol, stabilization point, stats, per-layer breakdown —
+//! must be bit-identical with carry-forward on or off and generation
+//! quotienting forced on or off (stats count clause
 //! lookups and explicit-equivalent points, not physical evaluations or
 //! resident worlds, precisely so budget semantics stay deterministic
 //! too). The only sanctioned exceptions are the generation diagnostics
@@ -48,8 +46,6 @@ fn scenarios() -> Vec<(&'static str, FnContext, Kbp, usize, Recall)> {
             5,
             Recall::Perfect,
         ),
-        // Observational recall stabilizes the layers, so this entry
-        // exercises the carry-forward fast path inside the matrix.
         (
             "bit_transmission_obs",
             bt.context(),
@@ -64,6 +60,16 @@ fn scenarios() -> Vec<(&'static str, FnContext, Kbp, usize, Recall)> {
             6,
             Recall::Perfect,
         ),
+        // Observational recall plateaus these layers at 48 points, above
+        // `DEFAULT_CARRY_THRESHOLD`, so this entry exercises the
+        // carry-forward fast path inside the matrix.
+        (
+            "sequence_transmission_obs",
+            st.context(),
+            st.kbp(),
+            8,
+            Recall::Observational,
+        ),
         ("robot", ro.context(), ro.kbp(), 5, Recall::Perfect),
         (
             "coordinated_attack",
@@ -73,14 +79,6 @@ fn scenarios() -> Vec<(&'static str, FnContext, Kbp, usize, Recall)> {
             Recall::Perfect,
         ),
     ]
-}
-
-fn thread_counts() -> Vec<usize> {
-    let avail = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut counts = vec![1, 2, avail];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 /// Strips the generation diagnostics from a per-layer breakdown, after
@@ -97,99 +95,87 @@ fn without_schedule_diagnostics(per_layer: &[LayerStats]) -> Vec<LayerStats> {
 }
 
 #[test]
-fn solutions_are_identical_across_thread_counts_sharding_and_carry_forward() {
+fn solutions_are_identical_across_carry_forward_and_generation_gate() {
     for (name, ctx, kbp, horizon, recall) in scenarios() {
-        // Reference: sequential fill, carry-forward enabled on every
-        // layer (threshold 0, so even the tiny scenario layers exercise
-        // the renaming path rather than being gated by the width
-        // threshold), explicit generation.
+        // Reference: carry-forward on, explicit generation.
         let reference = SyncSolver::new(&ctx, &kbp)
             .horizon(horizon)
             .recall(recall)
-            .eval_threads(1)
-            .carry_threshold(0)
             .gen_quotient_min_worlds(usize::MAX)
             .solve()
             .unwrap_or_else(|e| panic!("{name}: reference solve failed: {e}"));
 
         // min_gen 0 generates every layer quotient-first; usize::MAX keeps
         // generation explicit.
-        for threads in thread_counts() {
-            for carry in [true, false] {
-                for min_gen in [usize::MAX, 0] {
-                    let solution = SyncSolver::new(&ctx, &kbp)
-                        .horizon(horizon)
-                        .recall(recall)
-                        .eval_threads(threads)
-                        .gen_quotient_min_worlds(min_gen)
-                        .carry_threshold(0)
-                        .carry_forward(carry)
-                        .solve()
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "{name}: solve failed at {threads} threads, carry={carry}, \
-                                 min_gen={min_gen}: {e}"
-                            )
-                        });
-                    let at = format!("{threads} threads, carry={carry}, min_gen={min_gen}");
-                    assert_eq!(
-                        reference.protocol(),
-                        solution.protocol(),
-                        "{name}: protocol diverged at {at}"
-                    );
-                    assert_eq!(
-                        reference.stabilized(),
-                        solution.stabilized(),
-                        "{name}: stabilization diverged at {at}"
-                    );
-                    if min_gen == usize::MAX {
-                        for layer in solution.per_layer() {
-                            assert_eq!(
-                                (layer.gen_quotient_worlds, layer.gen_quotient_ratio),
-                                (0, 0),
-                                "{name}: layer {} generation-quotiented while disabled at {at}",
-                                layer.layer
-                            );
-                        }
+        for carry in [true, false] {
+            for min_gen in [usize::MAX, 0] {
+                let solution = SyncSolver::new(&ctx, &kbp)
+                    .horizon(horizon)
+                    .recall(recall)
+                    .gen_quotient_min_worlds(min_gen)
+                    .carry_forward(carry)
+                    .solve()
+                    .unwrap_or_else(|e| {
+                        panic!("{name}: solve failed at carry={carry}, min_gen={min_gen}: {e}")
+                    });
+                let at = format!("carry={carry}, min_gen={min_gen}");
+                assert_eq!(
+                    reference.protocol(),
+                    solution.protocol(),
+                    "{name}: protocol diverged at {at}"
+                );
+                assert_eq!(
+                    reference.stabilized(),
+                    solution.stabilized(),
+                    "{name}: stabilization diverged at {at}"
+                );
+                if min_gen == usize::MAX {
+                    for layer in solution.per_layer() {
+                        assert_eq!(
+                            (layer.gen_quotient_worlds, layer.gen_quotient_ratio),
+                            (0, 0),
+                            "{name}: layer {} generation-quotiented while disabled at {at}",
+                            layer.layer
+                        );
                     }
-                    let recorded_gen_quotiented = solution
-                        .per_layer()
-                        .iter()
-                        .filter(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
-                        .count();
-                    // With the diagnostics pinned, everything else must be
-                    // bit-identical to the sequential reference.
-                    assert_eq!(
-                        without_schedule_diagnostics(reference.per_layer()),
-                        without_schedule_diagnostics(solution.per_layer()),
-                        "{name}: per-layer stats diverged at {at}"
-                    );
-                    // Stats are clause-lookup counts, independent of
-                    // threading and generation; only the carried-layer
-                    // counter may (and should) differ when carry-forward is
-                    // disabled, and the generation counter must match the
-                    // recorded breakdown.
-                    let mut expected = reference.stats();
-                    let got = solution.stats();
-                    assert_eq!(
-                        got.layers_gen_quotiented, recorded_gen_quotiented,
-                        "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
-                    );
-                    expected.layers_gen_quotiented = got.layers_gen_quotiented;
-                    if !carry {
-                        assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
-                        expected.layers_carried = 0;
-                    }
-                    if min_gen == 0 {
-                        // Generation-side compression can make consecutive
-                        // reduced layers isomorphic where the explicit
-                        // layers keep growing, so the fused leg may carry
-                        // *more* layers — warmth the diagnostics are
-                        // allowed to show.
-                        expected.layers_carried = got.layers_carried;
-                    }
-                    assert_eq!(expected, got, "{name}: stats diverged at {at}");
                 }
+                let recorded_gen_quotiented = solution
+                    .per_layer()
+                    .iter()
+                    .filter(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
+                    .count();
+                // With the diagnostics pinned, everything else must be
+                // bit-identical to the reference.
+                assert_eq!(
+                    without_schedule_diagnostics(reference.per_layer()),
+                    without_schedule_diagnostics(solution.per_layer()),
+                    "{name}: per-layer stats diverged at {at}"
+                );
+                // Stats are clause-lookup counts, independent of
+                // generation; only the carried-layer
+                // counter may (and should) differ when carry-forward is
+                // disabled, and the generation counter must match the
+                // recorded breakdown.
+                let mut expected = reference.stats();
+                let got = solution.stats();
+                assert_eq!(
+                    got.layers_gen_quotiented, recorded_gen_quotiented,
+                    "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
+                );
+                expected.layers_gen_quotiented = got.layers_gen_quotiented;
+                if !carry {
+                    assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
+                    expected.layers_carried = 0;
+                }
+                if min_gen == 0 {
+                    // Generation-side compression can make consecutive
+                    // reduced layers isomorphic where the explicit
+                    // layers keep growing, so the fused leg may carry
+                    // *more* layers — warmth the diagnostics are
+                    // allowed to show.
+                    expected.layers_carried = got.layers_carried;
+                }
+                assert_eq!(expected, got, "{name}: stats diverged at {at}");
             }
         }
     }
@@ -245,17 +231,16 @@ fn forced_gen_quotienting_actually_occurs_somewhere() {
 fn carried_layers_actually_occur_somewhere() {
     // The carry-forward path must be exercised by at least one scenario —
     // otherwise the equality assertions above are vacuous for it. Under
-    // observational recall the bit-transmission layers stop growing and
-    // become isomorphic, so later layers should be carried.
-    let bt = BitTransmission::new(Channel::Lossy);
-    let ctx = bt.context();
-    let kbp = bt.kbp();
+    // observational recall the sequence-transmission layers plateau at 48
+    // points and become isomorphic, so later layers should be carried.
+    let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
+    let ctx = st.context();
+    let kbp = st.kbp();
     let solution = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
+        .horizon(8)
         .recall(Recall::Observational)
-        .carry_threshold(0)
         .solve()
-        .expect("bit transmission solves");
+        .expect("sequence transmission solves");
     assert!(
         solution.stats().layers_carried > 0,
         "expected at least one carried layer, got stats {:?}",
@@ -269,7 +254,7 @@ fn default_carry_threshold_gates_tiny_layers_without_changing_answers() {
     // `DEFAULT_CARRY_THRESHOLD` points, so the default configuration must
     // skip the renaming entirely (E14 showed it costs more than refilling
     // on layers this small) — deterministically, and with an answer
-    // identical to the eager threshold-0 run above.
+    // identical to a run with carry-forward off.
     let bt = BitTransmission::new(Channel::Lossy);
     let ctx = bt.context();
     let kbp = bt.kbp();
@@ -283,26 +268,26 @@ fn default_carry_threshold_gates_tiny_layers_without_changing_answers() {
         0,
         "layers this small must not attempt carry under the default threshold"
     );
-    let eager = SyncSolver::new(&ctx, &kbp)
+    let refill = SyncSolver::new(&ctx, &kbp)
         .horizon(6)
         .recall(Recall::Observational)
-        .carry_threshold(0)
+        .carry_forward(false)
         .solve()
         .expect("bit transmission solves");
-    assert_eq!(gated.protocol(), eager.protocol());
-    assert_eq!(gated.stabilized(), eager.stabilized());
+    assert_eq!(gated.protocol(), refill.protocol());
+    assert_eq!(gated.stabilized(), refill.stabilized());
     assert_eq!(
         without_schedule_diagnostics(gated.per_layer()),
-        without_schedule_diagnostics(eager.per_layer())
+        without_schedule_diagnostics(refill.per_layer())
     );
 }
 
 #[test]
 #[allow(deprecated)]
 fn removed_shard_and_quotient_gates_are_inert() {
-    // The shard and evaluation-quotient knobs survive only as no-ops for
-    // the benchmark harness: forcing them must change nothing, and the
-    // counters they fed read their constant values.
+    // The shard, evaluation-quotient and thread-count knobs survive only
+    // as no-ops for the benchmark harness: forcing them must change
+    // nothing, and the counters they fed read their constant values.
     let mc = MuddyChildren::new(3);
     let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
     for (name, ctx, kbp, horizon) in [
@@ -317,6 +302,7 @@ fn removed_shard_and_quotient_gates_are_inert() {
             .horizon(horizon)
             .shard_min_worlds(0)
             .quotient_min_worlds(0)
+            .eval_threads(8)
             .solve()
             .expect("forced solve");
         assert_eq!(default.protocol(), forced.protocol(), "{name}: protocol");
