@@ -27,8 +27,8 @@ fn reproduce() {
     for t in 0..=horizon {
         rows.push(vec![
             cell(t),
-            cell(perfect.system().layer(t).len()),
-            cell(obs.system().layer(t).len()),
+            cell(perfect.system().layer(t).explicit_len()),
+            cell(obs.system().layer(t).explicit_len()),
         ]);
     }
     rows.push(vec![
@@ -38,7 +38,7 @@ fn reproduce() {
     ]);
     assert!(obs.stabilized().is_some(), "observational must stabilize");
     assert!(
-        perfect.system().layer(horizon).len() > obs.system().layer(horizon).len(),
+        perfect.system().layer(horizon).explicit_len() > obs.system().layer(horizon).explicit_len(),
         "perfect recall must keep splitting histories"
     );
     report_table(

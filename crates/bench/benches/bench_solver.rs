@@ -45,7 +45,7 @@ fn reproduce() {
         .solve()
         .expect("solves");
     let rows: Vec<Vec<String>> = (0..solution.system().layer_count())
-        .map(|t| vec![cell(t), cell(solution.system().layer(t).len())])
+        .map(|t| vec![cell(t), cell(solution.system().layer(t).explicit_len())])
         .collect();
     report_table(
         "E8 solver layer growth (random context, 2 agents, env branching 2)",

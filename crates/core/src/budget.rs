@@ -95,8 +95,8 @@ pub struct LayerStats {
     /// while the `kbpbench` benchmark names it.
     pub shards: usize,
     /// Representatives resident in the layer when it was generated by the
-    /// fused step+quotient path (`KBP_GEN_QUOTIENT_MIN_WORLDS`); `0` when
-    /// the layer was generated explicitly.
+    /// fused step+quotient path; `0` when the layer was generated
+    /// explicitly.
     pub gen_quotient_worlds: usize,
     /// Compression ratio of the generation quotient in per-mille
     /// (`gen_quotient_worlds * 1000 / points`, rounded down); `0` when

@@ -257,9 +257,8 @@ impl<'a> Enumerator<'a> {
         let mut builder = SystemBuilder::new(self.ctx, self.recall)?;
         // The enumerator's search state indexes explicit points (per-node
         // choice vectors, guard sets over layer worlds), so the fused
-        // step+quotient generation path is disabled for the whole search
-        // regardless of `KBP_GEN_QUOTIENT_MIN_WORLDS` — enumerated
-        // horizons are short and narrow by construction.
+        // step+quotient generation path is disabled for the whole search;
+        // enumerated horizons are short and narrow by construction.
         builder.set_gen_quotient_min_worlds(usize::MAX);
         if let Some(limit) = self.node_limit {
             builder.set_node_limit(limit);

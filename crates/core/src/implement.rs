@@ -18,7 +18,8 @@ use crate::solve::SolveError;
 use kbp_kripke::BitSet;
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    generate, satisfying_layers, ActionId, Context, InterpretedSystem, Point, ProtocolFn, Recall,
+    generate, satisfying_layers, ActionId, Context, GenerateError, InterpretedSystem, LocalId,
+    Point, ProtocolFn, Recall, SystemBuilder,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -29,7 +30,8 @@ use std::fmt;
 pub struct Mismatch {
     /// The agent at which the disagreement occurs.
     pub agent: Agent,
-    /// A witnessing point.
+    /// A witnessing point (on a layer held as bisimulation
+    /// representatives, the class representative).
     pub point: Point,
     /// What the program induces there (evaluated in the candidate's own
     /// system).
@@ -76,7 +78,9 @@ impl ImplementationReport {
         &self.system
     }
 
-    /// Number of `(point, agent)` pairs compared.
+    /// Number of `(point, agent)` pairs compared, counting explicit
+    /// points: a class of a layer held as bisimulation representatives
+    /// counts with its multiplicity.
     #[must_use]
     pub fn points_checked(&self) -> usize {
         self.points_checked
@@ -162,7 +166,20 @@ pub fn check_implementation(
     horizon: usize,
 ) -> Result<ImplementationReport, SolveError> {
     kbp.validate(ctx)?;
-    let system = generate(ctx, protocol, recall, horizon)?;
+    let system = match generate(ctx, protocol, recall, horizon) {
+        // A candidate that acts differently at bisimilar points is no
+        // implementation, but fused generation cannot unroll it: check it
+        // on its explicit system.
+        Err(GenerateError::QuotientChoiceMismatch { .. }) => {
+            let mut builder = SystemBuilder::new(ctx, recall)?;
+            builder.set_gen_quotient_min_worlds(usize::MAX);
+            for _ in 0..horizon {
+                builder.step_with(protocol)?;
+            }
+            builder.finish()
+        }
+        generated => generated?,
+    };
     let (mismatches, points_checked) = compare_on_system(&system, kbp, protocol)?;
     Ok(ImplementationReport {
         system,
@@ -223,47 +240,59 @@ pub(crate) fn compare_with_sets(
         offset += program.clauses().len();
 
         for t in 0..system.layer_count() {
+            let layer = system.layer(t);
+            // On a layer held as bisimulation representatives, a class's
+            // explicit points carry every member local and count with the
+            // class multiplicity.
+            let classes = layer.quotient().filter(|_| layer.is_reduced());
             // Check guard locality within the layer while we're at it.
-            let mut by_local: HashMap<kbp_systems::LocalId, Vec<bool>> = HashMap::new();
-            for node in 0..system.layer(t).len() {
+            let mut by_local: HashMap<LocalId, Vec<bool>> = HashMap::new();
+            for node in 0..layer.len() {
                 let point = Point { time: t, node };
                 let truths: Vec<bool> = clause_sets.iter().map(|s| s[t].contains(node)).collect();
-                let local = system.local(agent, point);
-                match by_local.get(&local) {
-                    Some(prev) if *prev != truths => {
-                        let clause = prev
-                            .iter()
-                            .zip(&truths)
-                            .position(|(a, b)| a != b)
-                            .unwrap_or(0);
-                        return Err(SolveError::LocalityViolation {
+                let own = [system.local(agent, point)];
+                let (locals, points) = match classes {
+                    Some(q) => (q.members(agent, node), q.multiplicity(node)),
+                    None => (&own[..], 1),
+                };
+                points_checked =
+                    points_checked.saturating_add(usize::try_from(points).unwrap_or(usize::MAX));
+                for &local in locals {
+                    match by_local.get(&local) {
+                        Some(prev) if *prev != truths => {
+                            let clause = prev
+                                .iter()
+                                .zip(&truths)
+                                .position(|(a, b)| a != b)
+                                .unwrap_or(0);
+                            return Err(SolveError::LocalityViolation {
+                                agent,
+                                clause,
+                                time: t,
+                            });
+                        }
+                        Some(_) => {}
+                        None => {
+                            by_local.insert(local, truths.clone());
+                        }
+                    }
+
+                    let induced = program.induced_actions(&truths);
+                    let history = system.local_view(agent, local);
+                    let mut prescribed = protocol.actions(&kbp_systems::LocalView {
+                        agent,
+                        history: &history,
+                    });
+                    prescribed.sort_unstable();
+                    prescribed.dedup();
+                    if induced != prescribed {
+                        mismatches.push(Mismatch {
                             agent,
-                            clause,
-                            time: t,
+                            point,
+                            induced,
+                            prescribed,
                         });
                     }
-                    Some(_) => {}
-                    None => {
-                        by_local.insert(local, truths.clone());
-                    }
-                }
-
-                let induced = program.induced_actions(&truths);
-                let history = system.local_view(agent, local);
-                let mut prescribed = protocol.actions(&kbp_systems::LocalView {
-                    agent,
-                    history: &history,
-                });
-                prescribed.sort_unstable();
-                prescribed.dedup();
-                points_checked += 1;
-                if induced != prescribed {
-                    mismatches.push(Mismatch {
-                        agent,
-                        point,
-                        induced,
-                        prescribed,
-                    });
                 }
             }
         }

@@ -490,7 +490,7 @@ pub struct SyncSolver<'a> {
     recall: Recall,
     node_limit: Option<usize>,
     budget: Budget,
-    gen_quotient_min_worlds: Option<usize>,
+    gen_quotient_min_worlds: usize,
     carry_forward: bool,
 }
 
@@ -516,7 +516,7 @@ impl<'a> SyncSolver<'a> {
             recall: Recall::Perfect,
             node_limit: None,
             budget: Budget::default(),
-            gen_quotient_min_worlds: None,
+            gen_quotient_min_worlds: 0,
             carry_forward: true,
         }
     }
@@ -574,17 +574,16 @@ impl<'a> SyncSolver<'a> {
         self
     }
 
-    /// Sets the minimum frontier width (points) before the builder's
-    /// fused step+quotient generation path engages (default: the
-    /// `KBP_GEN_QUOTIENT_MIN_WORLDS` environment variable if set, else
-    /// [`kbp_kripke::DEFAULT_GEN_QUOTIENT_MIN_WORLDS`]). `0` generates
-    /// every layer as bisimulation representatives with multiplicities;
+    /// Sets the minimum explicit frontier width (points) before the
+    /// builder's fused step+quotient generation path engages (default
+    /// `0`: every reduced or twin-free frontier is fused, see
+    /// [`SystemBuilder::step`](kbp_systems::SystemBuilder::step));
     /// `usize::MAX` keeps generation explicit. The solution is
     /// bit-identical for every value — only which points are resident
     /// ([`LayerStats::gen_quotient_worlds`], memory, wall-clock) changes.
     #[must_use]
     pub fn gen_quotient_min_worlds(mut self, worlds: usize) -> Self {
-        self.gen_quotient_min_worlds = Some(worlds);
+        self.gen_quotient_min_worlds = worlds;
         self
     }
 
@@ -672,9 +671,7 @@ impl<'a> SyncSolver<'a> {
         if let Some(limit) = self.node_limit {
             builder.set_node_limit(limit);
         }
-        if let Some(worlds) = self.gen_quotient_min_worlds {
-            builder.set_gen_quotient_min_worlds(worlds);
-        }
+        builder.set_gen_quotient_min_worlds(self.gen_quotient_min_worlds);
         let mut protocol = MapProtocol::new(vec![kbp_systems::ActionId(0)]);
         for program in self.kbp.programs() {
             protocol.set_agent_default(program.agent(), vec![program.default_action()]);

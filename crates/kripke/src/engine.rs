@@ -22,142 +22,7 @@ use crate::bitset::BitSet;
 use crate::eval::{EvalCache, EvalError};
 use crate::model::S5Model;
 use kbp_logic::{Formula, FormulaArena, FormulaId, InternedNode};
-use std::error::Error;
-use std::fmt;
-
-/// Environment variable overriding the *generation* quotient gate:
-/// frontiers with at least this many points are folded to bisimulation
-/// representatives with multiplicities before the next layer is
-/// generated, so the explicit frontier is never resident (DESIGN.md
-/// §17). `0` means "generate quotient-first from layer 0"; a huge value
-/// disables fused generation entirely. Read by
-/// `kbp_systems::SystemBuilder`; defined here so all engine gates share
-/// one parser and one error type.
-pub const GEN_QUOTIENT_MIN_WORLDS_ENV: &str = "KBP_GEN_QUOTIENT_MIN_WORLDS";
-
-/// Default generation quotient gate: narrow frontiers are generated
-/// explicitly (the canonicalization pass costs more than it saves
-/// there), wide frontiers advance on representatives — solutions are
-/// bit-identical either way.
-pub const DEFAULT_GEN_QUOTIENT_MIN_WORLDS: usize = 4096;
-
-/// Largest worker-thread count accepted from an environment variable.
-/// Far above any plausible machine; a value beyond it is a typo (an extra
-/// digit, a pasted timestamp), not a configuration.
-pub const MAX_CONFIG_THREADS: usize = 4096;
-
-/// A thread-count environment variable held a value that cannot mean any
-/// worker-pool size. Surfaced as a typed error so services can refuse to
-/// start instead of silently falling back to a default the operator did
-/// not choose.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThreadConfigError {
-    /// The value did not parse as an unsigned integer.
-    NotANumber {
-        /// The variable that held the value.
-        var: &'static str,
-        /// The offending value.
-        value: String,
-    },
-    /// The value parsed as `0`; a worker pool needs at least one thread.
-    Zero {
-        /// The variable that held the value.
-        var: &'static str,
-    },
-    /// The value exceeds [`MAX_CONFIG_THREADS`].
-    TooLarge {
-        /// The variable that held the value.
-        var: &'static str,
-        /// The offending value.
-        value: String,
-    },
-}
-
-impl fmt::Display for ThreadConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThreadConfigError::NotANumber { var, value } => {
-                write!(f, "{var}={value:?} is not an unsigned integer")
-            }
-            ThreadConfigError::Zero { var } => {
-                write!(f, "{var}=0: a worker pool needs at least one thread")
-            }
-            ThreadConfigError::TooLarge { var, value } => write!(
-                f,
-                "{var}={value}: exceeds the {MAX_CONFIG_THREADS}-thread cap"
-            ),
-        }
-    }
-}
-
-impl Error for ThreadConfigError {}
-
-/// Parses a thread-count setting taken from environment variable `var`.
-/// `0`, non-numeric input and values above [`MAX_CONFIG_THREADS`] are
-/// typed errors, never silent fallbacks.
-///
-/// # Errors
-///
-/// Returns [`ThreadConfigError`] describing exactly how the value is
-/// unusable.
-pub fn parse_thread_count(var: &'static str, raw: &str) -> Result<usize, ThreadConfigError> {
-    let trimmed = raw.trim();
-    let n: usize = trimmed.parse().map_err(|_| ThreadConfigError::NotANumber {
-        var,
-        value: raw.to_owned(),
-    })?;
-    if n == 0 {
-        return Err(ThreadConfigError::Zero { var });
-    }
-    if n > MAX_CONFIG_THREADS {
-        return Err(ThreadConfigError::TooLarge {
-            var,
-            value: raw.to_owned(),
-        });
-    }
-    Ok(n)
-}
-
-/// Reads a thread-count override from environment variable `var`.
-/// `Ok(None)` when unset or empty; malformed values are typed errors.
-///
-/// # Errors
-///
-/// Returns [`ThreadConfigError`] if the variable is set to `0`, to a
-/// non-number, or to a value above [`MAX_CONFIG_THREADS`].
-pub fn env_threads(var: &'static str) -> Result<Option<usize>, ThreadConfigError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => parse_thread_count(var, &raw).map(Some),
-    }
-}
-
-/// Reads the generation quotient gate from
-/// [`GEN_QUOTIENT_MIN_WORLDS_ENV`]. `Ok(None)` when unset or empty.
-/// Unlike thread counts, `0` is a valid setting (fuse step+quotient from
-/// layer 0) and there is no upper cap (a huge value keeps generation
-/// explicit).
-///
-/// # Errors
-///
-/// Returns [`ThreadConfigError::NotANumber`] if the variable holds
-/// anything but an unsigned integer.
-pub fn env_gen_quotient_min_worlds() -> Result<Option<usize>, ThreadConfigError> {
-    match std::env::var(GEN_QUOTIENT_MIN_WORLDS_ENV) {
-        Err(_) => Ok(None),
-        Ok(raw) if raw.trim().is_empty() => Ok(None),
-        Ok(raw) => {
-            raw.trim()
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| ThreadConfigError::NotANumber {
-                    var: GEN_QUOTIENT_MIN_WORLDS_ENV,
-                    value: raw,
-                })
-        }
-    }
-}
+use std::convert::Infallible;
 
 /// Set-level temporal operators, supplied by evaluators that have a
 /// notion of time (bounded layers, an explored state graph, …).
@@ -224,7 +89,7 @@ impl EvalEngine {
     /// # Errors
     ///
     /// None: the engine reads no environment variable.
-    pub fn from_env(arena: FormulaArena) -> Result<Self, ThreadConfigError> {
+    pub fn from_env(arena: FormulaArena) -> Result<Self, Infallible> {
         Ok(Self::new(arena))
     }
 
@@ -347,8 +212,6 @@ mod tests {
     use crate::model::S5Builder;
     use kbp_logic::{Agent, AgentSet, PropId};
 
-    const VAR: &str = "KBP_TEST_THREADS";
-
     fn p(i: u32) -> Formula {
         Formula::prop(PropId::new(i))
     }
@@ -435,54 +298,5 @@ mod tests {
             .populate_temporal(&m, &mut cache, &[root], &ops)
             .unwrap();
         assert_eq!(*cache.get(root).unwrap(), marker.complemented());
-    }
-
-    #[test]
-    fn thread_config_zero_is_a_typed_error() {
-        assert_eq!(
-            parse_thread_count(VAR, "0"),
-            Err(ThreadConfigError::Zero { var: VAR })
-        );
-    }
-
-    #[test]
-    fn thread_config_garbage_is_a_typed_error() {
-        for raw in ["four", "", " ", "-2", "3.5", "0x10", "1 2"] {
-            assert_eq!(
-                parse_thread_count(VAR, raw),
-                Err(ThreadConfigError::NotANumber {
-                    var: VAR,
-                    value: raw.to_owned(),
-                }),
-                "raw={raw:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn thread_config_huge_is_a_typed_error() {
-        let raw = format!("{}", MAX_CONFIG_THREADS + 1);
-        assert_eq!(
-            parse_thread_count(VAR, &raw),
-            Err(ThreadConfigError::TooLarge {
-                var: VAR,
-                value: raw.clone(),
-            })
-        );
-        // usize overflow is reported as not-a-number by the parser.
-        assert!(matches!(
-            parse_thread_count(VAR, "99999999999999999999999999"),
-            Err(ThreadConfigError::NotANumber { .. })
-        ));
-    }
-
-    #[test]
-    fn thread_config_accepts_sane_values() {
-        assert_eq!(parse_thread_count(VAR, "1"), Ok(1));
-        assert_eq!(parse_thread_count(VAR, " 8 "), Ok(8));
-        assert_eq!(
-            parse_thread_count(VAR, &format!("{MAX_CONFIG_THREADS}")),
-            Ok(MAX_CONFIG_THREADS)
-        );
     }
 }

@@ -66,11 +66,7 @@ mod partition;
 pub use announce::{AnnounceError, Announcement};
 pub use bisim::Quotient;
 pub use bitset::BitSet;
-pub use engine::{
-    env_gen_quotient_min_worlds, env_threads, parse_thread_count, EvalEngine, TemporalOps,
-    ThreadConfigError, DEFAULT_GEN_QUOTIENT_MIN_WORLDS, GEN_QUOTIENT_MIN_WORLDS_ENV,
-    MAX_CONFIG_THREADS,
-};
+pub use engine::{EvalEngine, TemporalOps};
 pub use eval::{blocks_inside, EvalCache, EvalCacheSnapshot, EvalError};
 pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};
 pub use model::{S5Builder, S5Model, WorldId};

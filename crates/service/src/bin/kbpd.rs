@@ -145,7 +145,4 @@ Environment (malformed values refuse startup with a typed error):
   KBP_SERVICE_WRITE_STALL_MS   close if a nonempty write buffer makes no
                                progress for this long (default 30000;
                                0 disables)
-  KBP_GEN_QUOTIENT_MIN_WORLDS  minimum frontier width before layers are
-                               generated as bisimulation representatives
-                               (default 4096; 0 always, MAX never)
 ";

@@ -451,7 +451,7 @@ mod tests {
         assert_eq!(decoder.pop(), None);
         // An overflowing (discarded) line still counts as mid-line: the
         // peer owes us its terminating newline.
-        decoder.feed(&vec![b'x'; 100]);
+        decoder.feed(&[b'x'; 100]);
         assert!(decoder.mid_line());
         assert_eq!(
             decoder.finish(),

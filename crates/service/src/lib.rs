@@ -73,6 +73,6 @@ pub use service::{
     ServiceConfig, ServiceStats, CACHE_DIR_ENV, CACHE_ENV, CACHE_SESSIONS_ENV,
     CLIENT_DEFINITIONS_ENV, CLIENT_PENDING_ENV, DEFAULT_CACHE_SESSIONS, DEFAULT_CLIENT_DEFINITIONS,
     DEFAULT_CLIENT_PENDING, DEFAULT_IDLE_TIMEOUT_MS, DEFAULT_MAX_CONNECTIONS,
-    DEFAULT_WRITE_BUDGET_BYTES, DEFAULT_WRITE_STALL_MS, IDLE_TIMEOUT_ENV, MAX_CONNECTIONS_ENV,
-    MAX_LINE_ENV, QUEUE_ENV, WORKERS_ENV, WRITE_BUDGET_ENV, WRITE_STALL_ENV,
+    DEFAULT_WRITE_BUDGET_BYTES, DEFAULT_WRITE_STALL_MS, IDLE_TIMEOUT_ENV, MAX_CONFIG_THREADS,
+    MAX_CONNECTIONS_ENV, MAX_LINE_ENV, QUEUE_ENV, WORKERS_ENV, WRITE_BUDGET_ENV, WRITE_STALL_ENV,
 };

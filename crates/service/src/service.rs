@@ -31,7 +31,6 @@ use kbp_core::{
     SolveOutcome, SolveStats, SyncSolver,
 };
 use kbp_faults::FaultyContext;
-use kbp_kripke::{env_gen_quotient_min_worlds, env_threads, ThreadConfigError};
 use kbp_lang::{Compiled, Diagnostic, LineMap, Severity};
 use kbp_systems::{Context, FnContext, MapProtocol, Recall};
 use std::collections::HashMap;
@@ -42,6 +41,11 @@ use std::sync::{Arc, Mutex};
 
 /// Environment variable sizing the worker pool.
 pub const WORKERS_ENV: &str = "KBP_SERVICE_WORKERS";
+
+/// Largest worker count [`WORKERS_ENV`] accepts. Far above any plausible
+/// machine; a value beyond it is a typo (an extra digit, a pasted
+/// timestamp), not a configuration.
+pub const MAX_CONFIG_THREADS: usize = 4096;
 
 /// Environment variable sizing the job queue (admission window).
 pub const QUEUE_ENV: &str = "KBP_SERVICE_QUEUE";
@@ -122,9 +126,14 @@ pub const DEFAULT_WRITE_STALL_MS: u64 = 30_000;
 /// fail startup, not silently serve with one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The worker count did not parse (bad number, zero, or absurd), or
-    /// the generation gate was not a number.
-    Threads(ThreadConfigError),
+    /// The worker count was not an integer from 1 to
+    /// [`MAX_CONFIG_THREADS`].
+    Workers {
+        /// The environment variable.
+        var: &'static str,
+        /// Its rejected value.
+        value: String,
+    },
     /// A boolean flag was neither truthy (`1`/`on`/`true`) nor falsy
     /// (`0`/`off`/`false`).
     Flag {
@@ -133,7 +142,7 @@ pub enum ConfigError {
         /// Its rejected value.
         value: String,
     },
-    /// A size variable (byte or count bounds without the thread cap)
+    /// A size variable (byte or count bounds without the worker-count cap)
     /// did not hold a positive integer.
     Size {
         /// The environment variable.
@@ -146,7 +155,10 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::Threads(e) => write!(f, "{e}"),
+            ConfigError::Workers { var, value } => write!(
+                f,
+                "{var}: expected a worker count from 1 to {MAX_CONFIG_THREADS}, got '{value}'"
+            ),
             ConfigError::Flag { var, value } => {
                 write!(f, "{var}: expected 0/off/false or 1/on/true, got '{value}'")
             }
@@ -157,20 +169,7 @@ impl fmt::Display for ConfigError {
     }
 }
 
-impl std::error::Error for ConfigError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ConfigError::Threads(e) => Some(e),
-            ConfigError::Flag { .. } | ConfigError::Size { .. } => None,
-        }
-    }
-}
-
-impl From<ThreadConfigError> for ConfigError {
-    fn from(e: ThreadConfigError) -> Self {
-        ConfigError::Threads(e)
-    }
-}
+impl std::error::Error for ConfigError {}
 
 /// Service configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,11 +235,8 @@ impl ServiceConfig {
         }
     }
 
-    /// Reads every `KBP_SERVICE_*` variable on top of the defaults, and
-    /// *validates* the evaluation-engine variable
-    /// `KBP_GEN_QUOTIENT_MIN_WORLDS` that the engine itself tolerates:
-    /// all configuration errors fail startup here, through one typed
-    /// path.
+    /// Reads every `KBP_SERVICE_*` variable on top of the defaults: all
+    /// configuration errors fail startup here, through one typed path.
     ///
     /// # Errors
     ///
@@ -306,10 +302,6 @@ impl ServiceConfig {
         if let Some(defs) = env_bound(CLIENT_DEFINITIONS_ENV)? {
             config.client_definitions = usize::try_from(defs).unwrap_or(usize::MAX);
         }
-        // The engine reads this lazily per solve and falls back to the
-        // default on garbage; a daemon should instead refuse to start,
-        // so the malformed value is caught before the first request.
-        env_gen_quotient_min_worlds()?;
         Ok(config)
     }
 
@@ -398,7 +390,20 @@ impl ServiceConfig {
     }
 }
 
-/// Reads a positive-integer bound (no thread-count cap — line limits
+/// Reads a worker count: an integer from 1 to [`MAX_CONFIG_THREADS`].
+/// `Ok(None)` when unset or empty.
+fn env_threads(var: &'static str) -> Result<Option<usize>, ConfigError> {
+    match std::env::var(var) {
+        Err(_) => Ok(None),
+        Ok(raw) if raw.trim().is_empty() => Ok(None),
+        Ok(raw) => match raw.trim().parse::<usize>() {
+            Ok(n) if (1..=MAX_CONFIG_THREADS).contains(&n) => Ok(Some(n)),
+            _ => Err(ConfigError::Workers { var, value: raw }),
+        },
+    }
+}
+
+/// Reads a positive-integer bound (no worker-count cap — line limits
 /// are legitimately megabytes, queues and caches legitimately
 /// thousands). `Ok(None)` when unset or empty.
 fn env_size(var: &'static str) -> Result<Option<usize>, ConfigError> {
@@ -1970,10 +1975,21 @@ mod tests {
             }
             result
         };
-        assert!(matches!(
-            run(&[(WORKERS_ENV, "zero?")]),
-            Err(ConfigError::Threads(_))
-        ));
+        for raw in [
+            "zero?",
+            "0",
+            "-2",
+            "3.5",
+            "4097",
+            "99999999999999999999999999",
+        ] {
+            assert!(
+                matches!(run(&[(WORKERS_ENV, raw)]), Err(ConfigError::Workers { .. })),
+                "{WORKERS_ENV}={raw} must be rejected"
+            );
+        }
+        let capped = run(&[(WORKERS_ENV, " 4096 ")]).unwrap();
+        assert_eq!(capped.workers, MAX_CONFIG_THREADS);
         assert!(matches!(
             run(&[(QUEUE_ENV, "0")]),
             Err(ConfigError::Size { .. })
@@ -1995,7 +2011,7 @@ mod tests {
             Err(ConfigError::Size { .. })
         ));
         // Queue and cache bounds are sizes, not thread counts: no
-        // thread cap applies to them.
+        // worker-count cap applies to them.
         let big = run(&[(QUEUE_ENV, "5000"), (CACHE_SESSIONS_ENV, "10000")]).unwrap();
         assert_eq!(big.queue_capacity, 5000);
         assert_eq!(big.cache_sessions, 10000);
@@ -2028,12 +2044,6 @@ mod tests {
         assert_eq!(disabled.idle_timeout_ms, 0);
         let unlimited = run(&[(CLIENT_DEFINITIONS_ENV, "0")]).unwrap();
         assert_eq!(unlimited.client_definitions, 0);
-        // The engine variable is validated here too: the engine itself
-        // would silently fall back, the daemon must not start.
-        assert!(matches!(
-            run(&[(kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV, "wide")]),
-            Err(ConfigError::Threads(_))
-        ));
         let ok = run(&[
             (WORKERS_ENV, "3"),
             (QUEUE_ENV, "17"),
@@ -2377,10 +2387,12 @@ mod tests {
         let metrics = service.metrics_response(None, 0);
         let eval = metrics.get("eval").unwrap();
         assert!(eval.get("layers").unwrap().as_u64().unwrap() > 0);
-        // Small scenarios stay under the generation-quotient threshold:
-        // the counters exist and read zero/null.
-        assert_eq!(eval.get("gen_quotiented_layers"), Some(&Json::U64(0)));
-        assert_eq!(eval.get("gen_quotient_ratio_permille"), Some(&Json::Null));
+        // Muddy children has no perfect-recall twins, so generation fuses
+        // every layer after the first: layers 1 to 4 of the horizon-4
+        // solve are resident as representatives.
+        assert_eq!(eval.get("gen_quotiented_layers"), Some(&Json::U64(4)));
+        let ratio = eval.get("gen_quotient_ratio_permille").unwrap();
+        assert!((1..=1000).contains(&ratio.as_u64().unwrap()), "{ratio:?}");
         let defs = metrics.get("definitions").unwrap();
         assert_eq!(defs.get("active"), Some(&Json::U64(0)));
         assert_eq!(defs.get("restored"), Some(&Json::U64(0)));

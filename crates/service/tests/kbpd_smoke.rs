@@ -56,6 +56,16 @@ fn golden_three_job_batch() {
 }
 
 #[test]
+fn stale_generation_gate_variable_is_ignored() {
+    // The engine reads no environment: a leftover setting of the removed
+    // generation gate neither blocks startup nor changes a byte.
+    let output = run_kbpd(&[("KBP_GEN_QUOTIENT_MIN_WORLDS", "wide")], INPUT);
+    assert!(output.status.success(), "kbpd refused a stale variable");
+    let stdout = String::from_utf8(output.stdout).expect("utf8 output");
+    assert_eq!(stdout, GOLDEN);
+}
+
+#[test]
 fn malformed_worker_config_is_a_startup_error() {
     let output = run_kbpd(&[("KBP_SERVICE_WORKERS", "a few")], INPUT);
     assert_eq!(output.status.code(), Some(2));

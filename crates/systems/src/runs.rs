@@ -5,15 +5,15 @@
 //! merges epistemically identical points, a path here may stand for many
 //! concrete executions; what it preserves is everything formulas can see.
 //!
-//! On systems generated through the fused step+quotient path (see
-//! [`SystemBuilder::set_gen_quotient_min_worlds`]), each node is further a
+//! On layers generated through the fused step+quotient path (see
+//! [`SystemBuilder::step`]), each node is further a
 //! *bisimulation representative* carrying a multiplicity, so a path is a
 //! representative run: it stands for every explicit run threading through
 //! the corresponding bisimulation classes. Counts and enumerations below
 //! are therefore over representatives — the distinctions formulas can
 //! observe — not over explicit-equivalent executions.
 //!
-//! [`SystemBuilder::set_gen_quotient_min_worlds`]: crate::SystemBuilder::set_gen_quotient_min_worlds
+//! [`SystemBuilder::step`]: crate::SystemBuilder::step
 
 use crate::system::{InterpretedSystem, Point};
 use std::fmt;

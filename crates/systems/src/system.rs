@@ -16,10 +16,7 @@
 use crate::context::{ActionId, Context, ContextError, JointAction};
 use crate::protocol::{LocalView, ProtocolFn};
 use crate::state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
-use kbp_kripke::{
-    env_gen_quotient_min_worlds, Partition, S5Builder, S5Model, ThreadConfigError, UnionFind,
-    DEFAULT_GEN_QUOTIENT_MIN_WORLDS,
-};
+use kbp_kripke::{Partition, S5Builder, S5Model, UnionFind};
 use kbp_logic::{Agent, PropId};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -116,9 +113,8 @@ impl Node {
 /// states those explicit points carry (the class-level
 /// indistinguishability structure).
 ///
-/// Produced by the fused step+quotient generation path gated by
-/// [`KBP_GEN_QUOTIENT_MIN_WORLDS`](kbp_kripke::GEN_QUOTIENT_MIN_WORLDS_ENV);
-/// see DESIGN.md §17.
+/// Produced by the fused step+quotient generation path; see DESIGN.md
+/// §17.
 #[derive(Debug, Clone)]
 pub struct QuotientFrontier {
     /// Node index of each class's representative within the layer.
@@ -220,6 +216,21 @@ impl Layer {
         }
     }
 
+    /// The number of explicit points node `node` stands for: its class
+    /// multiplicity on a reduced layer (see [`is_reduced`](Self::is_reduced)),
+    /// else `1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range on a reduced layer.
+    #[must_use]
+    pub fn multiplicity(&self, node: usize) -> u64 {
+        match &self.quotient {
+            Some(q) if self.is_reduced() => q.multiplicity(node),
+            _ => 1,
+        }
+    }
+
     /// The bisimulation-class structure, when this layer is held as (or
     /// has been folded to) quotient representatives.
     #[must_use]
@@ -283,8 +294,6 @@ pub enum GenerateError {
         /// The configured limit.
         limit: usize,
     },
-    /// A generation-gate environment variable held an unusable value.
-    Config(ThreadConfigError),
     /// Action choices disagreed across a bisimulation class: two points
     /// the fused generation path holds as one class were given different
     /// action sets. Protocols derived from subjective (knowledge-based)
@@ -331,7 +340,6 @@ impl fmt::Display for GenerateError {
             GenerateError::NodeLimit { limit } => {
                 write!(f, "unrolling exceeded the node budget of {limit}")
             }
-            GenerateError::Config(e) => write!(f, "generation gate misconfigured: {e}"),
             GenerateError::QuotientChoiceMismatch { agent, local } => {
                 write!(
                     f,
@@ -348,7 +356,6 @@ impl Error for GenerateError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             GenerateError::Context(e) => Some(e),
-            GenerateError::Config(e) => Some(e),
             _ => None,
         }
     }
@@ -443,9 +450,6 @@ impl<'c> SystemBuilder<'c> {
     /// Returns [`GenerateError::Context`] if the context is malformed.
     pub fn new(ctx: &'c dyn Context, recall: Recall) -> Result<Self, GenerateError> {
         ctx.validate()?;
-        let gen_quotient_min_worlds = env_gen_quotient_min_worlds()
-            .map_err(GenerateError::Config)?
-            .unwrap_or(DEFAULT_GEN_QUOTIENT_MIN_WORLDS);
         let agents = ctx.agent_count();
         let mut b = SystemBuilder {
             ctx,
@@ -455,7 +459,7 @@ impl<'c> SystemBuilder<'c> {
             layers: Vec::new(),
             node_limit: 2_000_000,
             nodes_created: 0,
-            gen_quotient_min_worlds,
+            gen_quotient_min_worlds: 0,
         };
         let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
         let mut nodes: Vec<Node> = Vec::new();
@@ -494,11 +498,11 @@ impl<'c> SystemBuilder<'c> {
         self.node_limit = limit;
     }
 
-    /// Sets the fused-generation gate: frontiers at least this wide are
-    /// folded to bisimulation representatives (with multiplicities)
-    /// before stepping, so the explicit next layer is never resident.
-    /// `0` fuses from layer 0, `usize::MAX` keeps generation explicit.
-    /// Overrides `KBP_GEN_QUOTIENT_MIN_WORLDS` (default 4096).
+    /// Sets the fused-generation gate: only explicit frontiers at least
+    /// this wide are folded to bisimulation representatives (with
+    /// multiplicities) before stepping. The default `0` fuses every
+    /// eligible frontier; `usize::MAX` keeps generation explicit, for
+    /// callers whose state indexes explicit points.
     pub fn set_gen_quotient_min_worlds(&mut self, worlds: usize) {
         self.gen_quotient_min_worlds = worlds;
     }
@@ -627,14 +631,16 @@ impl<'c> SystemBuilder<'c> {
 
     /// Extends the unrolling by one time step using the given choices.
     ///
-    /// When the frontier is at least
-    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds) wide
-    /// (or is already reduced), the fused step+quotient path engages: the
-    /// frontier is folded to bisimulation representatives with exact
-    /// multiplicities, successors are computed for representatives only,
-    /// and the new layer is canonicalized before anything explicit is
-    /// materialized (DESIGN.md §17). Solutions induced from the layers
-    /// are bit-identical to explicit generation.
+    /// When the frontier is already reduced, or is explicit and
+    /// twin-free, the fused step+quotient path engages: the frontier is
+    /// folded to bisimulation representatives with exact multiplicities,
+    /// successors are computed for representatives only, and the new
+    /// layer is canonicalized before anything explicit is materialized
+    /// (DESIGN.md §17). Frontiers holding perfect-recall twins, and
+    /// explicit frontiers narrower than
+    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds), step
+    /// explicitly. Solutions induced from the layers are bit-identical
+    /// either way.
     ///
     /// # Errors
     ///
@@ -1020,6 +1026,12 @@ impl<'c> SystemBuilder<'c> {
                     let c = ch.parent_classes[0];
                     let mut per_agent = Vec::with_capacity(agents);
                     for i in 0..agents {
+                        // A lone member is the representative's own
+                        // local, whose chain image is the child's local.
+                        if qf.members[i][c as usize].len() == 1 {
+                            per_agent.push(vec![ch.locals[i]]);
+                            continue;
+                        }
                         let key = (c, i, ch.obs[i]);
                         let locals = match chain_cache.entry(key) {
                             Entry::Occupied(e) => e.get().clone(),
@@ -1077,45 +1089,79 @@ impl<'c> SystemBuilder<'c> {
             .bisimilarity_within(&props, &[&state_split])
             .map_err(|e| GenerateError::Quotient(e.to_string()))?;
 
-        // Fold duplicates by multiplicity: one node per class.
+        // Fold duplicates by multiplicity: one node per class. A discrete
+        // partition merges nothing: the children are the classes and their
+        // model is the layer's.
         let kn = classes.block_count();
-        let labels = classes.block_ids();
         let mut nodes: Vec<Node> = Vec::with_capacity(kn);
-        let mut multiplicity = vec![0u64; kn];
+        let mut multiplicity: Vec<u64> = Vec::with_capacity(kn);
         let mut members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(kn); agents];
-        for (b, mult) in multiplicity.iter_mut().enumerate() {
-            let block = classes.block(b);
-            let rep = block.iter().copied().min().unwrap_or(0) as usize;
-            let mut parents: Vec<u32> = Vec::new();
-            for &w in block {
-                *mult += children[w as usize].multiplicity;
-                for &p in &children[w as usize].parents {
-                    if !parents.contains(&p) {
-                        parents.push(p);
-                    }
+        let model = if kn == n_new {
+            for (ch, per_agent) in children.into_iter().zip(child_members) {
+                let mut parents = ch.parents;
+                parents.sort_unstable();
+                nodes.push(Node {
+                    state: ch.state,
+                    locals: ch.locals,
+                    parents,
+                    edges: Vec::new(),
+                });
+                multiplicity.push(ch.multiplicity);
+                for (class_members, ls) in members.iter_mut().zip(per_agent) {
+                    class_members.push(ls);
                 }
             }
-            parents.sort_unstable();
-            nodes.push(Node {
-                state: children[rep].state,
-                locals: children[rep].locals.clone(),
-                parents,
-                edges: Vec::new(),
-            });
-            for (i, per_agent) in members.iter_mut().enumerate() {
-                let mut ls: Vec<LocalId> = block
-                    .iter()
-                    .flat_map(|&w| child_members[w as usize][i].iter().copied())
-                    .collect();
-                ls.sort_unstable_by_key(|l| l.index());
-                ls.dedup();
-                per_agent.push(ls);
+            cmodel
+        } else {
+            for block in classes.blocks() {
+                let rep = block.iter().copied().min().unwrap_or(0) as usize;
+                let mut parents: Vec<u32> = Vec::new();
+                let mut mult = 0;
+                for &w in block {
+                    mult += children[w as usize].multiplicity;
+                    for &p in &children[w as usize].parents {
+                        if !parents.contains(&p) {
+                            parents.push(p);
+                        }
+                    }
+                }
+                parents.sort_unstable();
+                nodes.push(Node {
+                    state: children[rep].state,
+                    locals: children[rep].locals.clone(),
+                    parents,
+                    edges: Vec::new(),
+                });
+                multiplicity.push(mult);
+                for (i, per_agent) in members.iter_mut().enumerate() {
+                    let mut ls: Vec<LocalId> = block
+                        .iter()
+                        .flat_map(|&w| child_members[w as usize][i].iter().copied())
+                        .collect();
+                    ls.sort_unstable_by_key(|l| l.index());
+                    ls.dedup();
+                    per_agent.push(ls);
+                }
             }
-        }
+            // Classes are linked iff they share a member local.
+            let mut mb = S5Builder::new(agents, prop_count);
+            for node in &nodes {
+                let state = self.states.state(node.state);
+                let props = (0..prop_count)
+                    .map(|p| PropId::new(p as u32))
+                    .filter(|&p| ctx.prop_holds(p, state));
+                mb.add_world(props);
+            }
+            let class_roots = Self::member_link_roots(agents, kn, |cidx, i| &members[i][cidx]);
+            for (i, roots) in class_roots.iter().enumerate() {
+                mb.partition_by_key(Agent::new(i), |w| roots[w.index()]);
+            }
+            mb.build()
+        };
         let explicit_points: u64 = multiplicity.iter().sum();
 
-        // Commit: remap edges onto class indices and build the reduced
-        // layer's model (classes linked iff they share a member local).
+        // Commit: remap edges onto class indices.
+        let labels = classes.block_ids();
         self.nodes_created += n_new;
         for (ni, mut edges) in new_edges.into_iter().enumerate() {
             if edges.is_empty() {
@@ -1126,19 +1172,6 @@ impl<'c> SystemBuilder<'c> {
             }
             self.layers[t].nodes[ni].edges = edges;
         }
-        let mut mb = S5Builder::new(agents, prop_count);
-        for node in &nodes {
-            let state = self.states.state(node.state);
-            let props = (0..prop_count)
-                .map(|p| PropId::new(p as u32))
-                .filter(|&p| ctx.prop_holds(p, state));
-            mb.add_world(props);
-        }
-        let class_roots = Self::member_link_roots(agents, kn, |cidx, i| &members[i][cidx]);
-        for (i, roots) in class_roots.iter().enumerate() {
-            mb.partition_by_key(Agent::new(i), |w| roots[w.index()]);
-        }
-        let model = mb.build();
         self.layers.push(Layer {
             nodes,
             model,
@@ -1352,11 +1385,16 @@ impl InterpretedSystem {
 }
 
 /// Generates the bounded system of `protocol` in `ctx`: unrolls `horizon`
-/// steps (producing `horizon + 1` layers).
+/// steps (producing `horizon + 1` layers). Eligible layers are generated
+/// fused, as by [`SystemBuilder::step`].
 ///
 /// # Errors
 ///
-/// Propagates any [`GenerateError`] from the builder.
+/// Propagates any [`GenerateError`] from the builder — including
+/// [`GenerateError::QuotientChoiceMismatch`] when `protocol` acts
+/// differently at bisimilar points. To unroll such a protocol, drive a
+/// [`SystemBuilder`] with
+/// [`set_gen_quotient_min_worlds(usize::MAX)`](SystemBuilder::set_gen_quotient_min_worlds).
 ///
 /// # Example
 ///

@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sys = solution.system();
 
     // The knowledge ladder, rung by rung: at each layer, how many points
-    // satisfy each rung?
+    // satisfy each rung? Counts are explicit points: a layer generated as
+    // bisimulation representatives weights each by its multiplicity.
     let bit = Formula::prop(sc.bit());
     let rung1 = Formula::knows_whether(r, bit.clone()); // K_R bit
     let rung2 = Formula::knows(s, rung1.clone()); // K_S K_R bit
@@ -34,8 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Evaluator::new(sys, &ck)?,
     ];
     for t in 0..sys.layer_count() {
-        let size = sys.layer(t).len();
-        let counts: Vec<usize> = evs.iter().map(|e| e.satisfying(t).count()).collect();
+        let layer = sys.layer(t);
+        let size = layer.explicit_len();
+        let counts: Vec<u64> = evs
+            .iter()
+            .map(|e| e.satisfying(t).iter().map(|n| layer.multiplicity(n)).sum())
+            .collect();
         println!(
             "{t:>5}   {size:>4}   {:>7}   {:>7}   {:>11}   {:>5}",
             counts[0], counts[1], counts[2], counts[3]
@@ -54,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in 0..=6 {
         println!(
             "{t:>5}   {:>7}   {:>13}",
-            perfect.system().layer(t).len(),
-            obs.system().layer(t).len()
+            perfect.system().layer(t).explicit_len(),
+            obs.system().layer(t).explicit_len()
         );
     }
     println!(

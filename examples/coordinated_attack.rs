@@ -41,6 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("K_1 K_2 ±weak", Evaluator::new(sys, &k1k2)?),
             ("C weak", Evaluator::new(sys, &ck)?),
         ];
+        // Explicit points: a representative counts with its multiplicity.
         println!("  ladder (points satisfying / layer):");
         print!("    layer:");
         for t in 0..sys.layer_count() {
@@ -50,7 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (name, ev) in &evs {
             print!("    {name:<14}");
             for t in 0..sys.layer_count() {
-                print!(" {:>5}", ev.satisfying(t).count());
+                let layer = sys.layer(t);
+                let count: u64 = ev.satisfying(t).iter().map(|n| layer.multiplicity(n)).sum();
+                print!(" {count:>5}");
             }
             println!();
         }

@@ -31,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = solution.stats();
         let sys = solution.system();
         let ev = Evaluator::new(sys, &knows_bit)?;
-        let knowing = sys.points().filter(|&p| ev.holds(p)).count();
+        // Explicit points: a representative counts with its multiplicity.
+        let knowing: u64 = sys
+            .points()
+            .filter(|&p| ev.holds(p))
+            .map(|p| sys.layer(p.time).multiplicity(p.node))
+            .sum();
         println!(
             "{name:<18} {:>6}  {:>6}  {:>11}  {:>8} / {}",
             stats.layers, stats.points, stats.guard_evaluations, knowing, stats.points

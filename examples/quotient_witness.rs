@@ -7,9 +7,9 @@
 //! tree that fans out exponentially (loss × delivery × tag
 //! interleavings), so each explicit layer multiplies — yet almost all of
 //! those points are pairwise bisimilar histories over the same protocol
-//! state. With `KBP_GEN_QUOTIENT_MIN_WORLDS` at 0 (or
-//! `SyncSolver::gen_quotient_min_worlds(0)`) the builder unrolls on one
-//! representative per class with an exact multiplicity: the
+//! state. Its frontiers hold no perfect-recall twins, so by default the
+//! builder unrolls on one representative per class with an exact
+//! multiplicity (DESIGN.md §17): the
 //! representative frontier *stops growing* where the explicit frontier
 //! keeps multiplying, so a solve that would need tens of gigabytes
 //! explicit completes in megabytes. A smaller instance of the same
@@ -20,8 +20,9 @@
 //! Run with: `cargo run --release --example quotient_witness -- [m] [horizon] [mode]`
 //! (default m = 3, horizon = 13: ~110M explicit-equivalent worlds, under
 //! 1 GiB peak). `mode` is `fused` (default) or `explicit`; the explicit
-//! mode generates every point and is the before-leg of the E18
-//! benchmark — expect it to need orders of magnitude more memory.
+//! mode forces `SyncSolver::gen_quotient_min_worlds(usize::MAX)`,
+//! generates every point and is the before-leg of the E18 benchmark —
+//! expect it to need orders of magnitude more memory.
 
 use knowledge_programs::prelude::*;
 
@@ -57,10 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("sequence transmission, m = {m}, horizon = {horizon}, lossy channel");
     if fused {
-        println!("generation gate forced to 0: layers are generated on bisimulation");
+        println!("default generation: layers are generated on bisimulation");
         println!("representatives; the explicit frontier is never resident\n");
     } else {
-        println!("generation gate disabled: every explicit point is materialized\n");
+        println!("explicit generation forced: every explicit point is materialized\n");
     }
 
     let started = std::time::Instant::now();

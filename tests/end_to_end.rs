@@ -22,6 +22,40 @@ fn bit_transmission_full_pipeline() {
 }
 
 #[test]
+fn implementation_check_compares_every_explicit_point() {
+    // The checker compares a candidate point by point, so it counts every
+    // (explicit point, agent) pair even where the solver's own system is
+    // held as bisimulation representatives. A candidate that changes one
+    // entry need not be a function of the knowledge state; it must come
+    // back as a mismatch report, not as a generation error.
+    let sc = BitTransmission::new(Channel::Lossy);
+    let ctx = sc.context();
+    let kbp = sc.kbp();
+    let solution = SyncSolver::new(&ctx, &kbp).horizon(5).solve().unwrap();
+    assert!(
+        solution.stats().layers_gen_quotiented > 0,
+        "the solve compresses"
+    );
+    let report = check_implementation(&ctx, &kbp, solution.protocol(), Recall::Perfect, 5).unwrap();
+    assert_eq!(
+        report.points_checked(),
+        ctx.agent_count() * solution.stats().points
+    );
+    for (agent, history, actions) in solution.protocol().iter() {
+        let other = if actions == [ActionId(0)] {
+            ActionId(1)
+        } else {
+            ActionId(0)
+        };
+        let mut candidate = solution.protocol().clone();
+        candidate.insert(agent, history.to_vec(), vec![other]);
+        let report = check_implementation(&ctx, &kbp, &candidate, Recall::Perfect, 5)
+            .unwrap_or_else(|e| panic!("{agent} at {history:?}: {e}"));
+        assert!(!report.is_implementation(), "{agent} at {history:?}");
+    }
+}
+
+#[test]
 fn muddy_children_three_views_agree() {
     // KBP solving, public-announcement updating, and direct layer-model
     // checking all tell the same story.

@@ -1,7 +1,6 @@
 //! Cross-checks quotient-first *generation* against explicit generation.
 //!
-//! With `KBP_GEN_QUOTIENT_MIN_WORLDS` (or
-//! `SyncSolver::gen_quotient_min_worlds`) at 0, `SystemBuilder::step`
+//! With `SyncSolver::gen_quotient_min_worlds` at 0, `SystemBuilder::step`
 //! unrolls on bisimulation representatives: successors are computed for
 //! one representative per class, canonicalized, and folded by
 //! multiplicity, so the explicit frontier is never resident. That path

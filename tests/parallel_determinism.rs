@@ -3,21 +3,20 @@
 //!
 //! The solver may map satisfaction sets through a verified layer
 //! isomorphism instead of re-evaluating (`SyncSolver::carry_forward`),
-//! and may *generate* layers directly on bisimulation representatives so
-//! the explicit frontier is never resident
-//! (`SyncSolver::gen_quotient_min_worlds` /
-//! `KBP_GEN_QUOTIENT_MIN_WORLDS`). Neither knob is allowed to change
-//! *anything* observable: on every scenario in `kbp-scenarios`, the
-//! solution — protocol, stabilization point, stats, per-layer breakdown —
-//! must be bit-identical with carry-forward on or off and generation
-//! quotienting forced on or off (stats count clause
-//! lookups and explicit-equivalent points, not physical evaluations or
-//! resident worlds, precisely so budget semantics stay deterministic
-//! too). The only sanctioned exceptions are the generation diagnostics
-//! themselves — `LayerStats::{gen_quotient_worlds, gen_quotient_ratio}`
-//! and `SolveStats::layers_gen_quotiented` — which are pinned against the
-//! per-layer breakdown and the gate and then normalized out of the
-//! bit-for-bit comparison.
+//! and by default *generates* every eligible layer directly on
+//! bisimulation representatives, so the explicit frontier is never
+//! resident (`SystemBuilder::step`: reduced or twin-free frontiers).
+//! Neither is allowed to change *anything* observable: on every scenario
+//! in `kbp-scenarios`, the solution — protocol, stabilization point,
+//! stats, per-layer breakdown — must be bit-identical to an explicit
+//! reference, with carry-forward on or off (stats count clause lookups
+//! and explicit-equivalent points, not physical evaluations or resident
+//! worlds, precisely so budget semantics stay deterministic too). The
+//! only sanctioned exceptions are the generation diagnostics themselves
+//! — `LayerStats::{gen_quotient_worlds, gen_quotient_ratio}` and
+//! `SolveStats::layers_gen_quotiented` — which are pinned against the
+//! per-layer breakdown and then normalized out of the bit-for-bit
+//! comparison.
 
 use kbp_core::{Kbp, LayerStats, SyncSolver};
 use kbp_kripke::{EvalCache, EvalEngine};
@@ -82,7 +81,7 @@ fn scenarios() -> Vec<(&'static str, FnContext, Kbp, usize, Recall)> {
 }
 
 /// Strips the generation diagnostics from a per-layer breakdown, after
-/// the caller has pinned them against the breakdown and the gate.
+/// the caller has pinned them against the breakdown.
 fn without_schedule_diagnostics(per_layer: &[LayerStats]) -> Vec<LayerStats> {
     per_layer
         .iter()
@@ -95,7 +94,7 @@ fn without_schedule_diagnostics(per_layer: &[LayerStats]) -> Vec<LayerStats> {
 }
 
 #[test]
-fn solutions_are_identical_across_carry_forward_and_generation_gate() {
+fn solutions_are_identical_across_carry_forward() {
     for (name, ctx, kbp, horizon, recall) in scenarios() {
         // Reference: carry-forward on, explicit generation.
         let reference = SyncSolver::new(&ctx, &kbp)
@@ -105,126 +104,98 @@ fn solutions_are_identical_across_carry_forward_and_generation_gate() {
             .solve()
             .unwrap_or_else(|e| panic!("{name}: reference solve failed: {e}"));
 
-        // min_gen 0 generates every layer quotient-first; usize::MAX keeps
-        // generation explicit.
+        // Default generation: every eligible layer is fused.
         for carry in [true, false] {
-            for min_gen in [usize::MAX, 0] {
-                let solution = SyncSolver::new(&ctx, &kbp)
-                    .horizon(horizon)
-                    .recall(recall)
-                    .gen_quotient_min_worlds(min_gen)
-                    .carry_forward(carry)
-                    .solve()
-                    .unwrap_or_else(|e| {
-                        panic!("{name}: solve failed at carry={carry}, min_gen={min_gen}: {e}")
-                    });
-                let at = format!("carry={carry}, min_gen={min_gen}");
-                assert_eq!(
-                    reference.protocol(),
-                    solution.protocol(),
-                    "{name}: protocol diverged at {at}"
-                );
-                assert_eq!(
-                    reference.stabilized(),
-                    solution.stabilized(),
-                    "{name}: stabilization diverged at {at}"
-                );
-                if min_gen == usize::MAX {
-                    for layer in solution.per_layer() {
-                        assert_eq!(
-                            (layer.gen_quotient_worlds, layer.gen_quotient_ratio),
-                            (0, 0),
-                            "{name}: layer {} generation-quotiented while disabled at {at}",
-                            layer.layer
-                        );
-                    }
-                }
-                let recorded_gen_quotiented = solution
-                    .per_layer()
-                    .iter()
-                    .filter(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
-                    .count();
-                // With the diagnostics pinned, everything else must be
-                // bit-identical to the reference.
-                assert_eq!(
-                    without_schedule_diagnostics(reference.per_layer()),
-                    without_schedule_diagnostics(solution.per_layer()),
-                    "{name}: per-layer stats diverged at {at}"
-                );
-                // Stats are clause-lookup counts, independent of
-                // generation; only the carried-layer
-                // counter may (and should) differ when carry-forward is
-                // disabled, and the generation counter must match the
-                // recorded breakdown.
-                let mut expected = reference.stats();
-                let got = solution.stats();
-                assert_eq!(
-                    got.layers_gen_quotiented, recorded_gen_quotiented,
-                    "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
-                );
-                expected.layers_gen_quotiented = got.layers_gen_quotiented;
-                if !carry {
-                    assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
-                    expected.layers_carried = 0;
-                }
-                if min_gen == 0 {
-                    // Generation-side compression can make consecutive
-                    // reduced layers isomorphic where the explicit
-                    // layers keep growing, so the fused leg may carry
-                    // *more* layers — warmth the diagnostics are
-                    // allowed to show.
-                    expected.layers_carried = got.layers_carried;
-                }
-                assert_eq!(expected, got, "{name}: stats diverged at {at}");
+            let solution = SyncSolver::new(&ctx, &kbp)
+                .horizon(horizon)
+                .recall(recall)
+                .carry_forward(carry)
+                .solve()
+                .unwrap_or_else(|e| panic!("{name}: solve failed at carry={carry}: {e}"));
+            let at = format!("carry={carry}");
+            assert_eq!(
+                reference.protocol(),
+                solution.protocol(),
+                "{name}: protocol diverged at {at}"
+            );
+            assert_eq!(
+                reference.stabilized(),
+                solution.stabilized(),
+                "{name}: stabilization diverged at {at}"
+            );
+            let recorded_gen_quotiented = solution
+                .per_layer()
+                .iter()
+                .filter(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
+                .count();
+            // With the diagnostics pinned, everything else must be
+            // bit-identical to the reference.
+            assert_eq!(
+                without_schedule_diagnostics(reference.per_layer()),
+                without_schedule_diagnostics(solution.per_layer()),
+                "{name}: per-layer stats diverged at {at}"
+            );
+            // Stats are clause-lookup counts, independent of generation;
+            // the generation counter must match the recorded breakdown.
+            // Generation-side compression can make consecutive reduced
+            // layers isomorphic where the explicit layers keep growing,
+            // so the fused solve may carry *more* layers — warmth the
+            // diagnostics are allowed to show.
+            let mut expected = reference.stats();
+            let got = solution.stats();
+            assert_eq!(
+                got.layers_gen_quotiented, recorded_gen_quotiented,
+                "{name}: layers_gen_quotiented diverged from the breakdown at {at}"
+            );
+            expected.layers_gen_quotiented = got.layers_gen_quotiented;
+            if !carry {
+                assert_eq!(got.layers_carried, 0, "{name}: carry disabled but counted");
             }
+            expected.layers_carried = got.layers_carried;
+            assert_eq!(expected, got, "{name}: stats diverged at {at}");
         }
     }
 }
 
 #[test]
-fn forced_gen_quotienting_actually_occurs_somewhere() {
-    // The fused step+quotient leg of the matrix above must be
-    // non-vacuous: with the generation gate at 0, the
-    // sequence-transmission unrolling must generate at least one layer
-    // with strictly fewer resident representatives than
-    // explicit-equivalent points — and still answer exactly what the
-    // explicit generation answers, with the same explicit-equivalent
-    // per-layer point counts.
-    let st = SequenceTransmission::new(2, Tagging::Alternating, Channel::Lossy);
-    let ctx = st.context();
-    let kbp = st.kbp();
-    let fused = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
-        .gen_quotient_min_worlds(0)
-        .solve()
-        .expect("sequence transmission solves");
-    assert!(
-        fused.stats().layers_gen_quotiented > 0,
-        "expected at least one generation-quotiented layer, got {:?}",
-        fused.per_layer()
-    );
-    let shrunk = fused
-        .per_layer()
-        .iter()
-        .find(|l| l.gen_quotient_worlds > 0 && l.gen_quotient_worlds < l.points)
-        .expect("a strictly compressing generated layer");
-    assert!(
-        (1..1000).contains(&shrunk.gen_quotient_ratio),
-        "per-mille ratio of a strictly compressing layer must be in (0, 1000), got {}",
-        shrunk.gen_quotient_ratio
-    );
-    let explicit = SyncSolver::new(&ctx, &kbp)
-        .horizon(6)
+fn default_generation_fuses_exactly_the_eligible_layers() {
+    // Muddy children and bit transmission hold no perfect-recall twins,
+    // so layer 0 converts and every later layer is generated fused. The
+    // robot's layer 0 holds twins (equal readings at different
+    // positions), so its unrolling stays explicit and keeps the explicit
+    // path inside the matrix above.
+    let mc = MuddyChildren::new(3);
+    let bt = BitTransmission::new(Channel::Lossy);
+    let ro = Robot::new(7, 3, 5);
+    for (name, ctx, kbp, horizon, fused) in [
+        ("muddy_children", mc.context(), mc.kbp(), 4, true),
+        ("bit_transmission", bt.context(), bt.kbp(), 5, true),
+        ("robot", ro.context(), ro.kbp(), 5, false),
+    ] {
+        let solution = SyncSolver::new(&ctx, &kbp)
+            .horizon(horizon)
+            .solve()
+            .unwrap_or_else(|e| panic!("{name}: solve failed: {e}"));
+        for layer in &solution.per_layer()[1..] {
+            assert_eq!(
+                layer.gen_quotient_worlds > 0,
+                fused,
+                "{name}: layer {} gen_quotient_worlds = {}",
+                layer.layer,
+                layer.gen_quotient_worlds
+            );
+        }
+    }
+    // Forced explicit generation reports no fused layer at all.
+    let solution = SyncSolver::new(&mc.context(), &mc.kbp())
+        .horizon(4)
         .gen_quotient_min_worlds(usize::MAX)
         .solve()
-        .expect("sequence transmission solves");
-    assert_eq!(fused.protocol(), explicit.protocol());
-    assert_eq!(fused.stabilized(), explicit.stabilized());
-    assert_eq!(fused.stats().points, explicit.stats().points);
-    assert_eq!(
-        without_schedule_diagnostics(fused.per_layer()),
-        without_schedule_diagnostics(explicit.per_layer())
-    );
+        .expect("muddy children solves");
+    assert!(solution
+        .per_layer()
+        .iter()
+        .all(|l| (l.gen_quotient_worlds, l.gen_quotient_ratio) == (0, 0)));
 }
 
 #[test]
