@@ -18,8 +18,8 @@ use crate::solve::SolveError;
 use kbp_kripke::BitSet;
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    generate, satisfying_layers, ActionId, Context, GenerateError, InterpretedSystem, LocalId,
-    Point, ProtocolFn, Recall, SystemBuilder,
+    generate, satisfying_layers, ActionId, Context, InterpretedSystem, LocalId, Point, ProtocolFn,
+    Recall,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -33,6 +33,11 @@ pub struct Mismatch {
     /// A witnessing point (on a layer held as bisimulation
     /// representatives, the class representative).
     pub point: Point,
+    /// The agent's local state that disagrees; its history is
+    /// [`InterpretedSystem::local_view`]`(agent, local)`. On a layer held
+    /// as bisimulation representatives it is a member local of `point`'s
+    /// class, not necessarily the representative's own.
+    pub local: LocalId,
     /// What the program induces there (evaluated in the candidate's own
     /// system).
     pub induced: Vec<ActionId>,
@@ -66,7 +71,12 @@ impl ImplementationReport {
         self.mismatches.is_empty()
     }
 
-    /// The disagreements found (empty iff implementation).
+    /// The disagreements found (empty iff implementation): one per
+    /// disagreeing `(point, agent)` pair on an explicit layer, and one per
+    /// disagreeing member local of a class on a layer held as
+    /// bisimulation representatives, so a class contributes at most as
+    /// many entries as its agent has member locals there, not its
+    /// multiplicity.
     #[must_use]
     pub fn mismatches(&self) -> &[Mismatch] {
         &self.mismatches
@@ -166,20 +176,7 @@ pub fn check_implementation(
     horizon: usize,
 ) -> Result<ImplementationReport, SolveError> {
     kbp.validate(ctx)?;
-    let system = match generate(ctx, protocol, recall, horizon) {
-        // A candidate that acts differently at bisimilar points is no
-        // implementation, but fused generation cannot unroll it: check it
-        // on its explicit system.
-        Err(GenerateError::QuotientChoiceMismatch { .. }) => {
-            let mut builder = SystemBuilder::new(ctx, recall)?;
-            builder.set_gen_quotient_min_worlds(usize::MAX);
-            for _ in 0..horizon {
-                builder.step_with(protocol)?;
-            }
-            builder.finish()
-        }
-        generated => generated?,
-    };
+    let system = generate(ctx, protocol, recall, horizon)?;
     let (mismatches, points_checked) = compare_on_system(&system, kbp, protocol)?;
     Ok(ImplementationReport {
         system,
@@ -242,8 +239,7 @@ pub(crate) fn compare_with_sets(
         for t in 0..system.layer_count() {
             let layer = system.layer(t);
             // On a layer held as bisimulation representatives, a class's
-            // explicit points carry every member local and count with the
-            // class multiplicity.
+            // explicit points carry every member local.
             let classes = layer.quotient().filter(|_| layer.is_reduced());
             // Check guard locality within the layer while we're at it.
             let mut by_local: HashMap<LocalId, Vec<bool>> = HashMap::new();
@@ -251,12 +247,12 @@ pub(crate) fn compare_with_sets(
                 let point = Point { time: t, node };
                 let truths: Vec<bool> = clause_sets.iter().map(|s| s[t].contains(node)).collect();
                 let own = [system.local(agent, point)];
-                let (locals, points) = match classes {
-                    Some(q) => (q.members(agent, node), q.multiplicity(node)),
-                    None => (&own[..], 1),
+                let locals = match classes {
+                    Some(q) => q.members(agent, node),
+                    None => &own[..],
                 };
-                points_checked =
-                    points_checked.saturating_add(usize::try_from(points).unwrap_or(usize::MAX));
+                let points = usize::try_from(layer.multiplicity(node)).unwrap_or(usize::MAX);
+                points_checked = points_checked.saturating_add(points);
                 for &local in locals {
                     match by_local.get(&local) {
                         Some(prev) if *prev != truths => {
@@ -289,6 +285,7 @@ pub(crate) fn compare_with_sets(
                         mismatches.push(Mismatch {
                             agent,
                             point,
+                            local,
                             induced,
                             prescribed,
                         });

@@ -1905,6 +1905,31 @@ mod tests {
     }
 
     #[test]
+    fn check_counts_explicit_points_on_fused_layers() {
+        // Sequence transmission at horizon 8 is generated with strictly
+        // compressing fused layers; `check` still reports one pair per
+        // explicit point and agent, as the solve's own point count says.
+        let service = Service::new(ServiceConfig::new().workers(1));
+        let solve = service.execute(&job(
+            r#"{"id":1,"kind":"solve","scenario":"sequence_transmission_2","horizon":8}"#,
+        ));
+        let points = solve.get("stats").unwrap().get("points").unwrap();
+        assert_eq!(points, &Json::U64(69_940));
+        let eval = service.metrics_response(None, 0);
+        let eval = eval.get("eval").unwrap();
+        assert!(
+            eval.get("gen_quotient_worlds").unwrap().as_u64()
+                < eval.get("gen_quotiented_points").unwrap().as_u64()
+        );
+        let check = service.execute(&job(
+            r#"{"id":2,"kind":"check","scenario":"sequence_transmission_2","horizon":8}"#,
+        ));
+        assert_eq!(check.get("is_implementation"), Some(&Json::Bool(true)));
+        assert_eq!(check.get("points_checked"), Some(&Json::U64(2 * 69_940)));
+        assert_eq!(check.get("mismatches"), Some(&Json::U64(0)));
+    }
+
+    #[test]
     fn fault_lattice_has_four_rows_and_stable_signatures() {
         let service = Service::new(ServiceConfig::new().workers(1));
         let line =

@@ -83,12 +83,10 @@ fn stable_colours(layer: &Layer) -> Vec<u64> {
     // Multiplicity-1 classes keep the explicit colour, so a reduced layer
     // whose fold found nothing to merge signs identically to its
     // explicit counterpart.
-    if let Some(q) = layer.quotient().filter(|q| q.class_count() == n) {
-        for (c, col) in colour.iter_mut().enumerate() {
-            let m = q.multiplicity(c);
-            if m > 1 {
-                *col = mix(*col ^ mix(m));
-            }
+    for (node, col) in colour.iter_mut().enumerate() {
+        let m = layer.multiplicity(node);
+        if m > 1 {
+            *col = mix(*col ^ mix(m));
         }
     }
 
@@ -180,19 +178,10 @@ impl InterpretedSystem {
         // explicit-equivalent points: on a reduced layer each
         // representative contributes its class's multiplicity.
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        match layer.quotient().filter(|q| q.class_count() == layer.len()) {
-            Some(q) => {
-                for (c, col) in colours.into_iter().enumerate() {
-                    let m = usize::try_from(q.multiplicity(c)).unwrap_or(usize::MAX);
-                    let entry = counts.entry(col).or_insert(0);
-                    *entry = entry.saturating_add(m);
-                }
-            }
-            None => {
-                for c in colours {
-                    *counts.entry(c).or_insert(0) += 1;
-                }
-            }
+        for (node, col) in colours.into_iter().enumerate() {
+            let m = usize::try_from(layer.multiplicity(node)).unwrap_or(usize::MAX);
+            let entry = counts.entry(col).or_insert(0);
+            *entry = entry.saturating_add(m);
         }
         Some(LayerSignature(counts.into_iter().collect()))
     }

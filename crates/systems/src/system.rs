@@ -1386,15 +1386,13 @@ impl InterpretedSystem {
 
 /// Generates the bounded system of `protocol` in `ctx`: unrolls `horizon`
 /// steps (producing `horizon + 1` layers). Eligible layers are generated
-/// fused, as by [`SystemBuilder::step`].
+/// fused, as by [`SystemBuilder::step`]; a protocol that acts differently
+/// at bisimilar points, which fused generation refuses, is unrolled
+/// explicitly instead.
 ///
 /// # Errors
 ///
-/// Propagates any [`GenerateError`] from the builder — including
-/// [`GenerateError::QuotientChoiceMismatch`] when `protocol` acts
-/// differently at bisimilar points. To unroll such a protocol, drive a
-/// [`SystemBuilder`] with
-/// [`set_gen_quotient_min_worlds(usize::MAX)`](SystemBuilder::set_gen_quotient_min_worlds).
+/// Propagates any [`GenerateError`] from the builder.
 ///
 /// # Example
 ///
@@ -1422,11 +1420,31 @@ pub fn generate(
     recall: Recall,
     horizon: usize,
 ) -> Result<InterpretedSystem, GenerateError> {
-    let mut b = SystemBuilder::new(ctx, recall)?;
-    for _ in 0..horizon {
-        b.step_with(protocol)?;
+    unroll_or_explicit(ctx, recall, |mut b| {
+        for _ in 0..horizon {
+            b.step_with(protocol)?;
+        }
+        Ok(b.finish())
+    })
+}
+
+/// Runs `unroll` on a fresh builder. If fused generation refuses the
+/// protocol's choices because they split a bisimulation class, runs it
+/// again on a builder that keeps generation explicit, where every
+/// protocol can be unrolled.
+fn unroll_or_explicit<'c, T>(
+    ctx: &'c dyn Context,
+    recall: Recall,
+    unroll: impl Fn(SystemBuilder<'c>) -> Result<T, GenerateError>,
+) -> Result<T, GenerateError> {
+    match unroll(SystemBuilder::new(ctx, recall)?) {
+        Err(GenerateError::QuotientChoiceMismatch { .. }) => {
+            let mut b = SystemBuilder::new(ctx, recall)?;
+            b.set_gen_quotient_min_worlds(usize::MAX);
+            unroll(b)
+        }
+        done => done,
     }
-    Ok(b.finish())
 }
 
 /// Generates the bounded system of `protocol`, stopping early once two
@@ -1436,7 +1454,8 @@ pub fn generate(
 /// Returns the system together with the stabilisation layer, if found.
 /// Checking signatures after every step costs roughly one colour
 /// refinement per layer — worth it whenever stabilisation is expected
-/// well before the horizon.
+/// well before the horizon. Protocols that act differently at bisimilar
+/// points are unrolled explicitly, as by [`generate`].
 ///
 /// # Errors
 ///
@@ -1470,22 +1489,23 @@ pub fn generate_until_stable(
     recall: Recall,
     max_horizon: usize,
 ) -> Result<(InterpretedSystem, Option<usize>), GenerateError> {
-    let mut b = SystemBuilder::new(ctx, recall)?;
     // Signatures are defined on finished systems; snapshot via clone.
     let sig = |b: &SystemBuilder<'_>| {
         let snapshot = b.clone().finish();
         snapshot.layer_signature(snapshot.horizon())
     };
-    let mut prev = sig(&b);
-    for t in 0..max_horizon {
-        b.step_with(protocol)?;
-        let cur = sig(&b);
-        if cur == prev {
-            return Ok((b.finish(), Some(t)));
+    unroll_or_explicit(ctx, recall, |mut b| {
+        let mut prev = sig(&b);
+        for t in 0..max_horizon {
+            b.step_with(protocol)?;
+            let cur = sig(&b);
+            if cur == prev {
+                return Ok((b.finish(), Some(t)));
+            }
+            prev = cur;
         }
-        prev = cur;
-    }
-    Ok((b.finish(), None))
+        Ok((b.finish(), None))
+    })
 }
 
 #[cfg(test)]

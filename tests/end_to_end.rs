@@ -3,6 +3,7 @@
 //! framework (solver, checker, enumerator, model checker) agree.
 
 use kbp_scenarios::sequence_transmission::Channel as SeqChannel;
+use kbp_systems::{generate_until_stable, GenerateError};
 use knowledge_programs::prelude::*;
 
 #[test]
@@ -52,7 +53,71 @@ fn implementation_check_compares_every_explicit_point() {
         let report = check_implementation(&ctx, &kbp, &candidate, Recall::Perfect, 5)
             .unwrap_or_else(|e| panic!("{agent} at {history:?}: {e}"));
         assert!(!report.is_implementation(), "{agent} at {history:?}");
+        // Each mismatch names the local state whose prescription differs.
+        for m in report.mismatches() {
+            let view = report.system().local_view(m.agent, m.local);
+            let mut prescribed = candidate.actions(&LocalView {
+                agent: m.agent,
+                history: &view,
+            });
+            prescribed.sort_unstable();
+            prescribed.dedup();
+            assert_eq!(prescribed, m.prescribed, "{m}");
+            assert_ne!(m.induced, m.prescribed, "{m}");
+        }
     }
+}
+
+#[test]
+fn generation_unrolls_protocols_that_split_bisimulation_classes() {
+    // Fused generation refuses choices that differ inside a bisimulation
+    // class; `generate` and `generate_until_stable` then unroll the
+    // protocol explicitly, so every candidate has its explicit system.
+    let sc = BitTransmission::new(Channel::Lossy);
+    let ctx = sc.context();
+    let solution = SyncSolver::new(&ctx, &sc.kbp()).horizon(5).solve().unwrap();
+    let mut refused = 0;
+    for (agent, history, actions) in solution.protocol().iter() {
+        let other = if actions == [ActionId(0)] {
+            ActionId(1)
+        } else {
+            ActionId(0)
+        };
+        let mut candidate = solution.protocol().clone();
+        candidate.insert(agent, history.to_vec(), vec![other]);
+
+        let mut fused = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        if let Some(e) = (0..5).find_map(|_| fused.step_with(&candidate).err()) {
+            assert!(
+                matches!(e, GenerateError::QuotientChoiceMismatch { .. }),
+                "{e}"
+            );
+            refused += 1;
+        }
+        let mut explicit = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        explicit.set_gen_quotient_min_worlds(usize::MAX);
+        for _ in 0..5 {
+            explicit.step_with(&candidate).unwrap();
+        }
+        let explicit = explicit.finish();
+
+        let sys = generate(&ctx, &candidate, Recall::Perfect, 5)
+            .unwrap_or_else(|e| panic!("{agent} at {history:?}: {e}"));
+        assert_eq!(sys.explicit_point_count(), explicit.explicit_point_count());
+        let (until, _) = generate_until_stable(&ctx, &candidate, Recall::Perfect, 5)
+            .unwrap_or_else(|e| panic!("{agent} at {history:?}: {e}"));
+        let layers = until.layer_count();
+        assert_eq!(
+            (0..layers)
+                .map(|t| until.layer(t).explicit_len())
+                .sum::<u64>(),
+            (0..layers)
+                .map(|t| explicit.layer(t).explicit_len())
+                .sum::<u64>(),
+            "{agent} at {history:?}"
+        );
+    }
+    assert!(refused > 0, "some candidate splits a class");
 }
 
 #[test]
