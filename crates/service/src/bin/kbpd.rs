@@ -1,10 +1,13 @@
 //! `kbpd` — the knowledge-based-program batch daemon.
 //!
 //! Two modes, one wire protocol (JSON lines, responses in per-client
-//! request order):
+//! request order) and one serving path (the connection plane):
 //!
 //! * **stdin/stdout** (default): reads requests on stdin, answers on
-//!   stdout, exits 0 at end of input. The original batch mode.
+//!   stdout, exits 0 at end of input — or once stdout's reader has gone
+//!   away. The original batch mode, served as one pipe connection that
+//!   is exempt from the per-client quota and the connection protection
+//!   policies.
 //! * **`--listen ADDR`**: serves the same protocol over TCP to many
 //!   concurrent clients, with per-client admission quotas and a
 //!   connection cap. Prints one `{"kind":"listening","addr":...}` line
@@ -99,7 +102,9 @@ const USAGE: &str = "\
 kbpd - knowledge-based-program batch daemon
 
 Default mode reads one JSON job per line on stdin and writes one JSON
-response per line on stdout in request order; exits 0 at end of input.
+response per line on stdout in request order; exits 0 at end of input,
+or when the reader of stdout goes away. The stdin pipe is exempt from
+the per-client quota and the idle/write policies (connections only).
 With --listen ADDR the same protocol is served over TCP to many clients
 (responses ordered per connection); stdin EOF shuts down gracefully,
 draining every admitted job and persisting the cache.

@@ -4,35 +4,28 @@
 //! afford: a line of invalid UTF-8 surfaces as an `io::Error`
 //! indistinguishable from a dead socket (so naive loops hang up, silently
 //! dropping everything after it), and there is no line-length bound (so
-//! one hostile client can balloon resident memory). [`LineReader`] reads
-//! raw bytes instead and makes both conditions *per-line outcomes*:
+//! one hostile client can balloon resident memory). [`FrameDecoder`]
+//! frames raw bytes instead and makes both conditions *per-line
+//! outcomes*:
 //!
 //! * a line that is not UTF-8 yields [`FrameError::InvalidUtf8`] — the
-//!   reader stays usable and the next line parses normally;
+//!   decoder stays usable and the next line parses normally;
 //! * a line longer than the configured bound yields
 //!   [`FrameError::Oversized`] while consuming (and discarding) the rest
 //!   of the line, never buffering more than the bound plus one read
 //!   chunk;
-//! * an unterminated final line (EOF without `\n`) is still delivered —
-//!   a client that forgets the trailing newline gets an answer, not a
-//!   drop;
-//! * only genuine transport errors surface as `io::Error`.
+//! * an unterminated final line (EOF without `\n`) is still delivered
+//!   by [`FrameDecoder::finish`] — a client that forgets the trailing
+//!   newline gets an answer, not a drop.
 //!
-//! The caller (stdin loop or TCP reader thread) maps each [`FrameError`]
+//! The connection plane feeds every connection through one decoder —
+//! TCP sockets and the stdin pipe alike — and maps each [`FrameError`]
 //! to a typed `ok:false` response line, keeping the "every accepted line
-//! is answered" invariant of the wire protocol.
-//!
-//! Two front ends share one grammar: the pull-based [`LineReader`] wraps
-//! any blocking `Read` (stdin mode), and the push-based [`FrameDecoder`]
-//! accepts whatever bytes a nonblocking socket had ready (the TCP
-//! connection plane). `LineReader` is implemented *on top of*
-//! `FrameDecoder`, so the bound/resync/CRLF/EOF semantics cannot drift
-//! between the two modes — the chunking-invariance tests below pin both
-//! at once.
+//! is answered" invariant of the wire protocol. One grammar, one
+//! implementation: the chunking-invariance tests below pin it.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Read;
 
 /// Default per-line byte bound (1 MiB): far above any legitimate request
 /// (the largest registry job line is under 1 KiB) while bounding what a
@@ -66,30 +59,26 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// One step of the framed stream.
+/// One framed line.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LineOutcome {
     /// A complete line (without its terminator). The final line is
     /// delivered even if the stream ended without `\n`.
     Line(String),
-    /// A malformed line; the reader has already resynchronized to the
+    /// A malformed line; the decoder has already resynchronized to the
     /// next line.
     Malformed(FrameError),
-    /// End of stream.
-    Eof,
 }
 
-/// The push-based half of the framing grammar: feed it whatever bytes
-/// arrived, pop complete [`LineOutcome`]s.
+/// The framing grammar, push-based: feed it whatever bytes arrived, pop
+/// complete [`LineOutcome`]s.
 ///
-/// This is what the nonblocking connection plane uses — a readiness
-/// loop cannot block inside `Read`, so the decoder accepts partial
-/// lines across any number of `feed` calls and holds at most
+/// A readiness loop cannot block inside `Read`, so the decoder accepts
+/// partial lines across any number of `feed` calls and holds at most
 /// `max_line + 1` pending bytes (an overflowing line is discarded, not
-/// buffered). [`LineOutcome::Eof`] is never produced here; the caller
-/// owns the transport and calls [`finish`](Self::finish) when the peer
-/// half-closes, which delivers an unterminated final line exactly like
-/// [`LineReader`] does.
+/// buffered). The caller owns the transport and calls
+/// [`finish`](Self::finish) when the peer half-closes, which delivers an
+/// unterminated final line.
 #[derive(Debug)]
 pub struct FrameDecoder {
     max_line: usize,
@@ -186,100 +175,24 @@ impl FrameDecoder {
     }
 }
 
-/// A bounded, resynchronizing line reader over any byte stream — the
-/// pull-based shell around [`FrameDecoder`] used by the stdin front end.
-#[derive(Debug)]
-pub struct LineReader<R> {
-    inner: R,
-    decoder: FrameDecoder,
-    eof: bool,
-    finished: bool,
-}
-
-impl<R: Read> LineReader<R> {
-    /// Wraps `inner` with a per-line bound of `max_line` bytes (clamped
-    /// to at least 1).
-    pub fn new(inner: R, max_line: usize) -> Self {
-        LineReader {
-            inner,
-            decoder: FrameDecoder::new(max_line),
-            eof: false,
-            finished: false,
-        }
-    }
-
-    /// Reads the next line.
-    ///
-    /// Carriage returns immediately before the newline are stripped, so
-    /// `\r\n`-terminated clients work transparently.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine transport errors (`io::Error` from the underlying
-    /// reader); malformed lines come back as
-    /// [`LineOutcome::Malformed`].
-    pub fn next_line(&mut self) -> std::io::Result<LineOutcome> {
-        loop {
-            if let Some(outcome) = self.decoder.pop() {
-                return Ok(outcome);
-            }
-            if self.eof {
-                if self.finished {
-                    return Ok(LineOutcome::Eof);
-                }
-                self.finished = true;
-                return Ok(self.decoder.finish().unwrap_or(LineOutcome::Eof));
-            }
-            let mut buf = [0u8; 8 * 1024];
-            match self.inner.read(&mut buf) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.decoder.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A reader that hands out its input in fixed-size dribbles,
-    /// simulating partial writes / small TCP segments.
-    struct Dribble<'a> {
-        data: &'a [u8],
-        pos: usize,
-        chunk: usize,
-    }
-
-    impl Read for Dribble<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            let n = self.chunk.min(self.data.len() - self.pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-            self.pos += n;
-            Ok(n)
-        }
-    }
-
+    /// Feeds `data` to a decoder in `chunk`-byte pieces (simulating
+    /// partial writes / small TCP segments), then finishes the stream;
+    /// returns every outcome in order.
     fn outcomes(data: &[u8], chunk: usize, max_line: usize) -> Vec<LineOutcome> {
-        let mut reader = LineReader::new(
-            Dribble {
-                data,
-                pos: 0,
-                chunk,
-            },
-            max_line,
-        );
+        let mut decoder = FrameDecoder::new(max_line);
         let mut out = Vec::new();
-        loop {
-            let step = reader.next_line().expect("no transport errors");
-            let done = step == LineOutcome::Eof;
-            out.push(step);
-            if done {
-                return out;
+        for piece in data.chunks(chunk.max(1)) {
+            decoder.feed(piece);
+            while let Some(outcome) = decoder.pop() {
+                out.push(outcome);
             }
         }
+        out.extend(decoder.finish());
+        out
     }
 
     fn line(s: &str) -> LineOutcome {
@@ -292,7 +205,7 @@ mod tests {
         for chunk in [1, 2, 3, 5, 64] {
             assert_eq!(
                 outcomes(data, chunk, 1024),
-                vec![line("alpha"), line("beta"), line("gamma"), LineOutcome::Eof],
+                vec![line("alpha"), line("beta"), line("gamma")],
                 "chunk={chunk}"
             );
         }
@@ -302,20 +215,17 @@ mod tests {
     fn unterminated_final_line_is_delivered() {
         assert_eq!(
             outcomes(b"alpha\nbeta", 3, 1024),
-            vec![line("alpha"), line("beta"), LineOutcome::Eof]
+            vec![line("alpha"), line("beta")]
         );
         // A lone unterminated line too.
-        assert_eq!(
-            outcomes(b"solo", 1, 1024),
-            vec![line("solo"), LineOutcome::Eof]
-        );
+        assert_eq!(outcomes(b"solo", 1, 1024), vec![line("solo")]);
     }
 
     #[test]
     fn crlf_is_stripped() {
         assert_eq!(
             outcomes(b"alpha\r\nbeta\r\n", 4, 1024),
-            vec![line("alpha"), line("beta"), LineOutcome::Eof]
+            vec![line("alpha"), line("beta")]
         );
     }
 
@@ -330,8 +240,7 @@ mod tests {
                 vec![
                     line("ok1"),
                     LineOutcome::Malformed(FrameError::InvalidUtf8),
-                    line("ok2"),
-                    LineOutcome::Eof
+                    line("ok2")
                 ],
                 "chunk={chunk}"
             );
@@ -339,18 +248,14 @@ mod tests {
         // Invalid UTF-8 on an unterminated final line is also reported.
         assert_eq!(
             outcomes(b"ok\nbad\xFF", 3, 1024),
-            vec![
-                line("ok"),
-                LineOutcome::Malformed(FrameError::InvalidUtf8),
-                LineOutcome::Eof
-            ]
+            vec![line("ok"), LineOutcome::Malformed(FrameError::InvalidUtf8)]
         );
     }
 
     #[test]
     fn oversized_lines_are_rejected_and_skipped() {
         // Limit 8: the 12-byte line must come back Oversized, and the
-        // reader must resynchronize to the next line.
+        // decoder must resynchronize to the next line.
         let data = b"tiny\nAAAAAAAAAAAA\nafter\n";
         for chunk in [1, 3, 64] {
             assert_eq!(
@@ -358,85 +263,33 @@ mod tests {
                 vec![
                     line("tiny"),
                     LineOutcome::Malformed(FrameError::Oversized { limit: 8 }),
-                    line("after"),
-                    LineOutcome::Eof
+                    line("after")
                 ],
                 "chunk={chunk}"
             );
         }
-        // Oversized *unterminated* final line: reported, then EOF.
+        // Oversized *unterminated* final line: reported at the end.
         assert_eq!(
             outcomes(b"ok\nAAAAAAAAAAAA", 4, 8),
             vec![
                 line("ok"),
-                LineOutcome::Malformed(FrameError::Oversized { limit: 8 }),
-                LineOutcome::Eof
+                LineOutcome::Malformed(FrameError::Oversized { limit: 8 })
             ]
         );
         // Memory bound: a huge line is discarded, not buffered. (The
         // buffer never holds more than the bound + one chunk; asserting
-        // behaviour, not internals: outcome is one error, then EOF.)
+        // behaviour, not internals: outcome is one error.)
         let huge = vec![b'x'; 1 << 16];
         assert_eq!(
             outcomes(&huge, 8192, 64),
-            vec![
-                LineOutcome::Malformed(FrameError::Oversized { limit: 64 }),
-                LineOutcome::Eof
-            ]
+            vec![LineOutcome::Malformed(FrameError::Oversized { limit: 64 })]
         );
     }
 
     #[test]
     fn empty_lines_and_empty_stream() {
-        assert_eq!(outcomes(b"", 4, 64), vec![LineOutcome::Eof]);
-        assert_eq!(
-            outcomes(b"\n\n", 4, 64),
-            vec![line(""), line(""), LineOutcome::Eof]
-        );
-    }
-
-    /// Drives the push decoder directly with a fixed chunking, returning
-    /// every outcome including the finish-time one.
-    fn decode(data: &[u8], chunk: usize, max_line: usize) -> Vec<LineOutcome> {
-        let mut decoder = FrameDecoder::new(max_line);
-        let mut out = Vec::new();
-        for piece in data.chunks(chunk.max(1)) {
-            decoder.feed(piece);
-            while let Some(outcome) = decoder.pop() {
-                out.push(outcome);
-            }
-        }
-        if let Some(last) = decoder.finish() {
-            out.push(last);
-        }
-        out
-    }
-
-    #[test]
-    fn push_decoder_matches_the_pull_reader() {
-        // The decoder is the reader's engine, but pin the equivalence
-        // anyway: same outcomes (minus Eof) on shared inputs, for every
-        // chunking.
-        let cases: &[(&[u8], usize)] = &[
-            (b"alpha\nbeta\ngamma\n", 1024),
-            (b"alpha\nbeta", 1024),
-            (b"alpha\r\nbeta\r\n", 1024),
-            (b"ok1\nbad\xFF\xFEline\nok2\n", 1024),
-            (b"tiny\nAAAAAAAAAAAA\nafter\n", 8),
-            (b"ok\nAAAAAAAAAAAA", 8),
-            (b"\n\n", 64),
-        ];
-        for &(data, max_line) in cases {
-            for chunk in [1, 2, 3, 7, 64] {
-                let mut pulled = outcomes(data, chunk, max_line);
-                assert_eq!(pulled.pop(), Some(LineOutcome::Eof));
-                assert_eq!(
-                    decode(data, chunk, max_line),
-                    pulled,
-                    "data={data:?} chunk={chunk}"
-                );
-            }
-        }
+        assert_eq!(outcomes(b"", 4, 64), Vec::<LineOutcome>::new());
+        assert_eq!(outcomes(b"\n\n", 4, 64), vec![line(""), line("")]);
     }
 
     #[test]

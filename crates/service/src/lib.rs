@@ -61,7 +61,7 @@ mod server;
 mod service;
 
 pub use cache::{ArtifactCache, CacheStats};
-pub use framing::{FrameDecoder, FrameError, LineOutcome, LineReader, DEFAULT_MAX_LINE};
+pub use framing::{FrameDecoder, FrameError, LineOutcome, DEFAULT_MAX_LINE};
 pub use job::{id_hint, parse_request, DefineRequest, JobKind, JobRequest, Request, RequestError};
 pub use persist::{Compaction, DefinitionRecord, PersistError, SessionKey, SessionStore};
 pub use queue::{JobQueue, QueueFull};

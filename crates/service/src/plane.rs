@@ -1,4 +1,4 @@
-//! The event-driven connection plane behind `kbpd --listen`.
+//! The event-driven connection plane behind `kbpd`, in both modes.
 //!
 //! PR 6's front end spent two threads per connection (a blocking reader
 //! and an ordering writer), so `KBP_SERVICE_MAX_CONNECTIONS` was really
@@ -9,6 +9,14 @@
 //! condvar that doubles as the worker-completion wakeup token. Idle
 //! connections now cost one map entry, not two stacks.
 //!
+//! The operator's stdin/stdout pair is one more connection of the same
+//! loop ([`Pipe`]): a forwarding thread hands stdin chunks over a
+//! bounded channel and raises the same wakeup, and responses go to
+//! stdout as blocking writes. The pipe is the operator's own, so it is
+//! exempt from the per-client quota and from every protection policy.
+//! With no listener the loop has no timer to keep, so it sleeps until
+//! input or a completion arrives: an idle stdin daemon costs no CPU.
+//!
 //! # Per-connection state machine
 //!
 //! ```text
@@ -16,8 +24,8 @@
 //! [open] ──> FrameDecoder ──> index per line ──> queue ──> reorder map
 //!                                                              │
 //!                              outbuf <── pour contiguous ─────┘
-//!                                │ nonblocking flush
-//!                                ▼
+//!                                │ nonblocking flush (socket)
+//!                                ▼ blocking write (pipe)
 //!          close: graceful (EOF + drained) | forced (protection)
 //! ```
 //!
@@ -32,7 +40,8 @@
 //!   idle timeout, read deadline, write budget, write stall), counted in
 //!   metrics and announced with a best-effort typed notice;
 //! * **dead** — the peer vanished mid-write; responses have nowhere to
-//!   go.
+//!   go. For the pipe this is the process reading stdout going away,
+//!   and stdin mode then exits once its in-flight jobs are counted.
 //!
 //! # Drain argument
 //!
@@ -45,12 +54,13 @@
 //! discarded so closing cannot RST away buffered responses) and the
 //! loop exits exactly when no connections and no in-flight jobs remain:
 //! every admitted job was answered or counted dropped, never lost
-//! silently.
+//! silently. Without a listener the same exit applies as soon as the
+//! pipe has closed.
 
 use crate::framing::{FrameDecoder, LineOutcome};
 use crate::job::{id_hint, parse_request, Request};
 use crate::queue::JobQueue;
-use crate::server::{QueuedJob, ResponseSink};
+use crate::server::QueuedJob;
 use crate::service::{
     disconnect_response, error_response, frame_error_response, quota_response, reject_response,
     too_many_connections_response, DisconnectKind, PlaneSnapshot, Service,
@@ -59,6 +69,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -69,7 +80,9 @@ use std::time::{Duration, Instant};
 const TICK: Duration = Duration::from_millis(1);
 
 /// Per-connection, per-tick read allowance (chunks of `READ_CHUNK`).
-/// Bounds how long one flooding client can monopolize a tick.
+/// Bounds how long one flooding client can monopolize a tick. It is
+/// also the capacity of the pipe's chunk channel, so one burst empties
+/// whatever was queued before the tick cleared the input signal.
 const READ_BURST: usize = 8;
 
 /// Read buffer size per chunk.
@@ -90,46 +103,164 @@ pub(crate) struct Completion {
     pub(crate) line: String,
 }
 
-/// The channel between the worker pool and the readiness loop: a locked
-/// completion queue plus a condvar the loop sleeps on. `deliver` is the
-/// wakeup token — a completed job interrupts the tick sleep instead of
-/// waiting out the full millisecond.
+/// What wakes the loop, guarded by one lock: finished responses, and
+/// whether the pipe forwarder queued input since the last drain.
+#[derive(Default)]
+struct Inbox {
+    completions: VecDeque<Completion>,
+    input: bool,
+}
+
+/// The channel between the worker pool (and the pipe forwarder) and the
+/// readiness loop: a locked [`Inbox`] plus a condvar the loop sleeps
+/// on. `deliver` and `note_input` are the wakeup tokens — a completed
+/// job or a stdin chunk interrupts the sleep instead of waiting it out.
+/// Both set their signal under the lock `wait` checks, so no wakeup is
+/// lost between a drain and the next sleep.
 pub(crate) struct PlaneShared {
-    completions: Mutex<VecDeque<Completion>>,
+    inbox: Mutex<Inbox>,
     wake: Condvar,
 }
 
 impl PlaneShared {
     pub(crate) fn new() -> Self {
         PlaneShared {
-            completions: Mutex::new(VecDeque::new()),
+            inbox: Mutex::new(Inbox::default()),
             wake: Condvar::new(),
         }
     }
 
     /// Called by workers: queue a finished response and wake the loop.
     pub(crate) fn deliver(&self, completion: Completion) {
-        if let Ok(mut queue) = self.completions.lock() {
-            queue.push_back(completion);
+        if let Ok(mut inbox) = self.inbox.lock() {
+            inbox.completions.push_back(completion);
         }
         self.wake.notify_all();
     }
 
-    /// Takes everything delivered since the last drain.
+    /// Called by the pipe forwarder after queueing a chunk (or closing
+    /// its channel): wake the loop to read it.
+    fn note_input(&self) {
+        if let Ok(mut inbox) = self.inbox.lock() {
+            inbox.input = true;
+        }
+        self.wake.notify_all();
+    }
+
+    /// Takes everything delivered since the last drain and clears the
+    /// input signal. The loop drains *before* it reads the pipe, so
+    /// input queued after this call raises the signal again.
     fn drain(&self) -> VecDeque<Completion> {
-        match self.completions.lock() {
-            Ok(mut queue) => std::mem::take(&mut *queue),
+        match self.inbox.lock() {
+            Ok(mut inbox) => {
+                inbox.input = false;
+                std::mem::take(&mut inbox.completions)
+            }
             Err(_) => VecDeque::new(),
         }
     }
 
-    /// Sleeps until `timeout` or the next delivery, whichever is first.
-    fn wait(&self, timeout: Duration) {
-        let Ok(queue) = self.completions.lock() else {
+    /// Sleeps until `timeout` (forever with `None`) or the next
+    /// delivery or input, whichever is first.
+    fn wait(&self, timeout: Option<Duration>) {
+        let Ok(inbox) = self.inbox.lock() else {
             return;
         };
-        if queue.is_empty() {
-            let _ = self.wake.wait_timeout(queue, timeout);
+        if inbox.completions.is_empty() && !inbox.input {
+            match timeout {
+                Some(timeout) => drop(self.wake.wait_timeout(inbox, timeout)),
+                None => drop(self.wake.wait(inbox)),
+            }
+        }
+    }
+}
+
+/// The operator's stdin/stdout pair, before the plane adopts it as a
+/// connection.
+pub(crate) type Pipe = (Box<dyn Read + Send>, Box<dyn Write + Send>);
+
+/// A connection's byte transport. Both variants read without blocking
+/// (`WouldBlock` when nothing is ready, `Ok(0)` at EOF), so one step
+/// routine serves both.
+enum Transport {
+    /// A nonblocking TCP socket from the listener.
+    Tcp(TcpStream),
+    /// The stdin/stdout pipe: stdin chunks arrive from the forwarding
+    /// thread; responses go to stdout as blocking writes.
+    Pipe {
+        chunks: Receiver<Vec<u8>>,
+        output: Box<dyn Write + Send>,
+    },
+}
+
+impl Transport {
+    /// Adopts `pipe`: spawns the thread that forwards its input in
+    /// `READ_CHUNK` pieces through a channel of `READ_BURST` slots,
+    /// signalling `shared` after each. The thread ends at EOF, on a read
+    /// error (which ends input like EOF), or once the plane has dropped
+    /// the receiving end. It is not joined: after stdout dies it may
+    /// stay blocked in `read` until the process exits.
+    fn pipe((input, output): Pipe, shared: &Arc<PlaneShared>) -> Self {
+        let (tx, chunks) = mpsc::sync_channel(READ_BURST);
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || forward(input, tx, &shared));
+        Transport::Pipe { chunks, output }
+    }
+
+    fn is_pipe(&self) -> bool {
+        matches!(self, Transport::Pipe { .. })
+    }
+}
+
+/// The pipe forwarder's loop (see [`Transport::pipe`]).
+fn forward(mut input: Box<dyn Read + Send>, tx: SyncSender<Vec<u8>>, shared: &PlaneShared) {
+    let mut buf = [0u8; READ_CHUNK];
+    loop {
+        match input.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) if tx.send(buf[..n].to_vec()).is_ok() => shared.note_input(),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            _ => break,
+        }
+    }
+    // Close the channel before the last signal, so the plane reads EOF.
+    drop(tx);
+    shared.note_input();
+}
+
+impl Read for Transport {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Transport::Tcp(stream) => stream.read(buf),
+            Transport::Pipe { chunks, .. } => match chunks.try_recv() {
+                Ok(chunk) => {
+                    // Chunks are at most READ_CHUNK bytes, like `buf`.
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    Ok(n)
+                }
+                Err(TryRecvError::Empty) => Err(ErrorKind::WouldBlock.into()),
+                Err(TryRecvError::Disconnected) => Ok(0),
+            },
+        }
+    }
+}
+
+impl Write for Transport {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Transport::Tcp(stream) => stream.write(buf),
+            Transport::Pipe { output, .. } => output
+                .write_all(buf)
+                .and_then(|()| output.flush())
+                .map(|()| buf.len()),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Transport::Tcp(stream) => stream.flush(),
+            Transport::Pipe { output, .. } => output.flush(),
         }
     }
 }
@@ -213,10 +344,10 @@ impl PlaneCounters {
 
 /// One live connection's state (see the module-level state machine).
 struct Conn {
-    stream: TcpStream,
+    transport: Transport,
     /// Fallback client identity: the peer's `ip:port` (the full pair —
     /// collapsing to the IP would merge every local test client into
-    /// one tenant).
+    /// one tenant), or `local` for the pipe.
     peer: String,
     decoder: FrameDecoder,
     /// Next request index to assign (every non-empty line takes one).
@@ -243,9 +374,9 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, peer: String, max_line: usize, now: Instant) -> Self {
+    fn new(transport: Transport, peer: String, max_line: usize, now: Instant) -> Self {
         Conn {
-            stream,
+            transport,
             peer,
             decoder: FrameDecoder::new(max_line),
             next_index: 0,
@@ -294,7 +425,6 @@ enum Close {
 struct TickCtx<'a> {
     service: &'a Arc<Service>,
     queue: &'a Arc<JobQueue<QueuedJob>>,
-    shared: &'a Arc<PlaneShared>,
     pending: &'a Arc<PendingTable>,
     quota: usize,
     idle_ms: u64,
@@ -323,9 +453,11 @@ impl TickCtx<'_> {
     }
 }
 
-/// Runs the readiness loop until `stop` is raised *and* the drain
-/// argument (module docs) completes. Called inline on the server
-/// thread — the plane *is* that thread; only the workers are extra.
+/// Runs the readiness loop. With a listener it serves until `stop` is
+/// raised *and* the drain argument (module docs) completes; without one
+/// it returns once `pipe` (when given) has closed and nothing is in
+/// flight. Called inline on the serving thread — the plane *is* that
+/// thread; only the workers and the pipe forwarder are extra.
 ///
 /// # Errors
 ///
@@ -335,15 +467,28 @@ impl TickCtx<'_> {
 pub(crate) fn run_plane(
     service: &Arc<Service>,
     queue: &Arc<JobQueue<QueuedJob>>,
-    listener: &TcpListener,
+    listener: Option<&TcpListener>,
+    pipe: Option<Pipe>,
     shared: &Arc<PlaneShared>,
     pending: &Arc<PendingTable>,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
+    if let Some(listener) = listener {
+        listener.set_nonblocking(true)?;
+    }
+    // Without a listener nothing needs a timer: pipes are exempt from
+    // the protection policies, and every other event (input, completion)
+    // wakes the loop itself. So it sleeps with no timeout.
+    let tick = listener.map(|_| TICK);
     let config = service.config().clone();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 0;
+    if let Some(pipe) = pipe {
+        let transport = Transport::pipe(pipe, shared);
+        let conn = Conn::new(transport, "local".into(), config.max_line, Instant::now());
+        conns.insert(next_conn, conn);
+        next_conn += 1;
+    }
     let mut counters = PlaneCounters::default();
     let mut inflight: usize = 0;
     let mut draining = false;
@@ -357,7 +502,7 @@ pub(crate) fn run_plane(
         // Accept burst: everything the backlog holds, up to the cap.
         // The cap is an admission policy, not a thread ceiling — excess
         // connections get a typed one-line refusal and a close.
-        if !draining {
+        if let Some(listener) = listener.filter(|_| !draining) {
             loop {
                 match listener.accept() {
                     Ok((stream, peer)) => {
@@ -368,9 +513,10 @@ pub(crate) fn run_plane(
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
+                        let transport = Transport::Tcp(stream);
                         conns.insert(
                             next_conn,
-                            Conn::new(stream, peer.to_string(), config.max_line, now),
+                            Conn::new(transport, peer.to_string(), config.max_line, now),
                         );
                         next_conn += 1;
                     }
@@ -402,7 +548,6 @@ pub(crate) fn run_plane(
         let mut ctx = TickCtx {
             service,
             queue,
-            shared,
             pending,
             quota: config.client_pending,
             idle_ms: config.idle_timeout_ms,
@@ -424,18 +569,18 @@ pub(crate) fn run_plane(
             }
         }
         for (id, close) in closed {
-            if let Some(conn) = conns.remove(&id) {
+            if let Some(mut conn) = conns.remove(&id) {
                 if let Close::Forced(kind) = close {
                     counters.count(kind);
-                    farewell(&conn, kind, &config);
+                    farewell(&mut conn, kind, &config);
                 }
             }
         }
 
-        if draining && conns.is_empty() && inflight == 0 {
+        if (draining || listener.is_none()) && conns.is_empty() && inflight == 0 {
             return Ok(());
         }
-        shared.wait(TICK);
+        shared.wait(tick);
     }
 }
 
@@ -450,7 +595,7 @@ fn refuse(mut stream: TcpStream, limit: usize) {
 /// Best-effort typed notice before a forced close ("where possible": a
 /// client that stopped reading may never see it, and that is fine —
 /// the close is also counted in metrics).
-fn farewell(conn: &Conn, kind: DisconnectKind, config: &crate::service::ServiceConfig) {
+fn farewell(conn: &mut Conn, kind: DisconnectKind, config: &crate::service::ServiceConfig) {
     let message = match kind {
         DisconnectKind::IdleTimeout => {
             format!("idle for over {}ms; closing", config.idle_timeout_ms)
@@ -469,9 +614,8 @@ fn farewell(conn: &Conn, kind: DisconnectKind, config: &crate::service::ServiceC
         ),
     };
     let line = disconnect_response(kind, &message).to_line();
-    let mut stream = &conn.stream;
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.write_all(b"\n");
+    let _ = conn.transport.write_all(line.as_bytes());
+    let _ = conn.transport.write_all(b"\n");
 }
 
 /// One tick of one connection: read, decode, admit/answer, pour, flush,
@@ -484,7 +628,7 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
     let mut burst = READ_BURST;
     while !conn.read_closed && burst > 0 {
         burst -= 1;
-        match (&conn.stream).read(&mut buf) {
+        match conn.transport.read(&mut buf) {
             Ok(0) => {
                 conn.read_closed = true;
                 if !ctx.draining {
@@ -505,8 +649,8 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => burst += 1,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            // A transport error ends reading like EOF, but drops any
-            // partial line (matching the pull reader's Err semantics).
+            // A socket error ends reading like EOF, but drops any
+            // partial line: a reset peer's half line is no request.
             Err(_) => conn.read_closed = true,
         }
     }
@@ -522,10 +666,10 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
         conn.next_write += 1;
     }
 
-    // Nonblocking flush.
+    // Flush: nonblocking on a socket, blocking on the pipe.
     while !conn.outbuf.is_empty() {
         let (front, _) = conn.outbuf.as_slices();
-        match (&conn.stream).write(front) {
+        match conn.transport.write(front) {
             Ok(0) => break,
             Ok(n) => {
                 conn.outbuf.drain(..n);
@@ -537,39 +681,11 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
         }
     }
 
-    // Protection policies, in escalating order of specificity. The
-    // budget bounds everything owed to the peer — unsent outbuf bytes
-    // *and* responses still parked in the reorder map — so a client
-    // flooding inline requests behind one slow job cannot grow the
-    // daemon's memory unboundedly.
-    if ctx.budget_bytes > 0 && conn.buffered_bytes() > ctx.budget_bytes {
-        return Some(Close::Forced(DisconnectKind::WriteBudget));
-    }
-    let stall_ms = if ctx.draining && ctx.stall_ms == 0 {
-        DRAIN_STALL_MS
-    } else {
-        ctx.stall_ms
-    };
-    if stall_ms > 0
-        && !conn.outbuf.is_empty()
-        && ctx.now.duration_since(conn.last_write_progress).as_millis() as u64 > stall_ms
-    {
-        return Some(Close::Forced(DisconnectKind::WriteStall));
-    }
-    if !ctx.draining
-        && ctx.idle_ms > 0
-        && !conn.read_closed
-        && !conn.has_backlog()
-        && ctx.now.duration_since(conn.last_activity).as_millis() as u64 > ctx.idle_ms
-    {
-        // Same clock, two meanings: a quiet connection is merely idle; a
-        // connection quiet *mid-line* is half-open and will never finish
-        // its frame.
-        return Some(Close::Forced(if conn.decoder.mid_line() {
-            DisconnectKind::ReadDeadline
-        } else {
-            DisconnectKind::IdleTimeout
-        }));
+    // The operator's pipe is exempt from every protection policy.
+    if !conn.transport.is_pipe() {
+        if let Some(kind) = violated_policy(conn, ctx) {
+            return Some(Close::Forced(kind));
+        }
     }
 
     // Graceful close: nothing more will arrive (EOF or drain) and
@@ -580,13 +696,49 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
     None
 }
 
+/// The protection policy a socket connection has broken, if any, in
+/// escalating order of specificity. The budget bounds everything owed
+/// to the peer — unsent outbuf bytes *and* responses still parked in
+/// the reorder map — so a client flooding inline requests behind one
+/// slow job cannot grow the daemon's memory unboundedly.
+fn violated_policy(conn: &Conn, ctx: &TickCtx<'_>) -> Option<DisconnectKind> {
+    if ctx.budget_bytes > 0 && conn.buffered_bytes() > ctx.budget_bytes {
+        return Some(DisconnectKind::WriteBudget);
+    }
+    let stall_ms = if ctx.draining && ctx.stall_ms == 0 {
+        DRAIN_STALL_MS
+    } else {
+        ctx.stall_ms
+    };
+    if stall_ms > 0
+        && !conn.outbuf.is_empty()
+        && ctx.now.duration_since(conn.last_write_progress).as_millis() as u64 > stall_ms
+    {
+        return Some(DisconnectKind::WriteStall);
+    }
+    if !ctx.draining
+        && ctx.idle_ms > 0
+        && !conn.read_closed
+        && !conn.has_backlog()
+        && ctx.now.duration_since(conn.last_activity).as_millis() as u64 > ctx.idle_ms
+    {
+        // Same clock, two meanings: a quiet connection is merely idle; a
+        // connection quiet *mid-line* is half-open and will never finish
+        // its frame.
+        return Some(if conn.decoder.mid_line() {
+            DisconnectKind::ReadDeadline
+        } else {
+            DisconnectKind::IdleTimeout
+        });
+    }
+    None
+}
+
 /// Handles one framed line: admit a job, answer a monitoring op inline,
-/// or produce a typed error — mirroring the stdin driver's semantics
-/// (empty lines consume no index; every other line consumes exactly
-/// one).
+/// or produce a typed error. Empty lines consume no index; every other
+/// line consumes exactly one.
 fn process_outcome(id: u64, conn: &mut Conn, outcome: LineOutcome, ctx: &mut TickCtx<'_>) {
     let response = match outcome {
-        LineOutcome::Eof => return,
         LineOutcome::Malformed(frame) => frame_error_response(&frame),
         LineOutcome::Line(line) => {
             if line.trim().is_empty() {
@@ -595,21 +747,23 @@ fn process_outcome(id: u64, conn: &mut Conn, outcome: LineOutcome, ctx: &mut Tic
             match parse_request(&line) {
                 Ok(Request::Job(job)) => {
                     let client = job.client.clone().unwrap_or_else(|| conn.peer.clone());
-                    match ctx.pending.try_acquire(&client, ctx.quota) {
+                    // The pipe's jobs are still counted, never refused.
+                    let quota = if conn.transport.is_pipe() {
+                        usize::MAX
+                    } else {
+                        ctx.quota
+                    };
+                    match ctx.pending.try_acquire(&client, quota) {
                         Err(held) => {
                             ctx.service.note_quota_rejection();
-                            quota_response(Some(job.id), held, ctx.quota)
+                            quota_response(Some(job.id), held, quota)
                         }
                         Ok(()) => {
                             let queued = QueuedJob {
                                 job,
+                                conn: id,
                                 index: conn.next_index,
-                                sink: ResponseSink::Plane {
-                                    shared: Arc::clone(ctx.shared),
-                                    conn: id,
-                                },
                                 client: client.clone(),
-                                pending: Arc::clone(ctx.pending),
                             };
                             match ctx.queue.try_submit(queued) {
                                 Ok(()) => {
@@ -693,8 +847,52 @@ mod tests {
         // An empty wait returns promptly at the timeout (smoke check
         // that the condvar path cannot deadlock).
         let start = Instant::now();
-        shared.wait(Duration::from_millis(5));
+        shared.wait(Some(Duration::from_millis(5)));
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn pipe_is_exempt_from_the_protection_policies() {
+        let service = Arc::new(Service::new(
+            crate::service::ServiceConfig::new().workers(1).cache(false),
+        ));
+        let queue = Arc::new(JobQueue::new(4, 1));
+        let pending = Arc::new(PendingTable::new());
+        // A held-open pipe that went quiet mid-line a second ago.
+        let (_input, chunks) = mpsc::sync_channel(READ_BURST);
+        let transport = Transport::Pipe {
+            chunks,
+            output: Box::new(std::io::sink()),
+        };
+        let now = Instant::now();
+        let quiet_since = now.checked_sub(Duration::from_secs(1)).unwrap_or(now);
+        let mut conn = Conn::new(transport, "local".into(), 64, quiet_since);
+        conn.decoder.feed(b"{\"id\":1");
+        let mut inflight = 0;
+        let mut ctx = TickCtx {
+            service: &service,
+            queue: &queue,
+            pending: &pending,
+            quota: 1,
+            idle_ms: 10,
+            budget_bytes: 1,
+            stall_ms: 10,
+            draining: false,
+            now,
+            inflight: &mut inflight,
+            counters: PlaneCounters::default(),
+            active: 1,
+            idle: 0,
+        };
+        assert_eq!(
+            violated_policy(&conn, &ctx),
+            Some(DisconnectKind::ReadDeadline),
+            "a socket in this state would be closed"
+        );
+        assert!(
+            step_conn(0, &mut conn, &mut ctx).is_none(),
+            "the pipe stays"
+        );
     }
 
     #[test]

@@ -1,14 +1,10 @@
-//! The network front end: `kbpd --listen` over TCP.
-//!
-//! One [`Server`] owns a `TcpListener`, a shared bounded [`JobQueue`]
-//! and a worker pool sized by the service config. Connections are
-//! served by the event-driven plane in [`crate::plane`]: a single
-//! readiness loop over nonblocking sockets frames lines (push-mode
-//! [`FrameDecoder`](crate::framing::FrameDecoder), same grammar as the
-//! pull reader), answers monitoring ops inline, admits jobs to the
-//! shared queue, and pours completed responses back through a
-//! per-connection reorder buffer — so responses come back in
-//! per-connection request order no matter how the pool schedules.
+//! The serving front end: `kbpd --listen` over TCP ([`Server`]) and
+//! `kbpd`'s stdin/stdout mode ([`serve_stream`]). Both run one routine:
+//! spawn a worker pool over a shared bounded [`JobQueue`], run the
+//! event-driven plane of [`crate::plane`] inline — over a `TcpListener`,
+//! or over one pipe connection and no listener — then close the queue,
+//! join the workers and persist the artifact cache. The plane answers
+//! in per-connection request order however the pool schedules.
 //!
 //! # Thread inventory
 //!
@@ -17,7 +13,8 @@
 //! the connection cap was really a thread budget. Now the count is
 //! `1 + workers` (the plane runs inline on the serving thread) plus
 //! whatever the embedding binary adds — independent of how many
-//! connections are open. Idle connections cost one map entry.
+//! connections are open. Idle connections cost one map entry. Stdin
+//! mode adds the pipe's forwarding thread: `2 + workers`.
 //!
 //! Admission control is layered and fully typed: the shared queue
 //! rejects with [`QueueFull`] when the daemon is saturated, the
@@ -27,7 +24,8 @@
 //! `too_many_connections`, and the plane's protection policies (idle
 //! timeout, read deadline, write budget, write stall) close with a
 //! best-effort typed notice and a metrics counter. A client is never
-//! silently dropped.
+//! silently dropped. The stdin pipe is the operator's own: only the
+//! queue bound applies to it.
 //!
 //! # Drain-on-shutdown argument
 //!
@@ -41,65 +39,28 @@
 //! exit exactly when no connections and no in-flight jobs remain. Then
 //! the queue is closed, workers join, and the artifact cache persists.
 //! So "run returned" *is* the proof that every accepted request was
-//! answered or explicitly counted dropped.
-//!
-//! The stdin/stdout compatibility mode ([`serve_stream`]) keeps PR 6's
-//! channel-based drain: the ordering writer's receive loop ends exactly
-//! when the reader and every in-flight job have dropped their senders.
+//! answered or explicitly counted dropped. Stdin mode needs no shutdown
+//! signal: its plane exits the same way once the pipe has closed.
 
-use crate::framing::{LineOutcome, LineReader};
-use crate::job::{id_hint, parse_request, JobRequest, Request};
-use crate::plane::{run_plane, Completion, PendingTable, PlaneShared};
+use crate::job::JobRequest;
+use crate::plane::{run_plane, Completion, PendingTable, Pipe, PlaneShared};
 use crate::queue::JobQueue;
-use crate::service::{
-    error_response, frame_error_response, quota_response, reject_response, Service,
-};
-use std::collections::BTreeMap;
+use crate::service::Service;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Where a worker sends a finished response: the stdin writer's channel
-/// or the plane's completion queue. Unifies the pool across both front
-/// ends — a worker neither knows nor cares which one admitted the job.
-pub(crate) enum ResponseSink {
-    /// stdin/stdout mode: the per-stream ordering writer.
-    Stream(mpsc::Sender<(usize, String)>),
-    /// `--listen` mode: the plane's completion queue, tagged with the
-    /// owning connection.
-    Plane {
-        /// The completion queue / wakeup token.
-        shared: Arc<PlaneShared>,
-        /// Owning connection id.
-        conn: u64,
-    },
-}
-
-impl ResponseSink {
-    fn deliver(self, index: usize, line: String) {
-        match self {
-            ResponseSink::Stream(tx) => {
-                let _ = tx.send((index, line));
-            }
-            ResponseSink::Plane { shared, conn } => {
-                shared.deliver(Completion { conn, index, line });
-            }
-        }
-    }
-}
-
 /// A job admitted to the shared queue, labelled with everything the
-/// worker needs to answer it: the response sink, the per-connection
-/// request index (reorder key), and the client identity whose quota
-/// slot to return.
+/// worker needs to answer it: the owning connection, its request index
+/// there (reorder key), and the client identity whose quota slot to
+/// return.
 pub(crate) struct QueuedJob {
     pub(crate) job: JobRequest,
+    pub(crate) conn: u64,
     pub(crate) index: usize,
-    pub(crate) sink: ResponseSink,
     pub(crate) client: String,
-    pub(crate) pending: Arc<PendingTable>,
 }
 
 /// The TCP front end. Bind with [`Server::bind`], then [`Server::run`]
@@ -179,171 +140,83 @@ impl Server {
     /// Fatal listener errors only; per-connection and per-line problems
     /// are typed responses or counted closes, never a dead server.
     pub fn run(self) -> std::io::Result<()> {
-        let Server {
-            service,
-            listener,
-            local_addr: _,
-            stop,
-        } = self;
-        let config = service.config().clone();
-        let queue: Arc<JobQueue<QueuedJob>> =
-            Arc::new(JobQueue::new(config.queue_capacity, config.retry_after_ms));
-        let shared = Arc::new(PlaneShared::new());
-        let pending = Arc::new(PendingTable::new());
-        let workers = spawn_workers(&service, &queue, config.workers);
-        // The plane runs inline: this thread IS the connection plane.
-        let result = run_plane(&service, &queue, &listener, &shared, &pending, &stop);
-        // The plane has exited with zero in-flight jobs: nothing new
-        // can be admitted. Close the queue so workers drain and exit.
-        queue.close();
-        for worker in workers {
-            let _ = worker.join();
-        }
-        service.persist();
-        result
+        serve(&self.service, Some(&self.listener), None, &self.stop)
     }
 }
 
-/// Serves the line protocol over an arbitrary byte stream pair with its
-/// own worker pool — `kbpd`'s stdin/stdout compatibility mode. Returns
-/// after EOF once every accepted request has been answered in order and
-/// the cache persisted.
-pub fn serve_stream<R: Read, W: Write + Send + 'static>(service: Service, input: R, output: W) {
-    let config = service.config().clone();
-    let service = Arc::new(service);
-    let queue: Arc<JobQueue<QueuedJob>> =
-        Arc::new(JobQueue::new(config.queue_capacity, config.retry_after_ms));
-    let workers = spawn_workers(&service, &queue, config.workers);
-    // A single stdin client owns the whole admission window, so the
-    // per-client quota is moot here; the queue bound still applies.
-    drive(&service, &queue, input, output, usize::MAX);
+/// Serves the line protocol over a byte stream pair — `kbpd`'s
+/// stdin/stdout mode — as one pipe connection of the plane, exempt from
+/// the per-client quota and the protection policies. Returns, with the
+/// cache persisted, once the input has ended and every request has been
+/// answered in order, or once the output has failed and no job is in
+/// flight. In the latter case the thread forwarding `input` may stay
+/// blocked in `read`.
+pub fn serve_stream<R, W>(service: Service, input: R, output: W)
+where
+    R: Read + Send + 'static,
+    W: Write + Send + 'static,
+{
+    let pipe: Pipe = (Box::new(input), Box::new(output));
+    let stop = AtomicBool::new(false);
+    // Without a listener the plane has no fallible step.
+    let _ = serve(&Arc::new(service), None, Some(pipe), &stop);
+}
+
+/// The one serving routine: spawn the pool, run the plane, close the
+/// queue, join the workers, persist the cache.
+fn serve(
+    service: &Arc<Service>,
+    listener: Option<&TcpListener>,
+    pipe: Option<Pipe>,
+    stop: &AtomicBool,
+) -> std::io::Result<()> {
+    let config = service.config();
+    let queue = Arc::new(JobQueue::new(config.queue_capacity, config.retry_after_ms));
+    let shared = Arc::new(PlaneShared::new());
+    let pending = Arc::new(PendingTable::new());
+    let workers = spawn_workers(service, &queue, &shared, &pending, config.workers);
+    // The plane runs inline: this thread IS the connection plane.
+    let result = run_plane(service, &queue, listener, pipe, &shared, &pending, stop);
+    // The plane has exited with zero in-flight jobs: nothing new can be
+    // admitted. Close the queue so workers drain and exit.
     queue.close();
     for worker in workers {
         let _ = worker.join();
     }
     service.persist();
+    result
 }
 
 fn spawn_workers(
     service: &Arc<Service>,
     queue: &Arc<JobQueue<QueuedJob>>,
+    shared: &Arc<PlaneShared>,
+    pending: &Arc<PendingTable>,
     count: usize,
 ) -> Vec<JoinHandle<()>> {
     (0..count.max(1))
         .map(|_| {
             let service = Arc::clone(service);
             let queue = Arc::clone(queue);
+            let shared = Arc::clone(shared);
+            let pending = Arc::clone(pending);
             std::thread::spawn(move || {
                 while let Some(queued) = queue.pop() {
                     let QueuedJob {
                         job,
+                        conn,
                         index,
-                        sink,
                         client,
-                        pending,
                     } = queued;
                     let line = service.execute(&job).to_line();
                     // Deliver first, then return the quota slot: the
                     // slot frees only once the answer is on its way.
-                    sink.deliver(index, line);
+                    shared.deliver(Completion { conn, index, line });
                     pending.release(&client);
                 }
             })
         })
         .collect()
-}
-
-/// The stdin identity in the pending table (one tenant, infinite quota).
-const LOCAL_CLIENT: &str = "local";
-
-/// One stdin stream: frames lines, parses, admits, answers. Spawns the
-/// ordering writer, runs the reader inline, joins the writer before
-/// returning — so returning means "fully drained".
-fn drive<R: Read, W: Write + Send + 'static>(
-    service: &Arc<Service>,
-    queue: &Arc<JobQueue<QueuedJob>>,
-    input: R,
-    output: W,
-    quota: usize,
-) {
-    let (tx, rx) = mpsc::channel::<(usize, String)>();
-    let writer = std::thread::spawn(move || write_in_order(output, rx));
-    let pending = Arc::new(PendingTable::new());
-    let mut reader = LineReader::new(input, service.config().max_line);
-    let mut index = 0usize;
-    // A transport error (`Err`) ends the read loop like EOF does: stop
-    // admitting, drain what was already accepted.
-    while let Ok(outcome) = reader.next_line() {
-        let response = match outcome {
-            LineOutcome::Eof => break,
-            LineOutcome::Malformed(frame) => frame_error_response(&frame),
-            LineOutcome::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_request(&line) {
-                    Ok(Request::Job(job)) => match pending.try_acquire(LOCAL_CLIENT, quota) {
-                        Err(held) => {
-                            service.note_quota_rejection();
-                            quota_response(Some(job.id), held, quota)
-                        }
-                        Ok(()) => {
-                            let queued = QueuedJob {
-                                job,
-                                index,
-                                sink: ResponseSink::Stream(tx.clone()),
-                                client: LOCAL_CLIENT.to_string(),
-                                pending: Arc::clone(&pending),
-                            };
-                            match queue.try_submit(queued) {
-                                Ok(()) => {
-                                    index += 1;
-                                    continue;
-                                }
-                                Err((rejected, full)) => {
-                                    pending.release(LOCAL_CLIENT);
-                                    service.note_rejection();
-                                    reject_response(Some(rejected.job.id), full)
-                                }
-                            }
-                        }
-                    },
-                    Ok(Request::Stats { id }) => service.stats_response(id),
-                    Ok(Request::Health { id }) => service.health_response(id),
-                    Ok(Request::Metrics { id }) => service.metrics_response(id, queue.len()),
-                    Ok(Request::Define(req)) => service.define_response(&req, LOCAL_CLIENT),
-                    // The id is echoed whenever the line was at least
-                    // parseable JSON with a usable id field.
-                    Err(e) => error_response(id_hint(&line), &e),
-                }
-            }
-        };
-        let _ = tx.send((index, response.to_line()));
-        index += 1;
-    }
-    // Drop the reader's sender; the writer now ends exactly when every
-    // in-flight job has been answered (drain argument, module docs).
-    drop(tx);
-    let _ = writer.join();
-}
-
-/// The per-stream ordering writer: a reorder buffer keyed by request
-/// index, flushed contiguously from 0.
-fn write_in_order<W: Write>(mut output: W, rx: mpsc::Receiver<(usize, String)>) {
-    let mut buffered: BTreeMap<usize, String> = BTreeMap::new();
-    let mut next = 0usize;
-    for (index, line) in rx {
-        buffered.insert(index, line);
-        while let Some(line) = buffered.remove(&next) {
-            if writeln!(output, "{line}")
-                .and_then(|()| output.flush())
-                .is_err()
-            {
-                return; // client hung up; responses have nowhere to go
-            }
-            next += 1;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,34 +1,37 @@
 //! End-to-end smoke test of the `kbpd` binary: pipe a three-job batch
 //! through stdin and compare stdout byte-for-byte against the golden
 //! transcript (the same transcript CI diffs against). Also pins the
-//! typed startup failure on a malformed `KBP_SERVICE_WORKERS`.
+//! typed startup failure on a malformed `KBP_SERVICE_WORKERS`, the exit
+//! when the reader of stdout goes away, and the stdin pipe's exemption
+//! from the per-client quota and the connection protection policies.
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const INPUT: &str = include_str!("data/smoke_input.jsonl");
 const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
 
-fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
+/// Spawns `kbpd` in stdin mode with piped stdio under exactly `envs`:
+/// the test must pin the configuration it runs under, so every
+/// `KBP_SERVICE_*` variable of the ambient environment is removed.
+fn spawn_kbpd(envs: &[(&str, &str)]) -> Child {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_kbpd"));
-    // Isolate from the ambient environment: the test must pin the
-    // configuration it runs under.
-    for var in [
-        "KBP_SERVICE_WORKERS",
-        "KBP_SERVICE_QUEUE",
-        "KBP_SERVICE_CACHE",
-    ] {
-        cmd.env_remove(var);
+    for (var, _) in std::env::vars() {
+        if var.starts_with("KBP_SERVICE_") {
+            cmd.env_remove(var);
+        }
     }
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let mut child = cmd
+    cmd.envs(envs.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("kbpd spawns");
+        .expect("kbpd spawns")
+}
+
+fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
+    let mut child = spawn_kbpd(envs);
     // A startup-failure run may exit before reading stdin; a broken
     // pipe here is fine, the assertions below look at status/output.
     let _ = child
@@ -87,4 +90,113 @@ fn bad_lines_get_error_responses_in_order() {
     assert_eq!(lines.len(), 2, "one response per line: {stdout}");
     assert!(lines[0].contains("\"ok\":false") && lines[0].contains("\"parse\""));
     assert!(lines[1].contains("\"id\":9") && lines[1].contains("\"ok\":true"));
+}
+
+/// Waits up to `limit` for `child` to exit; kills it and fails the test
+/// if it is still running then, so a hang fails instead of wedging.
+fn wait_or_kill(child: &mut Child, limit: Duration, what: &str) {
+    let deadline = Instant::now() + limit;
+    while child.try_wait().expect("try_wait").is_none() {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("kbpd still running {limit:?} after {what}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn exits_when_stdout_goes_away() {
+    // `yes '{"kind":"health"}' | kbpd | head -1`: input never ends, so
+    // only the dead stdout can stop the daemon.
+    let mut child = spawn_kbpd(&[("KBP_SERVICE_WORKERS", "1")]);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let writer = std::thread::spawn(
+        move || {
+            while stdin.write_all(b"{\"kind\":\"health\"}\n").is_ok() {}
+        },
+    );
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first response");
+    assert!(first.contains("\"kind\":\"health\""), "{first}");
+    drop(stdout);
+    wait_or_kill(&mut child, Duration::from_secs(10), "stdout closed");
+    // The writer ends on the broken pipe once kbpd is gone.
+    writer.join().expect("writer thread");
+}
+
+#[test]
+fn stdin_pipe_is_exempt_from_quota_and_protection_policies() {
+    // One worker and a pending quota of 1 would refuse a socket client's
+    // burst; a 50 ms idle timeout would close a socket client that goes
+    // quiet mid-line. The operator's pipe gets neither.
+    let mut child = spawn_kbpd(&[
+        ("KBP_SERVICE_WORKERS", "1"),
+        ("KBP_SERVICE_CLIENT_PENDING", "1"),
+        ("KBP_SERVICE_IDLE_TIMEOUT_MS", "50"),
+    ]);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let lines: Vec<String> = (1..=8)
+        .map(|id| format!("{{\"id\":{id},\"kind\":\"solve\",\"scenario\":\"muddy_children_3\"}}\n"))
+        .collect();
+    for line in &lines[..4] {
+        stdin.write_all(line.as_bytes()).expect("write");
+    }
+    let (head, tail) = lines[4].split_at(lines[4].len() / 2);
+    stdin.write_all(head.as_bytes()).expect("write");
+    stdin.flush().expect("flush");
+    std::thread::sleep(Duration::from_millis(400));
+    stdin.write_all(tail.as_bytes()).expect("write");
+    for line in &lines[5..] {
+        stdin.write_all(line.as_bytes()).expect("write");
+    }
+    drop(stdin);
+    wait_or_kill(&mut child, Duration::from_secs(60), "the batch");
+    let output = child.wait_with_output().expect("kbpd output");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).expect("utf8 output");
+    let responses: Vec<&str> = stdout.lines().collect();
+    assert_eq!(responses.len(), 8, "one answer per request: {stdout}");
+    for (i, response) in responses.iter().enumerate() {
+        let id = format!("{{\"id\":{},\"ok\":true,", i + 1);
+        assert!(
+            response.starts_with(&id),
+            "answer {i} in order and ok: {response}"
+        );
+    }
+    assert!(!stdout.contains("quota_exceeded"), "{stdout}");
+    for notice in [
+        "idle_timeout",
+        "read_deadline",
+        "write_budget",
+        "write_stall",
+    ] {
+        assert!(!stdout.contains(notice), "no {notice} notice: {stdout}");
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn stdin_mode_thread_inventory() {
+    // Serving thread (the plane), the stdin forwarder and the workers:
+    // no more than `workers + 2` while stdin is held open.
+    let workers = 2;
+    let mut child = spawn_kbpd(&[("KBP_SERVICE_WORKERS", "2")]);
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    stdin.write_all(b"{\"kind\":\"health\"}\n").expect("write");
+    stdin.flush().expect("flush");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("health answer");
+    let tasks = std::fs::read_dir(format!("/proc/{}/task", child.id()))
+        .expect("/proc/<pid>/task readable")
+        .count();
+    drop(stdin);
+    wait_or_kill(&mut child, Duration::from_secs(10), "stdin closed");
+    assert!(
+        tasks <= workers + 2,
+        "stdin mode ran {tasks} threads with {workers} workers"
+    );
 }

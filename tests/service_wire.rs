@@ -5,11 +5,10 @@
 //! partial-write adversary).
 
 use kbp_service::{
-    error_response, id_hint, json, parse_request, quota_response, reject_response, FrameError,
-    JobKind, LineOutcome, LineReader, QueueFull, Request,
+    error_response, id_hint, json, parse_request, quota_response, reject_response, FrameDecoder,
+    FrameError, JobKind, LineOutcome, QueueFull, Request,
 };
 use proptest::prelude::*;
-use std::io::Read;
 
 const KINDS: [(&str, JobKind); 4] = [
     ("solve", JobKind::Solve),
@@ -19,41 +18,20 @@ const KINDS: [(&str, JobKind); 4] = [
 ];
 const SCENARIOS: [&str; 3] = ["bit_transmission", "muddy_children_3", "zoo_plain"];
 
-/// A reader that returns its data in bounded dribbles, like a socket
-/// under an adversarial sender.
-struct Dribble<'a> {
-    data: &'a [u8],
-    pos: usize,
-    chunk: usize,
-}
-
-impl Read for Dribble<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.chunk.min(self.data.len() - self.pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
+/// Feeds `data` to a decoder in `chunk`-byte pieces, like a socket
+/// under an adversarial sender, then ends the stream; returns every
+/// line outcome in order.
 fn frame(data: &[u8], chunk: usize, max_line: usize) -> Vec<LineOutcome> {
-    let mut reader = LineReader::new(
-        Dribble {
-            data,
-            pos: 0,
-            chunk,
-        },
-        max_line,
-    );
+    let mut decoder = FrameDecoder::new(max_line);
     let mut out = Vec::new();
-    loop {
-        let step = reader.next_line().expect("in-memory reads cannot fail");
-        let done = step == LineOutcome::Eof;
-        out.push(step);
-        if done {
-            return out;
+    for piece in data.chunks(chunk) {
+        decoder.feed(piece);
+        while let Some(outcome) = decoder.pop() {
+            out.push(outcome);
         }
     }
+    out.extend(decoder.finish());
+    out
 }
 
 proptest! {
@@ -177,7 +155,6 @@ proptest! {
             LineOutcome::Line("before".to_string()),
             LineOutcome::Malformed(FrameError::Oversized { limit }),
             LineOutcome::Line("after".to_string()),
-            LineOutcome::Eof,
         ]);
     }
 }
