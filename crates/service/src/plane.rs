@@ -5,9 +5,17 @@
 //! a thread budget and a stalled client pinned its writer forever. This
 //! module replaces that pair with a single readiness loop over
 //! nonblocking sockets — `std` only, no `libc`, no poll registration:
-//! the loop services every connection each tick (~1ms), sleeping on a
-//! condvar that doubles as the worker-completion wakeup token. Idle
-//! connections now cost one map entry, not two stacks.
+//! the loop services every connection each pass, sleeping between
+//! passes on a condvar that doubles as the worker-completion wakeup
+//! token. Idle connections now cost one map entry, not two stacks.
+//!
+//! Without readiness notification the sleep is the latency a request
+//! waits before it is read, so it adapts ([`next_tick`]): after a pass
+//! that made progress (accepted, drained a completion, read or wrote
+//! bytes) the loop sleeps only [`TICK_FLOOR`], and each quiet pass
+//! doubles the sleep up to [`TICK`]. A closed-loop client's next request
+//! lands while the loop still polls tightly; a daemon with no traffic
+//! is back at the 1 ms tick within five passes.
 //!
 //! The operator's stdin/stdout pair is one more connection of the same
 //! loop ([`Pipe`]): a forwarding thread hands stdin chunks over a
@@ -73,16 +81,23 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tick granularity of the readiness loop. Protection timeouts are
-/// measured in hundreds of milliseconds and up, so a millisecond of
-/// slack is noise; completions additionally cut the sleep short via the
-/// condvar.
+/// The longest sleep between passes of the readiness loop, reached
+/// after a run of quiet passes: the cost of an idle daemon. Protection
+/// timeouts are measured in hundreds of milliseconds and up, and run on
+/// `Instant` clocks, so a millisecond of slack is noise; completions
+/// additionally cut the sleep short via the condvar.
 const TICK: Duration = Duration::from_millis(1);
 
-/// Per-connection, per-tick read allowance (chunks of `READ_CHUNK`).
-/// Bounds how long one flooding client can monopolize a tick. It is
-/// also the capacity of the pipe's chunk channel, so one burst empties
-/// whatever was queued before the tick cleared the input signal.
+/// The sleep after a pass that made progress: while a client is active
+/// its next request is likely on its way, so the loop polls tightly.
+const TICK_FLOOR: Duration = Duration::from_micros(50);
+
+/// Per-connection, per-pass read allowance (chunks of `READ_CHUNK`).
+/// Bounds how long one flooding client can monopolize a pass; what it
+/// left unread is picked up after the floor, since the burst's reads
+/// count as progress. It is also the capacity of the pipe's chunk
+/// channel, so one burst empties whatever was queued before the pass
+/// cleared the input signal.
 const READ_BURST: usize = 8;
 
 /// Read buffer size per chunk.
@@ -320,8 +335,8 @@ impl PendingTable {
     }
 }
 
-/// Forced-disconnect counters plus the drop count — owned by the loop,
-/// copied into each tick's context for metrics rendering.
+/// Forced-disconnect counters plus the drop and pass counts — owned by
+/// the loop, copied into each tick's context for metrics rendering.
 #[derive(Debug, Clone, Copy, Default)]
 struct PlaneCounters {
     idle_timeout: usize,
@@ -329,6 +344,7 @@ struct PlaneCounters {
     write_budget: usize,
     write_stall: usize,
     responses_dropped: usize,
+    passes: usize,
 }
 
 impl PlaneCounters {
@@ -436,6 +452,10 @@ struct TickCtx<'a> {
     counters: PlaneCounters,
     active: usize,
     idle: usize,
+    /// Whether this pass made progress: it starts raised when the pass
+    /// accepted a connection or drained a completion, and any read
+    /// (bytes or EOF) or write on a connection raises it.
+    progress: bool,
 }
 
 impl TickCtx<'_> {
@@ -448,6 +468,7 @@ impl TickCtx<'_> {
             disconnects_write_budget: self.counters.write_budget,
             disconnects_write_stall: self.counters.write_stall,
             responses_dropped: self.counters.responses_dropped,
+            passes: self.counters.passes,
             clients: self.pending.snapshot(),
         }
     }
@@ -476,10 +497,7 @@ pub(crate) fn run_plane(
     if let Some(listener) = listener {
         listener.set_nonblocking(true)?;
     }
-    // Without a listener nothing needs a timer: pipes are exempt from
-    // the protection policies, and every other event (input, completion)
-    // wakes the loop itself. So it sleeps with no timeout.
-    let tick = listener.map(|_| TICK);
+    let mut tick = TICK;
     let config = service.config().clone();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 0;
@@ -495,6 +513,8 @@ pub(crate) fn run_plane(
 
     loop {
         let now = Instant::now();
+        counters.passes += 1;
+        let mut progress = false;
         if !draining && stop.load(Ordering::SeqCst) {
             draining = true;
         }
@@ -506,6 +526,7 @@ pub(crate) fn run_plane(
             loop {
                 match listener.accept() {
                     Ok((stream, peer)) => {
+                        progress = true;
                         if conns.len() >= config.max_connections {
                             refuse(stream, config.max_connections);
                             continue;
@@ -530,6 +551,7 @@ pub(crate) fn run_plane(
         // when the owning connection is gone — that response is counted
         // dropped, and the drain proof stays an exact ledger.
         for completion in shared.drain() {
+            progress = true;
             inflight = inflight.saturating_sub(1);
             match conns.get_mut(&completion.conn) {
                 Some(conn) => {
@@ -559,6 +581,7 @@ pub(crate) fn run_plane(
             counters,
             active,
             idle: conns.len() - active,
+            progress,
         };
 
         // Step every connection; collect the ones that closed.
@@ -568,6 +591,7 @@ pub(crate) fn run_plane(
                 closed.push((id, close));
             }
         }
+        let progress = ctx.progress;
         for (id, close) in closed {
             if let Some(mut conn) = conns.remove(&id) {
                 if let Close::Forced(kind) = close {
@@ -580,7 +604,21 @@ pub(crate) fn run_plane(
         if (draining || listener.is_none()) && conns.is_empty() && inflight == 0 {
             return Ok(());
         }
-        shared.wait(tick);
+        // Without a listener nothing needs a timer: pipes are exempt from
+        // the protection policies, and every other event (input,
+        // completion) wakes the loop itself. So it sleeps with no timeout.
+        tick = next_tick(tick, progress);
+        shared.wait(listener.map(|_| tick));
+    }
+}
+
+/// The sleep after a pass, given the previous one: the floor after
+/// progress, else double the previous sleep, capped at [`TICK`].
+fn next_tick(prev: Duration, progress: bool) -> Duration {
+    if progress {
+        TICK_FLOOR
+    } else {
+        (prev * 2).min(TICK)
     }
 }
 
@@ -631,6 +669,7 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
         match conn.transport.read(&mut buf) {
             Ok(0) => {
                 conn.read_closed = true;
+                ctx.progress = true;
                 if !ctx.draining {
                     if let Some(outcome) = conn.decoder.finish() {
                         process_outcome(id, conn, outcome, ctx);
@@ -639,6 +678,7 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
             }
             Ok(n) => {
                 conn.last_activity = ctx.now;
+                ctx.progress = true;
                 if ctx.draining {
                     continue;
                 }
@@ -674,6 +714,7 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
             Ok(n) => {
                 conn.outbuf.drain(..n);
                 conn.last_write_progress = ctx.now;
+                ctx.progress = true;
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -883,6 +924,7 @@ mod tests {
             counters: PlaneCounters::default(),
             active: 1,
             idle: 0,
+            progress: false,
         };
         assert_eq!(
             violated_policy(&conn, &ctx),
@@ -893,6 +935,25 @@ mod tests {
             step_conn(0, &mut conn, &mut ctx).is_none(),
             "the pipe stays"
         );
+    }
+
+    #[test]
+    fn tick_drops_to_the_floor_on_progress_and_backs_off_when_quiet() {
+        assert_eq!(next_tick(TICK, true), TICK_FLOOR, "progress resets");
+        assert_eq!(next_tick(TICK_FLOOR, true), TICK_FLOOR);
+        let mut tick = TICK_FLOOR;
+        let mut quiet_passes = 0;
+        while tick < TICK {
+            let next = next_tick(tick, false);
+            assert_eq!(next, (tick * 2).min(TICK), "each quiet pass doubles");
+            tick = next;
+            quiet_passes += 1;
+        }
+        assert!(
+            quiet_passes <= 5,
+            "{quiet_passes} quiet passes to reach TICK"
+        );
+        assert_eq!(next_tick(TICK, false), TICK, "capped at TICK");
     }
 
     #[test]

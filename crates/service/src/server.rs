@@ -91,7 +91,8 @@ impl ServerHandle {
     /// every admitted job (delivering where the connection survives,
     /// counting drops where it does not), and persists the cache before
     /// [`Server::run`] returns. Idempotent. The plane notices the flag
-    /// on its next tick — no wake-up connection needed.
+    /// on its next pass, at most one 1 ms tick later — no wake-up
+    /// connection needed.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }

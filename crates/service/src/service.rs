@@ -538,6 +538,10 @@ pub struct PlaneSnapshot {
     /// Pending (admitted, unanswered) job counts per client identity,
     /// sorted by client for stable output.
     pub clients: Vec<(String, usize)>,
+    /// Readiness-loop passes since start. Over a quiet spell it grows
+    /// by about one per millisecond; much faster means the loop is not
+    /// backing off.
+    pub passes: usize,
 }
 
 /// Why the plane force-closed a connection. Every variant is counted in
@@ -1492,6 +1496,7 @@ impl Service {
                         .collect(),
                 ),
             ));
+            fields.push(("passes".into(), Json::U64(plane.passes as u64)));
         }
         Json::Obj(fields)
     }
@@ -2129,6 +2134,7 @@ mod tests {
             disconnects_write_budget: 1,
             responses_dropped: 3,
             clients: vec![("alpha".into(), 4), ("beta".into(), 0)],
+            passes: 42,
             ..PlaneSnapshot::default()
         };
         let metrics = service.metrics_response_with_plane(Some(9), 0, Some(&plane));
@@ -2142,6 +2148,7 @@ mod tests {
         let clients = metrics.get("clients").unwrap();
         assert_eq!(clients.get("alpha"), Some(&Json::U64(4)));
         assert_eq!(clients.get("beta"), Some(&Json::U64(0)));
+        assert_eq!(metrics.get("passes"), Some(&Json::U64(42)));
     }
 
     #[test]

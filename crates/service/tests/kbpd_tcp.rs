@@ -1,12 +1,13 @@
 //! Socket-mode end-to-end tests of the `kbpd` binary: the golden
 //! transcript over real TCP, two concurrent clients (whole-line and
-//! interleaved-partial-write framing), per-client quota rejections, and
-//! graceful shutdown on stdin EOF.
+//! interleaved-partial-write framing), per-client quota rejections,
+//! graceful shutdown on stdin EOF, and the readiness loop's adaptive
+//! sleep (tight after progress, backed off when idle).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const INPUT: &str = include_str!("data/smoke_input.jsonl");
 const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
@@ -276,4 +277,80 @@ fn shutdown_drains_accepted_jobs_before_exit() {
             "response {i}: {line}"
         );
     }
+}
+
+/// Sends one request line (in one write) and reads its one response
+/// line.
+fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, request: &str) -> String {
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .expect("write request");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read response");
+    line
+}
+
+/// The first unsigned number after `"key":` in a response line.
+fn metric(metrics: &str, key: &str) -> u64 {
+    metrics
+        .split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| {
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()
+                .filter(|digits| !digits.is_empty())
+        })
+        .unwrap_or_else(|| panic!("metric {key} missing in {metrics}"))
+        .parse()
+        .expect("metric parses")
+}
+
+#[test]
+fn closed_loop_inline_answers_do_not_wait_out_the_tick() {
+    // `health` is answered inline by the plane, so each round trip is
+    // the loop's reaction time. A loop that slept a fixed 1 ms tick
+    // between passes took over 230 ms for these 200 trips.
+    let daemon = spawn_daemon(&[("KBP_SERVICE_WORKERS", "1")]);
+    let mut stream = daemon.connect();
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    assert!(ask(&mut stream, &mut reader, r#"{"kind":"health"}"#).contains("\"ok\":true"));
+    let start = Instant::now();
+    for _ in 0..200 {
+        let answer = ask(&mut stream, &mut reader, r#"{"kind":"health"}"#);
+        assert!(answer.contains("\"status\":\"ok\""), "{answer}");
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(150),
+        "200 closed-loop health trips took {elapsed:?}"
+    );
+    daemon.shutdown();
+}
+
+#[test]
+fn idle_plane_backs_off_to_the_tick() {
+    // Ten idle connections and a probe: over 500 ms of quiet the loop
+    // must be back at its 1 ms tick, about 500 passes. A loop stuck at
+    // its 50 µs floor would make thousands.
+    let daemon = spawn_daemon(&[("KBP_SERVICE_WORKERS", "1")]);
+    let _idle: Vec<TcpStream> = (0..10).map(|_| daemon.connect()).collect();
+    let mut probe = daemon.connect();
+    let mut reader = BufReader::new(probe.try_clone().expect("clone stream"));
+    std::thread::sleep(Duration::from_millis(50));
+    let before = ask(&mut probe, &mut reader, r#"{"kind":"metrics"}"#);
+    std::thread::sleep(Duration::from_millis(500));
+    let after = ask(&mut probe, &mut reader, r#"{"kind":"metrics"}"#);
+    let connections = after
+        .split("\"connections\":")
+        .nth(1)
+        .expect("metrics carry the plane block");
+    assert_eq!(
+        metric(connections, "active") + metric(connections, "idle"),
+        11,
+        "every connection held open: {after}"
+    );
+    let passes = metric(&after, "passes") - metric(&before, "passes");
+    assert!(passes <= 600, "{passes} passes over 500 idle ms");
+    daemon.shutdown();
 }
