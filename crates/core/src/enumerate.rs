@@ -34,7 +34,8 @@ use kbp_kripke::{BitSet, EvalCache, EvalEngine, EvalError};
 use kbp_logic::Agent;
 use kbp_logic::{FormulaArena, FormulaId};
 use kbp_systems::{
-    ActionId, Context, InterpretedSystem, LocalId, MapProtocol, Recall, StepChoices, SystemBuilder,
+    ActionId, Context, InterpretedSystem, LocalId, MapProtocol, Obs, Recall, StepChoices,
+    SystemBuilder,
 };
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -511,13 +512,6 @@ impl Search<'_, '_> {
         mut proto: MapProtocol,
     ) -> Result<(), SolveError> {
         let kbp = self.enumerator.kbp;
-        // Final-layer entries: record what the program induces there so
-        // the protocol is total on reached local states.
-        let frontier: Vec<(Agent, LocalId)> = builder.frontier_locals();
-        let histories: Vec<(Agent, Vec<Obs>)> = frontier
-            .iter()
-            .map(|&(a, l)| (a, builder.local_history(a, l)))
-            .collect();
         let system = builder.finish();
 
         // Evaluate every guard (temporal ones included) on the finished
@@ -533,6 +527,8 @@ impl Search<'_, '_> {
             let agent = program.agent();
             let clause_sets = &sets[offset..offset + program.clauses().len()];
             offset += program.clauses().len();
+            // Final-layer entries: record what the program induces there
+            // so the protocol is total on reached local states.
             for node in 0..system.layer(t_last).len() {
                 let point = kbp_systems::Point { time: t_last, node };
                 let truths: Vec<bool> = clause_sets
@@ -545,7 +541,6 @@ impl Search<'_, '_> {
                 proto.insert(agent, history, induced);
             }
         }
-        let _ = histories; // histories recomputed from the system above
 
         let (mismatches, _) = compare_with_sets(&system, kbp, &proto, &sets)?;
         if mismatches.is_empty() && !self.found.iter().any(|imp| imp.protocol == proto) {
@@ -557,8 +552,6 @@ impl Search<'_, '_> {
         Ok(())
     }
 }
-
-use kbp_systems::Obs;
 
 #[cfg(test)]
 mod tests {

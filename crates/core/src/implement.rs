@@ -238,22 +238,16 @@ pub(crate) fn compare_with_sets(
 
         for t in 0..system.layer_count() {
             let layer = system.layer(t);
-            // On a layer held as bisimulation representatives, a class's
-            // explicit points carry every member local.
-            let classes = layer.quotient().filter(|_| layer.is_reduced());
             // Check guard locality within the layer while we're at it.
             let mut by_local: HashMap<LocalId, Vec<bool>> = HashMap::new();
             for node in 0..layer.len() {
                 let point = Point { time: t, node };
                 let truths: Vec<bool> = clause_sets.iter().map(|s| s[t].contains(node)).collect();
-                let own = [system.local(agent, point)];
-                let locals = match classes {
-                    Some(q) => q.members(agent, node),
-                    None => &own[..],
-                };
                 let points = usize::try_from(layer.multiplicity(node)).unwrap_or(usize::MAX);
                 points_checked = points_checked.saturating_add(points);
-                for &local in locals {
+                // On a reduced layer a class's explicit points carry every
+                // member local.
+                for &local in layer.members(agent, node) {
                     match by_local.get(&local) {
                         Some(prev) if *prev != truths => {
                             let clause = prev

@@ -919,46 +919,20 @@ impl<'a> SyncSolver<'a> {
             stats.guard_evaluations += guard_sets.len();
 
             // Group points by the agent's local state; the guard valuation
-            // must be constant on each group. On a reduced layer the
-            // grouping runs over the class-level incidence structure
-            // (every *member* local of every class — the explicit points a
-            // class stands for are real run prefixes and each needs a
+            // must be constant on each group. A node's locals are its
+            // class's member locals on a reduced layer (the explicit points
+            // a class stands for are real run prefixes and each needs a
             // protocol entry); explicit points folded into one class are
             // bisimilar and cannot disagree on a guard, so checking across
             // classes per member local sees exactly the disagreements the
-            // explicit loop would.
-            let mut seen: std::collections::HashMap<kbp_systems::LocalId, (usize, Vec<bool>)> =
+            // explicit layer would.
+            let mut seen: std::collections::HashMap<kbp_systems::LocalId, Vec<bool>> =
                 std::collections::HashMap::new();
-            if let Some(q) = layer.quotient().filter(|q| q.class_count() == layer.len()) {
-                for c in 0..q.class_count() {
-                    let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(c)).collect();
-                    for &local in q.members(agent, c) {
-                        match seen.get(&local) {
-                            Some((_, prev)) if *prev != truths => {
-                                let clause = prev
-                                    .iter()
-                                    .zip(&truths)
-                                    .position(|(a, b)| a != b)
-                                    .unwrap_or(0);
-                                return Err(SolveError::LocalityViolation {
-                                    agent,
-                                    clause,
-                                    time,
-                                });
-                            }
-                            Some(_) => {}
-                            None => {
-                                seen.insert(local, (c, truths.clone()));
-                            }
-                        }
-                    }
-                }
-            } else {
-                for (ni, node) in layer.nodes().iter().enumerate() {
-                    let local = node.local(agent);
-                    let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(ni)).collect();
+            for node in 0..layer.len() {
+                let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(node)).collect();
+                for &local in layer.members(agent, node) {
                     match seen.get(&local) {
-                        Some((_, prev)) if *prev != truths => {
+                        Some(prev) if *prev != truths => {
                             let clause = prev
                                 .iter()
                                 .zip(&truths)
@@ -972,13 +946,13 @@ impl<'a> SyncSolver<'a> {
                         }
                         Some(_) => {}
                         None => {
-                            seen.insert(local, (ni, truths));
+                            seen.insert(local, truths.clone());
                         }
                     }
                 }
             }
 
-            for (local, (_, truths)) in seen {
+            for (local, truths) in seen {
                 let actions = program.induced_actions(&truths);
                 let history = builder.local_history(agent, local);
                 // Under perfect recall a history occurs at exactly one

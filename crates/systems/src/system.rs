@@ -22,6 +22,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 /// How agents' local states evolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,18 +108,15 @@ impl Node {
     }
 }
 
-/// The bisimulation-class structure of a layer held (or stepped) as
-/// representatives: one representative point per class, an exact count of
-/// the explicit points the class stands for, and the per-agent local
-/// states those explicit points carry (the class-level
-/// indistinguishability structure).
+/// The bisimulation-class structure of a reduced layer. Node `k` is the
+/// representative of class `k`; the structure records how many explicit
+/// points each class stands for and, per agent, the local states those
+/// points carry (the class-level indistinguishability structure).
 ///
-/// Produced by the fused step+quotient generation path; see DESIGN.md
+/// Stored exactly on the layers the fused step generates; see DESIGN.md
 /// §17.
 #[derive(Debug, Clone)]
 pub struct QuotientFrontier {
-    /// Node index of each class's representative within the layer.
-    reps: Vec<u32>,
     /// Exact number of explicit points each class stands for.
     multiplicity: Vec<u64>,
     /// `members[agent][class]`: sorted, deduplicated local states held by
@@ -133,17 +131,7 @@ impl QuotientFrontier {
     /// Number of bisimulation classes.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.reps.len()
-    }
-
-    /// Node index (within the layer) of the representative of `class`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class` is out of range.
-    #[must_use]
-    pub fn representative(&self, class: usize) -> usize {
-        self.reps[class] as usize
+        self.multiplicity.len()
     }
 
     /// Exact number of explicit points `class` stands for.
@@ -225,29 +213,37 @@ impl Layer {
     /// Panics if `node` is out of range on a reduced layer.
     #[must_use]
     pub fn multiplicity(&self, node: usize) -> u64 {
+        self.quotient.as_ref().map_or(1, |q| q.multiplicity(node))
+    }
+
+    /// The local states of `agent` at the explicit points node `node`
+    /// stands for: the class's member locals on a reduced layer, else the
+    /// node's own local state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the agent or node is out of range.
+    #[must_use]
+    pub fn members(&self, agent: Agent, node: usize) -> &[LocalId] {
         match &self.quotient {
-            Some(q) if self.is_reduced() => q.multiplicity(node),
-            _ => 1,
+            Some(q) => q.members(agent, node),
+            None => std::slice::from_ref(&self.nodes[node].locals[agent.index()]),
         }
     }
 
-    /// The bisimulation-class structure, when this layer is held as (or
-    /// has been folded to) quotient representatives.
+    /// The bisimulation-class structure of a reduced layer; `None` on an
+    /// explicit layer.
     #[must_use]
     pub fn quotient(&self) -> Option<&QuotientFrontier> {
         self.quotient.as_ref()
     }
 
-    /// Whether the layer's nodes *are* its class representatives (one
-    /// node per class). True for every layer produced by the fused
-    /// generation path; an explicit frontier that was folded in place
-    /// before stepping keeps its explicit nodes and reports false unless
-    /// the fold was lossless.
+    /// Whether the layer's nodes are class representatives (one node per
+    /// bisimulation class, with multiplicities and member locals): true
+    /// exactly for the layers the fused step generates.
     #[must_use]
     pub fn is_reduced(&self) -> bool {
-        self.quotient
-            .as_ref()
-            .is_some_and(|q| q.class_count() == self.nodes.len())
+        self.quotient.is_some()
     }
 
     /// The S5 model of this time slice: world `k` is node `k`, each
@@ -395,6 +391,26 @@ impl StepChoices {
     pub fn get(&self, agent: Agent, local: LocalId) -> Option<&[ActionId]> {
         self.per_agent.get(&(agent, local)).map(Vec::as_slice)
     }
+
+    /// The action set for a pair, checked to be present, non-empty and
+    /// within the agent's repertoire in `ctx`.
+    fn validated(
+        &self,
+        ctx: &dyn Context,
+        agent: Agent,
+        local: LocalId,
+    ) -> Result<&[ActionId], GenerateError> {
+        let set = self
+            .get(agent, local)
+            .ok_or(GenerateError::MissingChoice { agent, local })?;
+        if set.is_empty() {
+            return Err(GenerateError::EmptyChoice { agent, local });
+        }
+        match set.iter().find(|a| a.index() >= ctx.action_count(agent)) {
+            Some(&action) => Err(GenerateError::ActionOutOfRange { agent, action }),
+            None => Ok(set),
+        }
+    }
 }
 
 /// Incrementally unrolls a context under externally supplied action
@@ -483,7 +499,7 @@ impl<'c> SystemBuilder<'c> {
             });
         }
         b.nodes_created = nodes.len();
-        let model = b.layer_model(&nodes);
+        let model = b.model_of(nodes.iter().map(Node::state), |w, i| nodes[w].locals[i]);
         b.layers.push(Layer {
             nodes,
             model,
@@ -613,66 +629,106 @@ impl<'c> SystemBuilder<'c> {
         seen
     }
 
-    fn layer_model(&self, nodes: &[Node]) -> S5Model {
+    /// The S5 model over worlds holding the given global states: the
+    /// valuation is the context's, and an agent `i` cannot tell worlds
+    /// `v` and `w` apart iff `key(v, i) == key(w, i)`.
+    fn model_of<K: Hash + Eq>(
+        &self,
+        states: impl Iterator<Item = StateId>,
+        key: impl Fn(usize, usize) -> K,
+    ) -> S5Model {
         let prop_count = self.ctx.vocabulary().prop_count();
         let mut mb = S5Builder::new(self.ctx.agent_count(), prop_count);
-        for node in nodes {
-            let state = self.states.state(node.state);
+        for sid in states {
+            let state = self.states.state(sid);
             let props = (0..prop_count)
                 .map(|p| PropId::new(p as u32))
                 .filter(|&p| self.ctx.prop_holds(p, state));
             mb.add_world(props);
         }
         for i in 0..self.ctx.agent_count() {
-            mb.partition_by_key(Agent::new(i), |w| nodes[w.index()].locals[i]);
+            mb.partition_by_key(Agent::new(i), |w| key(w.index(), i));
         }
         mb.build()
     }
 
+    /// The bisimulation classes of `model`, whose world `w` holds global
+    /// state `state(w)`, further split by global state: members of a
+    /// class must share a transition function, not just a valuation.
+    fn classes_of(
+        &self,
+        model: &S5Model,
+        state: impl Fn(usize) -> StateId,
+    ) -> Result<Partition, GenerateError> {
+        let split = Partition::from_keys(model.world_count(), state);
+        let props: Vec<PropId> = (0..self.ctx.vocabulary().prop_count())
+            .map(|p| PropId::new(p as u32))
+            .collect();
+        model
+            .bisimilarity_within(&props, &[&split])
+            .map_err(|e| GenerateError::Quotient(e.to_string()))
+    }
+
     /// Extends the unrolling by one time step using the given choices.
     ///
-    /// When the frontier is already reduced, or is explicit and
-    /// twin-free, the fused step+quotient path engages: the frontier is
-    /// folded to bisimulation representatives with exact multiplicities,
-    /// successors are computed for representatives only, and the new
-    /// layer is canonicalized before anything explicit is materialized
-    /// (DESIGN.md §17). Frontiers holding perfect-recall twins, and
-    /// explicit frontiers narrower than
-    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds), step
-    /// explicitly. Solutions induced from the layers are bit-identical
-    /// either way.
+    /// The frontier is stepped as classes, one successor set per class
+    /// representative. A reduced frontier's classes are its nodes; an
+    /// explicit frontier at least
+    /// [`gen_quotient_min_worlds`](Self::gen_quotient_min_worlds) wide and
+    /// free of perfect-recall twins is folded to its bisimulation classes
+    /// first. Either way the step is *fused*: the successors are
+    /// canonicalized and folded by multiplicity, so the new layer is
+    /// reduced and nothing explicit is materialized (DESIGN.md §17).
+    /// Otherwise every node is its own class and the successors are
+    /// committed as an explicit layer. Solutions induced from the layers
+    /// are bit-identical either way.
     ///
     /// # Errors
     ///
     /// Returns a [`GenerateError`] if a choice is missing, empty or out of
-    /// range, if the environment protocol is stuck, or if the node budget
-    /// is exceeded (in which case the builder's layers are left
+    /// range, if two member locals of one class received different
+    /// choices, if the environment protocol is stuck, or if the node
+    /// budget is exceeded (in which case the builder's layers are left
     /// unchanged).
     pub fn step(&mut self, choices: &StepChoices) -> Result<(), GenerateError> {
-        if self.current().quotient.is_some() {
-            return self.step_quotient(choices);
-        }
-        if self.current().len() >= self.gen_quotient_min_worlds && self.quotient_frontier()? {
-            return self.step_quotient(choices);
-        }
-        let agents = self.ctx.agent_count();
+        let ctx = self.ctx;
+        let agents = ctx.agent_count();
+        let recall = self.recall;
         let t = self.time();
-        // Resolve and validate all action sets up front.
-        let mut action_sets: Vec<Vec<&[ActionId]>> = Vec::with_capacity(self.layers[t].len());
-        for node in self.layers[t].nodes() {
+        let layer = &self.layers[t];
+        let fold = match layer.quotient {
+            None if layer.len() >= self.gen_quotient_min_worlds => self.quotient_frontier()?,
+            _ => None,
+        };
+        let (reps, folded) = match fold {
+            Some((reps, q)) => (reps, Some(q)),
+            None => ((0..layer.len() as u32).collect(), None),
+        };
+        let quotient = layer.quotient.as_ref().or(folded.as_ref());
+        let fused = quotient.is_some();
+        // Class `c` stands for `multiplicity(c)` explicit points carrying
+        // the member locals `members(i, c)`; without a quotient every node
+        // is its own class.
+        let members = |i: usize, c: usize| match quotient {
+            Some(q) => &q.members[i][c][..],
+            None => std::slice::from_ref(&layer.nodes[c].locals[i]),
+        };
+        let multiplicity = |c: usize| quotient.map_or(1, |q| q.multiplicity[c]);
+
+        // Resolve and validate the action sets per class. Every member
+        // local of a class must have received the representative's set —
+        // the defining property of a knowledge-based protocol, violated
+        // only by externally crafted choices.
+        let mut action_sets: Vec<Vec<&[ActionId]>> = Vec::with_capacity(reps.len());
+        for (c, &rep) in reps.iter().enumerate() {
+            let node = &layer.nodes[rep as usize];
             let mut per_agent = Vec::with_capacity(agents);
             for i in 0..agents {
                 let agent = Agent::new(i);
-                let local = node.locals[i];
-                let set = choices
-                    .get(agent, local)
-                    .ok_or(GenerateError::MissingChoice { agent, local })?;
-                if set.is_empty() {
-                    return Err(GenerateError::EmptyChoice { agent, local });
-                }
-                for &a in set {
-                    if a.index() >= self.ctx.action_count(agent) {
-                        return Err(GenerateError::ActionOutOfRange { agent, action: a });
+                let set = choices.validated(ctx, agent, node.locals[i])?;
+                for &ml in members(i, c) {
+                    if ml != node.locals[i] && choices.validated(ctx, agent, ml)? != set {
+                        return Err(GenerateError::QuotientChoiceMismatch { agent, local: ml });
                     }
                 }
                 per_agent.push(set);
@@ -680,48 +736,94 @@ impl<'c> SystemBuilder<'c> {
             action_sets.push(per_agent);
         }
 
+        // Successors of the representatives, deduplicated by
+        // `(state, locals)`. A fused step also records each child's
+        // lineage and, `agents` per child, its observations.
         let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
-        let mut nodes: Vec<Node> = Vec::new();
-        let mut new_edges: Vec<Vec<(u32, JointAction)>> = vec![Vec::new(); self.layers[t].len()];
-
-        for (ni, node) in self.layers[t].nodes().iter().enumerate() {
+        let mut children: Vec<Node> = Vec::new();
+        let mut lineage: Vec<Lineage> = Vec::new();
+        let mut child_obs: Vec<Obs> = Vec::new();
+        let mut obs: Vec<Obs> = Vec::with_capacity(agents);
+        let mut new_edges: Vec<Vec<(u32, JointAction)>> = vec![Vec::new(); layer.len()];
+        for (c, (&rep, sets)) in reps.iter().zip(&action_sets).enumerate() {
+            let node = &layer.nodes[rep as usize];
             let state = self.states.state(node.state).clone();
-            let env_moves = self.ctx.env_actions(&state);
+            let env_moves = ctx.env_actions(&state);
             if env_moves.is_empty() {
                 return Err(GenerateError::EnvStuck(state));
             }
             // Cartesian product over agents' action sets.
             let mut combo: Vec<usize> = vec![0; agents];
             loop {
-                let acts: Vec<ActionId> =
-                    (0..agents).map(|i| action_sets[ni][i][combo[i]]).collect();
+                let acts: Vec<ActionId> = (0..agents).map(|i| sets[i][combo[i]]).collect();
                 for &env in &env_moves {
                     let joint = JointAction::new(env, acts.clone());
-                    let next = self.ctx.transition(&state, &joint);
+                    let next = ctx.transition(&state, &joint);
                     let sid = self.states.intern(next.clone());
+                    obs.clear();
+                    obs.extend((0..agents).map(|i| ctx.observe(Agent::new(i), &next)));
                     let locals: Vec<LocalId> = (0..agents)
-                        .map(|i| {
-                            let obs = self.ctx.observe(Agent::new(i), &next);
-                            match self.recall {
-                                Recall::Perfect => self.locals[i].intern_child(node.locals[i], obs),
-                                Recall::Observational => self.locals[i].intern_root(obs),
-                            }
+                        .map(|i| match recall {
+                            Recall::Perfect => self.locals[i].intern_child(node.locals[i], obs[i]),
+                            Recall::Observational => self.locals[i].intern_root(obs[i]),
                         })
                         .collect();
-                    let key = (sid, locals.clone());
-                    let child = *dedup.entry(key).or_insert_with(|| {
-                        nodes.push(Node {
-                            state: sid,
-                            locals,
-                            parents: Vec::new(),
-                            edges: Vec::new(),
-                        });
-                        (nodes.len() - 1) as u32
-                    });
-                    if !nodes[child as usize].parents.contains(&(ni as u32)) {
-                        nodes[child as usize].parents.push(ni as u32);
+                    let child = match dedup.entry((sid, locals)) {
+                        Entry::Occupied(e) => {
+                            let child = *e.get() as usize;
+                            if fused && lineage[child].last != c as u32 {
+                                // A successor tuple shared by two classes
+                                // forces equal parent local tuples under
+                                // perfect recall — the classes are *twins*,
+                                // and twins carry identical explicit fibers
+                                // (see the fiber invariant on
+                                // `quotient_frontier`), so the child's fiber
+                                // is counted once, not summed.
+                                let first = lineage[child].first as usize;
+                                if recall == Recall::Perfect
+                                    && (layer.nodes[reps[first] as usize].locals != node.locals
+                                        || multiplicity(first) != multiplicity(c))
+                                {
+                                    return Err(GenerateError::Quotient(
+                                        "cross-class successor collision between non-twin \
+                                         classes under perfect recall"
+                                            .into(),
+                                    ));
+                                }
+                                lineage[child].last = c as u32;
+                            }
+                            child
+                        }
+                        Entry::Vacant(v) => {
+                            children.push(Node {
+                                state: sid,
+                                locals: v.key().1.clone(),
+                                parents: Vec::new(),
+                                edges: Vec::new(),
+                            });
+                            if fused {
+                                lineage.push(Lineage {
+                                    first: c as u32,
+                                    last: c as u32,
+                                    // Observational child tuples are explicit
+                                    // points themselves (locals carry no
+                                    // parent memory); a perfect-recall child
+                                    // chains its parent class's fiber.
+                                    multiplicity: match recall {
+                                        Recall::Perfect => multiplicity(c),
+                                        Recall::Observational => 1,
+                                    },
+                                });
+                                child_obs.extend_from_slice(&obs);
+                            }
+                            *v.insert((children.len() - 1) as u32) as usize
+                        }
+                    };
+                    let parents = &mut children[child].parents;
+                    if parents.last() != Some(&rep) {
+                        parents.push(rep);
                     }
-                    new_edges[ni].push((child, joint));
+                    new_edges[rep as usize].push((child as u32, joint));
                 }
                 // Advance the product counter.
                 let mut k = 0;
@@ -730,7 +832,7 @@ impl<'c> SystemBuilder<'c> {
                         break;
                     }
                     combo[k] += 1;
-                    if combo[k] < action_sets[ni][k].len() {
+                    if combo[k] < sets[k].len() {
                         break;
                     }
                     combo[k] = 0;
@@ -742,33 +844,136 @@ impl<'c> SystemBuilder<'c> {
             }
         }
 
-        if self.nodes_created + nodes.len() > self.node_limit {
+        let n_new = children.len();
+        if self.nodes_created + n_new > self.node_limit {
             return Err(GenerateError::NodeLimit {
                 limit: self.node_limit,
             });
         }
-        self.nodes_created += nodes.len();
+
+        let (nodes, model, quotient) = if fused {
+            // Member locals of each child, `[agent][child]`: the chain
+            // images of its first parent class's member locals under the
+            // child's observation (perfect recall), or the child's own root
+            // local (observational). This is what keeps the local-state
+            // forest — and with it every protocol history —
+            // explicit-complete while the point tuples stay folded.
+            let mut child_members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(n_new); agents];
+            let mut chain_cache: HashMap<(u32, usize, Obs), Vec<LocalId>> = HashMap::new();
+            for (w, ch) in children.iter().enumerate() {
+                let c = lineage[w].first;
+                for (i, per_agent) in child_members.iter_mut().enumerate() {
+                    let ms = members(i, c as usize);
+                    // A lone member is the representative's own local,
+                    // whose chain image is the child's local.
+                    if recall == Recall::Observational || ms.len() == 1 {
+                        per_agent.push(vec![ch.locals[i]]);
+                        continue;
+                    }
+                    let o = child_obs[w * agents + i];
+                    let table = &mut self.locals[i];
+                    let ls = chain_cache.entry((c, i, o)).or_insert_with(|| {
+                        let mut ls: Vec<LocalId> =
+                            ms.iter().map(|&l| table.intern_child(l, o)).collect();
+                        ls.sort_unstable_by_key(|l| l.index());
+                        ls.dedup();
+                        ls
+                    });
+                    per_agent.push(ls.clone());
+                }
+            }
+
+            // Canonicalize: bisimilarity over the successor set, with the
+            // class-level indistinguishability structure (children sharing
+            // a member local are linked), seeded by global state only:
+            // futures depend on the state, but not on which lineage
+            // produced a point. Merging across parent classes is where
+            // perfect-recall history compression comes from — distinct
+            // observation histories over the same state whose knowledge
+            // content coincides fold into one representative. The fold
+            // unions the member locals of every merged child, so the folded
+            // class's fiber is exactly the union of the (pairwise disjoint)
+            // child fibers and the multiplicity sum stays an exact
+            // explicit-point count.
+            let roots = member_link_roots(agents, n_new, |w, i| &child_members[i][w]);
+            let cmodel = self.model_of(children.iter().map(Node::state), |w, i| roots[i][w]);
+            let classes = self.classes_of(&cmodel, |w| children[w].state)?;
+            let labels = classes.block_ids();
+            for e in new_edges.iter_mut().flatten() {
+                e.0 = labels[e.0 as usize];
+            }
+            if classes.block_count() == n_new {
+                // A discrete partition merges nothing: the children are
+                // the classes and their model is the layer's.
+                let multiplicity: Vec<u64> = lineage.iter().map(|l| l.multiplicity).collect();
+                let explicit_points = multiplicity.iter().sum();
+                let q = QuotientFrontier {
+                    multiplicity,
+                    members: child_members,
+                    explicit_points,
+                };
+                (children, cmodel, Some(q))
+            } else {
+                let (reps, q) = fold_blocks(
+                    &classes,
+                    agents,
+                    |w| lineage[w].multiplicity,
+                    |w, i| &child_members[i][w],
+                );
+                let nodes: Vec<Node> = classes
+                    .blocks()
+                    .zip(&reps)
+                    .map(|(block, &rep)| {
+                        let mut parents: Vec<u32> = block
+                            .iter()
+                            .flat_map(|&w| children[w as usize].parents.iter().copied())
+                            .collect();
+                        parents.sort_unstable();
+                        parents.dedup();
+                        Node {
+                            state: children[rep as usize].state,
+                            locals: children[rep as usize].locals.clone(),
+                            parents,
+                            edges: Vec::new(),
+                        }
+                    })
+                    .collect();
+                // Classes are linked iff they share a member local.
+                let roots = member_link_roots(agents, nodes.len(), |c, i| &q.members[i][c]);
+                let model = self.model_of(nodes.iter().map(Node::state), |w, i| roots[i][w]);
+                (nodes, model, Some(q))
+            }
+        } else {
+            let model = self.model_of(children.iter().map(Node::state), |w, i| {
+                children[w].locals[i]
+            });
+            (children, model, None)
+        };
+
+        // Commit.
+        self.nodes_created += n_new;
         for (ni, edges) in new_edges.into_iter().enumerate() {
-            self.layers[t].nodes[ni].edges = edges;
+            if !edges.is_empty() {
+                self.layers[t].nodes[ni].edges = edges;
+            }
         }
-        let model = self.layer_model(&nodes);
         self.layers.push(Layer {
             nodes,
             model,
-            quotient: None,
+            quotient,
         });
         Ok(())
     }
 
-    /// Tries to fold the explicit frontier into a [`QuotientFrontier`]
-    /// in place (nodes stay; the class structure is recorded alongside).
-    /// Returns `false` — leaving generation explicit — when the layer is
-    /// not eligible: under perfect recall a frontier holding *twins*
-    /// (distinct points that agree on every agent's local state and
-    /// differ only in global state) cannot be folded, because twin
-    /// points may sit in classes whose explicit fibers overlap without
-    /// coinciding, making exact multiplicities unrecoverable from
-    /// per-agent member sets.
+    /// Folds the explicit frontier into its bisimulation classes: per
+    /// class the representative node (the block minimum), the
+    /// multiplicity and the member locals. Returns `None` — leaving the
+    /// step explicit — when the layer is not eligible: under perfect
+    /// recall a frontier holding *twins* (distinct points that agree on
+    /// every agent's local state and differ only in global state) cannot
+    /// be folded, because twin points may sit in classes whose explicit
+    /// fibers overlap without coinciding, making exact multiplicities
+    /// unrecoverable from per-agent member sets.
     ///
     /// **Fiber invariant.** Folding a twin-free layer yields classes with
     /// pairwise *disjoint* fibers and pairwise distinct representative
@@ -779,441 +984,26 @@ impl<'c> SystemBuilder<'c> {
     /// under equal observations — both heirs chain the same parent
     /// fiber). A successor tuple shared across classes therefore always
     /// comes from twin parents, and its multiplicity is their common
-    /// fiber size counted once ([`step_quotient`](Self::step_quotient)
-    /// verifies twinhood defensively).
-    fn quotient_frontier(&mut self) -> Result<bool, GenerateError> {
-        let t = self.time();
-        let n = self.layers[t].len();
-        let agents = self.ctx.agent_count();
+    /// fiber size counted once ([`step`](Self::step) verifies twinhood
+    /// defensively).
+    fn quotient_frontier(&self) -> Result<Option<(Vec<u32>, QuotientFrontier)>, GenerateError> {
+        let layer = self.current();
+        let nodes = layer.nodes();
         if self.recall == Recall::Perfect {
             let mut seen: HashMap<&[LocalId], StateId> = HashMap::new();
-            for node in self.layers[t].nodes() {
-                match seen.entry(node.locals()) {
-                    Entry::Occupied(e) => {
-                        if *e.get() != node.state {
-                            return Ok(false);
-                        }
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(node.state);
-                    }
+            for node in nodes {
+                if *seen.entry(node.locals()).or_insert(node.state) != node.state {
+                    return Ok(None);
                 }
             }
         }
-        // Classes = bisimilarity of the layer's own S5 model, further
-        // split by interned global state: members of a class must share
-        // a transition function, not just a valuation.
-        let state_split = {
-            let nodes = self.layers[t].nodes();
-            Partition::from_keys(n, |w| nodes[w].state)
-        };
-        let props: Vec<PropId> = (0..self.ctx.vocabulary().prop_count())
-            .map(|p| PropId::new(p as u32))
-            .collect();
-        let classes = self.layers[t]
-            .model
-            .bisimilarity_within(&props, &[&state_split])
-            .map_err(|e| GenerateError::Quotient(e.to_string()))?;
-        let k = classes.block_count();
-        let mut reps = Vec::with_capacity(k);
-        let mut multiplicity = Vec::with_capacity(k);
-        let mut members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(k); agents];
-        for b in 0..k {
-            let block = classes.block(b);
-            reps.push(block.iter().copied().min().unwrap_or(0));
-            multiplicity.push(block.len() as u64);
-            for (i, per_agent) in members.iter_mut().enumerate() {
-                let mut ls: Vec<LocalId> = block
-                    .iter()
-                    .map(|&w| self.layers[t].nodes[w as usize].locals[i])
-                    .collect();
-                ls.sort_unstable_by_key(|l| l.index());
-                ls.dedup();
-                per_agent.push(ls);
-            }
-        }
-        self.layers[t].quotient = Some(QuotientFrontier {
-            reps,
-            multiplicity,
-            members,
-            explicit_points: n as u64,
-        });
-        Ok(true)
-    }
-
-    /// The fused step: advances from the frontier's class representatives
-    /// and multiplicities. Successors are computed for representatives
-    /// only; the member locals of each successor class are interned (so
-    /// protocols keep acting at every explicit run prefix) but the
-    /// explicit successor points themselves are never materialized.
-    fn step_quotient(&mut self, choices: &StepChoices) -> Result<(), GenerateError> {
-        let ctx = self.ctx;
-        let agents = ctx.agent_count();
-        let t = self.time();
-        let recall = self.recall;
-
-        // Resolve and validate action sets per class, checking that
-        // every member local of the class received the representative's
-        // action set — the defining property of a knowledge-based
-        // protocol, violated only by externally crafted choices.
-        let qf = match self.layers[t].quotient.as_ref() {
-            Some(q) => q,
-            None => return Err(GenerateError::Quotient("frontier is not reduced".into())),
-        };
-        let k = qf.class_count();
-        let mut action_sets: Vec<Vec<&[ActionId]>> = Vec::with_capacity(k);
-        for c in 0..k {
-            let node = &self.layers[t].nodes[qf.reps[c] as usize];
-            let mut per_agent = Vec::with_capacity(agents);
-            for i in 0..agents {
-                let agent = Agent::new(i);
-                let local = node.locals[i];
-                let set = choices
-                    .get(agent, local)
-                    .ok_or(GenerateError::MissingChoice { agent, local })?;
-                if set.is_empty() {
-                    return Err(GenerateError::EmptyChoice { agent, local });
-                }
-                for &a in set {
-                    if a.index() >= ctx.action_count(agent) {
-                        return Err(GenerateError::ActionOutOfRange { agent, action: a });
-                    }
-                }
-                for &ml in &qf.members[i][c] {
-                    if ml == local {
-                        continue;
-                    }
-                    let mset = choices
-                        .get(agent, ml)
-                        .ok_or(GenerateError::MissingChoice { agent, local: ml })?;
-                    if mset != set {
-                        return Err(GenerateError::QuotientChoiceMismatch { agent, local: ml });
-                    }
-                }
-                per_agent.push(set);
-            }
-            action_sets.push(per_agent);
-        }
-
-        // Successors of representatives only.
-        struct ChildBuf {
-            state: StateId,
-            locals: Vec<LocalId>,
-            obs: Vec<Obs>,
-            parents: Vec<u32>,
-            parent_classes: Vec<u32>,
-            multiplicity: u64,
-        }
-        let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
-        let mut children: Vec<ChildBuf> = Vec::new();
-        let mut new_edges: Vec<Vec<(u32, JointAction)>> = vec![Vec::new(); self.layers[t].len()];
-        for (c, rep_sets) in action_sets.iter().enumerate() {
-            let rep = qf.reps[c];
-            let rep_locals = self.layers[t].nodes[rep as usize].locals.clone();
-            let state = self
-                .states
-                .state(self.layers[t].nodes[rep as usize].state)
-                .clone();
-            let env_moves = ctx.env_actions(&state);
-            if env_moves.is_empty() {
-                return Err(GenerateError::EnvStuck(state));
-            }
-            let mut combo: Vec<usize> = vec![0; agents];
-            loop {
-                let acts: Vec<ActionId> = (0..agents).map(|i| rep_sets[i][combo[i]]).collect();
-                for &env in &env_moves {
-                    let joint = JointAction::new(env, acts.clone());
-                    let next = ctx.transition(&state, &joint);
-                    let sid = self.states.intern(next.clone());
-                    let obs: Vec<Obs> = (0..agents)
-                        .map(|i| ctx.observe(Agent::new(i), &next))
-                        .collect();
-                    let locals: Vec<LocalId> = (0..agents)
-                        .map(|i| match recall {
-                            Recall::Perfect => self.locals[i].intern_child(rep_locals[i], obs[i]),
-                            Recall::Observational => self.locals[i].intern_root(obs[i]),
-                        })
-                        .collect();
-                    let key = (sid, locals.clone());
-                    let child = match dedup.entry(key) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(v) => {
-                            children.push(ChildBuf {
-                                state: sid,
-                                locals,
-                                obs,
-                                parents: Vec::new(),
-                                parent_classes: Vec::new(),
-                                // Observational child tuples are explicit
-                                // points themselves (locals carry no parent
-                                // memory): each stands for exactly one
-                                // explicit point. Perfect-recall fibers
-                                // accumulate per parent class below.
-                                multiplicity: match recall {
-                                    Recall::Perfect => 0,
-                                    Recall::Observational => 1,
-                                },
-                            });
-                            *v.insert((children.len() - 1) as u32)
-                        }
-                    };
-                    let ch = &mut children[child as usize];
-                    if !ch.parent_classes.contains(&(c as u32)) {
-                        if recall == Recall::Perfect {
-                            if let Some(&first) = ch.parent_classes.first() {
-                                // A successor tuple shared by two classes
-                                // forces equal parent local tuples — the
-                                // classes are *twins*, and twins carry
-                                // identical explicit fibers (see the fiber
-                                // invariant on `quotient_frontier`), so the
-                                // child's fiber is counted once, not summed.
-                                let fl = &self.layers[t].nodes[qf.reps[first as usize] as usize];
-                                if fl.locals != rep_locals
-                                    || qf.multiplicity[first as usize] != qf.multiplicity[c]
-                                {
-                                    return Err(GenerateError::Quotient(
-                                        "cross-class successor collision between non-twin \
-                                         classes under perfect recall"
-                                            .into(),
-                                    ));
-                                }
-                            } else {
-                                ch.multiplicity = qf.multiplicity[c];
-                            }
-                        }
-                        ch.parent_classes.push(c as u32);
-                    }
-                    if !ch.parents.contains(&rep) {
-                        ch.parents.push(rep);
-                    }
-                    new_edges[rep as usize].push((child, joint));
-                }
-                let mut adv = 0;
-                loop {
-                    if adv == agents {
-                        break;
-                    }
-                    combo[adv] += 1;
-                    if combo[adv] < rep_sets[adv].len() {
-                        break;
-                    }
-                    combo[adv] = 0;
-                    adv += 1;
-                }
-                if adv == agents {
-                    break;
-                }
-            }
-        }
-
-        if self.nodes_created + children.len() > self.node_limit {
-            return Err(GenerateError::NodeLimit {
-                limit: self.node_limit,
-            });
-        }
-
-        // Member locals of each successor: the chain images of the
-        // parent class's member locals under the successor's observation
-        // (perfect recall), or the successor's own root locals
-        // (observational). This is what keeps the local-state forest —
-        // and with it every protocol history — explicit-complete while
-        // the point tuples stay folded.
-        let mut child_members: Vec<Vec<Vec<LocalId>>> = Vec::with_capacity(children.len());
-        match recall {
-            Recall::Perfect => {
-                let mut chain_cache: HashMap<(u32, usize, Obs), Vec<LocalId>> = HashMap::new();
-                for ch in &children {
-                    let c = ch.parent_classes[0];
-                    let mut per_agent = Vec::with_capacity(agents);
-                    for i in 0..agents {
-                        // A lone member is the representative's own
-                        // local, whose chain image is the child's local.
-                        if qf.members[i][c as usize].len() == 1 {
-                            per_agent.push(vec![ch.locals[i]]);
-                            continue;
-                        }
-                        let key = (c, i, ch.obs[i]);
-                        let locals = match chain_cache.entry(key) {
-                            Entry::Occupied(e) => e.get().clone(),
-                            Entry::Vacant(v) => {
-                                let mut ls: Vec<LocalId> = qf.members[i][c as usize]
-                                    .iter()
-                                    .map(|&l| self.locals[i].intern_child(l, ch.obs[i]))
-                                    .collect();
-                                ls.sort_unstable_by_key(|l| l.index());
-                                ls.dedup();
-                                v.insert(ls).clone()
-                            }
-                        };
-                        per_agent.push(locals);
-                    }
-                    child_members.push(per_agent);
-                }
-            }
-            Recall::Observational => {
-                for ch in &children {
-                    child_members.push((0..agents).map(|i| vec![ch.locals[i]]).collect());
-                }
-            }
-        }
-
-        // Canonicalize: bisimilarity over the successor set, with the
-        // class-level indistinguishability structure (classes sharing a
-        // member local are linked), seeded by global state only: futures
-        // depend on the state, but not on which lineage produced a point.
-        // Merging across parent classes is where perfect-recall history
-        // compression comes from — distinct observation histories over
-        // the same state whose knowledge content coincides fold into one
-        // representative. The fold below unions the member locals of
-        // every merged child, so the folded class's fiber is exactly the
-        // union of the (pairwise disjoint) child fibers and the
-        // multiplicity sum stays an exact explicit-point count.
-        let n_new = children.len();
-        let prop_count = ctx.vocabulary().prop_count();
-        let mut mb = S5Builder::new(agents, prop_count);
-        for ch in &children {
-            let state = self.states.state(ch.state);
-            let props = (0..prop_count)
-                .map(|p| PropId::new(p as u32))
-                .filter(|&p| ctx.prop_holds(p, state));
-            mb.add_world(props);
-        }
-        let agent_roots = Self::member_link_roots(agents, n_new, |w, i| &child_members[w][i]);
-        for (i, roots) in agent_roots.iter().enumerate() {
-            mb.partition_by_key(Agent::new(i), |w| roots[w.index()]);
-        }
-        let cmodel = mb.build();
-        let state_split = Partition::from_keys(n_new, |w| children[w].state);
-        let props: Vec<PropId> = (0..prop_count).map(|p| PropId::new(p as u32)).collect();
-        let classes = cmodel
-            .bisimilarity_within(&props, &[&state_split])
-            .map_err(|e| GenerateError::Quotient(e.to_string()))?;
-
-        // Fold duplicates by multiplicity: one node per class. A discrete
-        // partition merges nothing: the children are the classes and their
-        // model is the layer's.
-        let kn = classes.block_count();
-        let mut nodes: Vec<Node> = Vec::with_capacity(kn);
-        let mut multiplicity: Vec<u64> = Vec::with_capacity(kn);
-        let mut members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(kn); agents];
-        let model = if kn == n_new {
-            for (ch, per_agent) in children.into_iter().zip(child_members) {
-                let mut parents = ch.parents;
-                parents.sort_unstable();
-                nodes.push(Node {
-                    state: ch.state,
-                    locals: ch.locals,
-                    parents,
-                    edges: Vec::new(),
-                });
-                multiplicity.push(ch.multiplicity);
-                for (class_members, ls) in members.iter_mut().zip(per_agent) {
-                    class_members.push(ls);
-                }
-            }
-            cmodel
-        } else {
-            for block in classes.blocks() {
-                let rep = block.iter().copied().min().unwrap_or(0) as usize;
-                let mut parents: Vec<u32> = Vec::new();
-                let mut mult = 0;
-                for &w in block {
-                    mult += children[w as usize].multiplicity;
-                    for &p in &children[w as usize].parents {
-                        if !parents.contains(&p) {
-                            parents.push(p);
-                        }
-                    }
-                }
-                parents.sort_unstable();
-                nodes.push(Node {
-                    state: children[rep].state,
-                    locals: children[rep].locals.clone(),
-                    parents,
-                    edges: Vec::new(),
-                });
-                multiplicity.push(mult);
-                for (i, per_agent) in members.iter_mut().enumerate() {
-                    let mut ls: Vec<LocalId> = block
-                        .iter()
-                        .flat_map(|&w| child_members[w as usize][i].iter().copied())
-                        .collect();
-                    ls.sort_unstable_by_key(|l| l.index());
-                    ls.dedup();
-                    per_agent.push(ls);
-                }
-            }
-            // Classes are linked iff they share a member local.
-            let mut mb = S5Builder::new(agents, prop_count);
-            for node in &nodes {
-                let state = self.states.state(node.state);
-                let props = (0..prop_count)
-                    .map(|p| PropId::new(p as u32))
-                    .filter(|&p| ctx.prop_holds(p, state));
-                mb.add_world(props);
-            }
-            let class_roots = Self::member_link_roots(agents, kn, |cidx, i| &members[i][cidx]);
-            for (i, roots) in class_roots.iter().enumerate() {
-                mb.partition_by_key(Agent::new(i), |w| roots[w.index()]);
-            }
-            mb.build()
-        };
-        let explicit_points: u64 = multiplicity.iter().sum();
-
-        // Commit: remap edges onto class indices.
-        let labels = classes.block_ids();
-        self.nodes_created += n_new;
-        for (ni, mut edges) in new_edges.into_iter().enumerate() {
-            if edges.is_empty() {
-                continue;
-            }
-            for e in &mut edges {
-                e.0 = labels[e.0 as usize];
-            }
-            self.layers[t].nodes[ni].edges = edges;
-        }
-        self.layers.push(Layer {
-            nodes,
-            model,
-            quotient: Some(QuotientFrontier {
-                reps: (0..kn as u32).collect(),
-                multiplicity,
-                members,
-                explicit_points,
-            }),
-        });
-        Ok(())
-    }
-
-    /// Union-find roots linking elements that share any member local for
-    /// an agent: `get(element, agent)` yields the element's member local
-    /// set. Returns, per agent, a dense root label per element — the
-    /// transitive closure of "shares a local", which is exactly the
-    /// equivalence an S5 partition can carry.
-    fn member_link_roots<'m>(
-        agents: usize,
-        n: usize,
-        get: impl Fn(usize, usize) -> &'m [LocalId],
-    ) -> Vec<Vec<usize>> {
-        let mut out = Vec::with_capacity(agents);
-        for i in 0..agents {
-            let mut uf = UnionFind::new(n);
-            let mut first: HashMap<LocalId, usize> = HashMap::new();
-            for w in 0..n {
-                for &l in get(w, i) {
-                    match first.entry(l) {
-                        Entry::Occupied(e) => {
-                            uf.union(*e.get(), w);
-                        }
-                        Entry::Vacant(v) => {
-                            v.insert(w);
-                        }
-                    }
-                }
-            }
-            out.push((0..n).map(|w| uf.find(w)).collect());
-        }
-        out
+        let classes = self.classes_of(layer.model(), |w| nodes[w].state)?;
+        Ok(Some(fold_blocks(
+            &classes,
+            self.ctx.agent_count(),
+            |_| 1,
+            |w, i| std::slice::from_ref(&nodes[w].locals[i]),
+        )))
     }
 
     /// Extends the unrolling by one step, deriving choices from a
@@ -1246,6 +1036,84 @@ impl<'c> SystemBuilder<'c> {
             recall: self.recall,
         }
     }
+}
+
+/// Union-find roots linking elements that share any member local for
+/// an agent: `get(element, agent)` yields the element's member local
+/// set. Returns, per agent, a dense root label per element — the
+/// transitive closure of "shares a local", which is exactly the
+/// equivalence an S5 partition can carry.
+fn member_link_roots<'m>(
+    agents: usize,
+    n: usize,
+    get: impl Fn(usize, usize) -> &'m [LocalId],
+) -> Vec<Vec<usize>> {
+    let mut out = Vec::with_capacity(agents);
+    for i in 0..agents {
+        let mut uf = UnionFind::new(n);
+        let mut first: HashMap<LocalId, usize> = HashMap::new();
+        for w in 0..n {
+            for &l in get(w, i) {
+                match first.entry(l) {
+                    Entry::Occupied(e) => {
+                        uf.union(*e.get(), w);
+                    }
+                    Entry::Vacant(v) => {
+                        v.insert(w);
+                    }
+                }
+            }
+        }
+        out.push((0..n).map(|w| uf.find(w)).collect());
+    }
+    out
+}
+
+/// Folds each block of `classes` into one class: the block minimum as
+/// representative, the sum of its elements' multiplicities `mult`, and
+/// per agent the sorted union of their member locals
+/// `members(element, agent)`. Returns the representatives alongside.
+fn fold_blocks<'m>(
+    classes: &Partition,
+    agents: usize,
+    mult: impl Fn(usize) -> u64,
+    members: impl Fn(usize, usize) -> &'m [LocalId],
+) -> (Vec<u32>, QuotientFrontier) {
+    let k = classes.block_count();
+    let mut reps = Vec::with_capacity(k);
+    let mut multiplicity = Vec::with_capacity(k);
+    let mut per_agent: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(k); agents];
+    for block in classes.blocks() {
+        reps.push(block.iter().copied().min().unwrap_or(0));
+        multiplicity.push(block.iter().map(|&w| mult(w as usize)).sum());
+        for (i, class_members) in per_agent.iter_mut().enumerate() {
+            let mut ls: Vec<LocalId> = block
+                .iter()
+                .flat_map(|&w| members(w as usize, i).iter().copied())
+                .collect();
+            ls.sort_unstable_by_key(|l| l.index());
+            ls.dedup();
+            class_members.push(ls);
+        }
+    }
+    let explicit_points = multiplicity.iter().sum();
+    let q = QuotientFrontier {
+        multiplicity,
+        members: per_agent,
+        explicit_points,
+    };
+    (reps, q)
+}
+
+/// How a child of a fused step descends from the frontier's classes.
+struct Lineage {
+    /// The first class that reached the child; its member locals' chain
+    /// images are the child's.
+    first: u32,
+    /// The latest class that reached the child (classes step in order).
+    last: u32,
+    /// Exact number of explicit points the child stands for.
+    multiplicity: u64,
 }
 
 /// A finished bounded unrolling of a protocol in a context: FHMV's
@@ -1745,5 +1613,161 @@ mod tests {
         // Both joint actions are remembered on the edges.
         assert_eq!(sys.layer(0).nodes()[0].edges().len(), 2);
         assert_eq!(sys.layer(0).nodes()[0].children(), vec![0]);
+    }
+
+    /// x sees an initial bit, y sees nothing; the step resets the bit, so
+    /// both runs meet in one global state with x-histories apart. Layer 0
+    /// is twin-free, so default generation fuses from the start and layer
+    /// 1 holds one class standing for both runs.
+    fn meeting_context() -> FnContext {
+        let mut voc = Vocabulary::new();
+        let x = voc.add_agent("x");
+        let y = voc.add_agent("y");
+        ContextBuilder::new(voc)
+            .initial_states([GlobalState::new(vec![0]), GlobalState::new(vec![1])])
+            .agent_actions(x, ["noop", "wave"])
+            .agent_actions(y, ["noop"])
+            .transition(|s, _| s.with_reg(0, 0))
+            .observe(|agent, s| {
+                if agent.index() == 0 {
+                    Obs(u64::from(s.reg(0)))
+                } else {
+                    Obs(0)
+                }
+            })
+            .props(|_, _| false)
+            .build()
+    }
+
+    #[test]
+    fn a_fused_step_leaves_the_explicit_frontier_explicit() {
+        let ctx = meeting_context();
+        let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        b.step_with(&noop).unwrap();
+        assert!(b.layer(0).quotient().is_none());
+        assert!(!b.layer(0).is_reduced());
+        assert_eq!(b.layer(0).multiplicity(1), 1);
+        assert!(b.layer(1).is_reduced());
+        assert_eq!(b.layer(1).len(), 1);
+        assert_eq!(b.layer(1).explicit_len(), 2);
+    }
+
+    #[test]
+    fn every_stored_quotient_is_reduced() {
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        let either = |_: &LocalView<'_>| vec![ActionId(0), ActionId(1)];
+        let (peek, meet) = (peek_context(), meeting_context());
+        let mut reduced = 0;
+        for (ctx, protocol) in [
+            (&peek, &noop as &dyn ProtocolFn),
+            (&peek, &either),
+            (&meet, &noop),
+        ] {
+            for recall in [Recall::Perfect, Recall::Observational] {
+                let sys = generate(ctx, protocol, recall, 3).unwrap();
+                for t in 0..sys.layer_count() {
+                    let layer = sys.layer(t);
+                    assert_eq!(layer.is_reduced(), layer.quotient().is_some());
+                    let weight: u64 = (0..layer.len()).map(|n| layer.multiplicity(n)).sum();
+                    assert_eq!(weight, layer.explicit_len());
+                    if let Some(q) = layer.quotient() {
+                        assert_eq!(q.class_count(), layer.len());
+                        assert_eq!(q.explicit_points(), layer.explicit_len());
+                        reduced += 1;
+                    }
+                }
+            }
+        }
+        assert!(reduced > 0, "no layer was generated fused");
+    }
+
+    #[test]
+    fn layer_members_are_own_locals_or_class_members() {
+        let ctx = meeting_context();
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        let sys = generate(&ctx, &noop, Recall::Perfect, 1).unwrap();
+        let explicit = sys.layer(0);
+        assert!(!explicit.is_reduced());
+        for (n, node) in explicit.nodes().iter().enumerate() {
+            for i in 0..2 {
+                let agent = Agent::new(i);
+                assert_eq!(explicit.members(agent, n), [node.local(agent)]);
+            }
+        }
+        let reduced = sys.layer(1);
+        let q = reduced.quotient().unwrap();
+        for i in 0..2 {
+            let agent = Agent::new(i);
+            assert_eq!(reduced.members(agent, 0), q.members(agent, 0));
+        }
+        assert_eq!(reduced.members(Agent::new(0), 0).len(), 2);
+        assert_eq!(reduced.members(Agent::new(1), 0).len(), 1);
+    }
+
+    /// A bad choice at any one frontier local is reported alike whether
+    /// the frontier steps fused (one class with two x-members) or
+    /// explicitly (two points); locals are compared by history, since the
+    /// two builders intern independently.
+    #[test]
+    fn bad_choices_fail_alike_fused_and_explicit() {
+        let ctx = meeting_context();
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        let frontier = |gate: usize| {
+            let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+            b.set_gen_quotient_min_worlds(gate);
+            b.step_with(&noop).unwrap();
+            b
+        };
+        let (fused, explicit) = (frontier(0), frontier(usize::MAX));
+        assert!(fused.current().is_reduced());
+        assert!(!explicit.current().is_reduced());
+        let shape = |b: &SystemBuilder<'_>, e: GenerateError| match e {
+            GenerateError::MissingChoice { agent, local } => {
+                format!("missing {agent} {:?}", b.local_history(agent, local))
+            }
+            GenerateError::EmptyChoice { agent, local } => {
+                format!("empty {agent} {:?}", b.local_history(agent, local))
+            }
+            other => other.to_string(),
+        };
+        let outcome = |b: &SystemBuilder<'_>, bad: &[Obs], fault: usize| {
+            let mut choices = StepChoices::new();
+            for (agent, local) in b.frontier_locals() {
+                let history = b.local_history(agent, local);
+                let set = match fault {
+                    _ if agent.index() != 0 || history != bad => vec![ActionId(0)],
+                    0 => continue,
+                    1 => Vec::new(),
+                    _ => vec![ActionId(7)],
+                };
+                choices.set(agent, local, set);
+            }
+            shape(b, b.clone().step(&choices).unwrap_err())
+        };
+        for bad in [[Obs(0), Obs(0)], [Obs(1), Obs(0)]] {
+            for fault in 0..3 {
+                assert_eq!(
+                    outcome(&fused, &bad, fault),
+                    outcome(&explicit, &bad, fault),
+                    "x-history {bad:?}, fault {fault}"
+                );
+            }
+        }
+        // Differing valid choices within the class are refused fused and
+        // unrolled explicitly.
+        let split = |b: &SystemBuilder<'_>| {
+            let mut choices = StepChoices::new();
+            for (agent, local) in b.frontier_locals() {
+                let wave = agent.index() == 0 && b.local_history(agent, local)[0] == Obs(1);
+                choices.set(agent, local, vec![ActionId(u32::from(wave))]);
+            }
+            b.clone().step(&choices)
+        };
+        assert!(matches!(
+            split(&fused),
+            Err(GenerateError::QuotientChoiceMismatch { .. })
+        ));
+        assert!(split(&explicit).is_ok());
     }
 }
