@@ -85,6 +85,6 @@ pub use implement::{check_implementation, ImplementationReport, Mismatch};
 pub use parse::{parse_kbp, ProgramParseError};
 pub use program::{AgentProgram, Clause, Kbp, KbpBuilder, KbpError};
 pub use solve::{
-    EngineSession, PartialSolution, Solution, SolveError, SolveOutcome, SolveStats, SyncSolver,
+    PartialSolution, Solution, SolveError, SolveOutcome, SolveStats, SyncSolver,
     DEFAULT_CARRY_THRESHOLD,
 };

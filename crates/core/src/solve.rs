@@ -18,7 +18,7 @@
 
 use crate::budget::{Budget, BudgetExhausted, LayerStats, Resource};
 use crate::program::{Kbp, KbpError};
-use kbp_kripke::{BitSet, EvalCache, EvalCacheSnapshot, EvalEngine, EvalError};
+use kbp_kripke::{BitSet, EvalCache, EvalEngine, EvalError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
     layer_renaming, Context, GenerateError, InterpretedSystem, MapProtocol, Recall, StepChoices,
@@ -159,11 +159,6 @@ pub struct SolveStats {
     /// previous layer through a verified isomorphism instead of being
     /// recomputed (see `kbp_systems::layer_renaming`).
     pub layers_carried: usize,
-    /// Layers whose satisfaction sets were restored from an
-    /// [`EngineSession`]'s cross-request snapshot instead of being
-    /// evaluated (warm artifact-cache hits; always `0` for solves without
-    /// a session).
-    pub layers_restored: usize,
     /// Always `0`: world-range kernel sharding is gone. Inert; kept only
     /// while the `kbpbench` benchmark names it.
     pub layers_sharded: usize,
@@ -346,111 +341,6 @@ impl SolveOutcome {
 /// deterministic for a given configuration.
 pub const DEFAULT_CARRY_THRESHOLD: usize = 32;
 
-/// A reusable cross-request solving session: the interned-arena
-/// [`EvalEngine`] plus per-layer [`EvalCacheSnapshot`]s from earlier
-/// solves, rehydrated by
-/// [`SyncSolver::solve_budgeted_with`].
-///
-/// **Keying contract.** A session is only valid for repeated solves of
-/// the *same* `(context, program, recall)` triple: snapshots record
-/// satisfaction sets keyed by interned `FormulaId` against the layers the
-/// deterministic induction generates, so reusing a session across
-/// different contexts or programs silently produces wrong answers. The
-/// horizon and the [`Budget`] may vary freely between solves — a longer
-/// horizon re-uses the shared prefix warm, and a budget-exhausted solve
-/// contributes only its fully induced layers (partial work never poisons
-/// the session). Callers are responsible for the keying; `kbp-service`
-/// keys sessions by context fingerprint.
-///
-/// Apart from `SolveStats::layers_restored` (and wall-clock time), a
-/// warm solve is observably identical to a cold one: every restored set
-/// is a pure function of `(layer, formula)`, and the stats count clause
-/// lookups rather than physical evaluations.
-#[derive(Debug)]
-pub struct EngineSession {
-    engine: EvalEngine,
-    layers: Vec<Option<(usize, EvalCacheSnapshot)>>,
-}
-
-impl EngineSession {
-    /// Creates an empty session.
-    #[must_use]
-    pub fn new() -> Self {
-        EngineSession {
-            engine: EvalEngine::new(FormulaArena::new()),
-            layers: Vec::new(),
-        }
-    }
-
-    /// Number of layers with a stored snapshot.
-    #[must_use]
-    pub fn snapshot_layers(&self) -> usize {
-        self.layers.iter().filter(|l| l.is_some()).count()
-    }
-
-    /// Drops all layer snapshots, keeping the interned arena.
-    pub fn clear_snapshots(&mut self) {
-        self.layers.clear();
-    }
-
-    fn parts(
-        &mut self,
-    ) -> (
-        &mut EvalEngine,
-        &mut Vec<Option<(usize, EvalCacheSnapshot)>>,
-    ) {
-        (&mut self.engine, &mut self.layers)
-    }
-}
-
-impl Default for EngineSession {
-    fn default() -> Self {
-        EngineSession::new()
-    }
-}
-
-// A session persists as its interned arena plus the per-layer snapshot
-// store — exactly the state that makes a warm solve skip work.
-// Rebuilding the engine from the serialized arena keeps every
-// stored `FormulaId` aligned, because hash-consed re-interning is
-// deterministic over a fixed node list.
-impl serde::Serialize for EngineSession {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = s.serialize_struct("EngineSession", 2)?;
-        st.serialize_field("arena", self.engine.arena())?;
-        st.serialize_field("layers", &self.layers)?;
-        st.end()
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for EngineSession {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{Error, SeqAccess, Visitor};
-        struct SessionVisitor;
-        impl<'de> Visitor<'de> for SessionVisitor {
-            type Value = EngineSession;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("struct EngineSession")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<EngineSession, A::Error> {
-                let arena: FormulaArena = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field arena"))?;
-                let layers: Vec<Option<(usize, EvalCacheSnapshot)>> = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field layers"))?;
-                Ok(EngineSession {
-                    engine: EvalEngine::new(arena),
-                    layers,
-                })
-            }
-        }
-        const FIELDS: &[&str] = &["arena", "layers"];
-        d.deserialize_struct("EngineSession", FIELDS, SessionVisitor)
-    }
-}
-
 /// Builder-style driver for the inductive construction.
 ///
 /// # Example
@@ -610,7 +500,7 @@ impl<'a> SyncSolver<'a> {
     /// * [`SolveError::Budget`] — a [`Budget`] was set and ran out (use
     ///   [`solve_budgeted`](Self::solve_budgeted) to recover the prefix).
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        match self.solve_inner(false, None)? {
+        match self.solve_inner(false)? {
             SolveOutcome::Complete(s) => Ok(*s),
             SolveOutcome::Partial(p) => Err(SolveError::Budget(p.exhausted())),
         }
@@ -627,41 +517,14 @@ impl<'a> SyncSolver<'a> {
     /// Same conditions as [`solve`](Self::solve), except that budget and
     /// node-limit exhaustion produce `Ok(SolveOutcome::Partial(..))`.
     pub fn solve_budgeted(&self) -> Result<SolveOutcome, SolveError> {
-        self.solve_inner(true, None)
-    }
-
-    /// Like [`solve_budgeted`](Self::solve_budgeted), but reuses (and
-    /// extends) an [`EngineSession`]: guard formulas are interned into the
-    /// session's shared arena, and per-layer satisfaction sets snapshotted
-    /// by earlier solves of the *same* `(context, program, recall)` triple
-    /// are rehydrated instead of recomputed
-    /// ([`SolveStats::layers_restored`] counts the warm layers). The
-    /// answer is bit-identical to a cold solve; only time and
-    /// cache-housekeeping stats differ.
-    ///
-    /// A budget-exhausted solve snapshots only its fully induced layers,
-    /// so partial work never contaminates the session (the restored
-    /// prefix is always a prefix of the unique answer).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`solve_budgeted`](Self::solve_budgeted).
-    pub fn solve_budgeted_with(
-        &self,
-        session: &mut EngineSession,
-    ) -> Result<SolveOutcome, SolveError> {
-        self.solve_inner(true, Some(session))
+        self.solve_inner(true)
     }
 
     /// The shared driver. With `degrade` set, budget and node-limit
     /// exhaustion yield `SolveOutcome::Partial`; otherwise budgets yield
     /// `SolveError::Budget` and node limits propagate as
     /// [`GenerateError::NodeLimit`].
-    fn solve_inner(
-        &self,
-        degrade: bool,
-        session: Option<&mut EngineSession>,
-    ) -> Result<SolveOutcome, SolveError> {
+    fn solve_inner(&self, degrade: bool) -> Result<SolveOutcome, SolveError> {
         self.kbp.validate(self.ctx)?;
         if self.kbp.has_future_guards() {
             return Err(SolveError::FutureGuards);
@@ -686,17 +549,7 @@ impl<'a> SyncSolver<'a> {
         // negation, repeated subformulas) collapse, and each layer then
         // evaluates every distinct subformula exactly once through the
         // per-layer cache.
-        let mut local_engine;
-        let (engine, mut layer_store) = match session {
-            Some(s) => {
-                let (engine, layers) = s.parts();
-                (engine, Some(layers))
-            }
-            None => {
-                local_engine = EvalEngine::new(FormulaArena::new());
-                (&mut local_engine, None)
-            }
-        };
+        let mut engine = EvalEngine::new(FormulaArena::new());
         let guard_ids: Vec<Vec<FormulaId>> = self
             .kbp
             .programs()
@@ -717,7 +570,7 @@ impl<'a> SyncSolver<'a> {
             v
         };
         // Interning is done; the rest of the solve only reads the engine.
-        let engine: &EvalEngine = engine;
+        let engine = &engine;
         // The per-layer cache persists across the loop so stabilised
         // suffixes can carry satisfaction sets forward.
         let mut cache = EvalCache::new();
@@ -741,11 +594,11 @@ impl<'a> SyncSolver<'a> {
 
         for t in 0..=self.horizon {
             // `frontier` is the resident width (representatives on layers
-            // from the fused generation path) and governs everything tied
-            // to the layer's S5 model: snapshot keying and carry
-            // thresholds. `frontier_explicit` is the
-            // explicit-equivalent width and governs everything with
-            // *semantic* meaning: budgets and [`LayerStats::points`].
+            // from the fused generation path) and governs what is tied to
+            // the layer's S5 model: the carry threshold.
+            // `frontier_explicit` is the explicit-equivalent width and
+            // governs everything with *semantic* meaning: budgets and
+            // [`LayerStats::points`].
             let frontier = builder.current().len();
             let frontier_explicit =
                 usize::try_from(builder.current().explicit_len()).unwrap_or(usize::MAX);
@@ -765,27 +618,7 @@ impl<'a> SyncSolver<'a> {
             }
             let evals_before = stats.guard_evaluations;
             let entries_before = stats.protocol_entries;
-            // Cross-request rehydration: a session snapshot for this layer
-            // (taken by an earlier solve of the same context/program, and
-            // keyed by the layer's world count as a cheap structural check)
-            // already holds every root's satisfaction set — restore it and
-            // skip both the renaming and the fill. The unrolling is
-            // deterministic, so layer `t` is identical across solves.
-            let restored = layer_store
-                .as_deref()
-                .and_then(|store| store.get(t))
-                .and_then(Option::as_ref)
-                .is_some_and(|(worlds, snap)| {
-                    if *worlds == frontier {
-                        cache = EvalCache::restore(snap);
-                        true
-                    } else {
-                        false
-                    }
-                });
-            if restored {
-                stats.layers_restored += 1;
-            } else if t > 0 {
+            if t > 0 {
                 // Cross-layer carry-forward: if the new frontier is
                 // isomorphic to the previous layer under a *verified*
                 // renaming, guard satisfaction is preserved pointwise
@@ -815,18 +648,6 @@ impl<'a> SyncSolver<'a> {
                 &flat_ids,
                 &mut cache,
             )?;
-            // Layer `t` is now fully induced and the cache holds every
-            // root's satisfaction set — snapshot it for future solves on
-            // this session. Only induced layers are ever stored, so a
-            // budget-exhausted solve cannot poison the session.
-            if let Some(store) = layer_store.as_deref_mut() {
-                if !restored {
-                    if store.len() <= t {
-                        store.resize_with(t + 1, || None);
-                    }
-                    store[t] = Some((frontier, cache.snapshot()));
-                }
-            }
             // Generation-side observability: a layer built by the fused
             // step+quotient path reports its resident representative count
             // and the compression against its explicit-equivalent width.
@@ -981,7 +802,6 @@ serde::impl_serde_struct!(SolveStats {
     guard_evaluations,
     arenas,
     layers_carried,
-    layers_restored,
     layers_sharded,
     layers_quotiented,
     layers_gen_quotiented,
@@ -1296,69 +1116,5 @@ mod tests {
             history: &history,
         });
         assert_eq!(acts, vec![ActionId(1)]);
-    }
-
-    #[test]
-    fn session_reuse_restores_layers_and_is_bit_identical() {
-        let ctx = peek_announce_context();
-        let kbp = peek_announce_kbp();
-        let solver = SyncSolver::new(&ctx, &kbp).horizon(3);
-        let cold = solver.solve().unwrap();
-
-        let mut session = EngineSession::new();
-        let warm0 = solver.solve_budgeted_with(&mut session).unwrap();
-        let warm0 = warm0.solution().unwrap();
-        assert_eq!(warm0.stats().layers_restored, 0);
-        assert_eq!(session.snapshot_layers(), 4);
-
-        let warm1 = solver.solve_budgeted_with(&mut session).unwrap();
-        let warm1 = warm1.solution().unwrap();
-        assert_eq!(warm1.stats().layers_restored, 4);
-        assert_eq!(*warm1.protocol(), *cold.protocol());
-        assert_eq!(
-            warm1.stats().guard_evaluations,
-            cold.stats().guard_evaluations
-        );
-        assert_eq!(warm1.per_layer(), cold.per_layer());
-
-        // A longer horizon reuses the shared prefix and extends the store.
-        let longer = SyncSolver::new(&ctx, &kbp).horizon(5);
-        let ext = longer.solve_budgeted_with(&mut session).unwrap();
-        let ext = ext.solution().unwrap();
-        assert_eq!(ext.stats().layers_restored, 4);
-        assert_eq!(session.snapshot_layers(), 6);
-        let cold5 = longer.solve().unwrap();
-        assert_eq!(*ext.protocol(), *cold5.protocol());
-    }
-
-    #[test]
-    fn partial_solve_never_poisons_the_session() {
-        let ctx = peek_announce_context();
-        let kbp = peek_announce_kbp();
-        let mut session = EngineSession::new();
-        // Only layer 0 is induced before the budget trips.
-        let partial = SyncSolver::new(&ctx, &kbp)
-            .horizon(3)
-            .budget(Budget::new().max_guard_evaluations(1))
-            .solve_budgeted_with(&mut session)
-            .unwrap();
-        assert!(!partial.is_complete());
-        assert_eq!(session.snapshot_layers(), 1);
-        // The warm full solve through the same session matches cold.
-        let warm = SyncSolver::new(&ctx, &kbp)
-            .horizon(3)
-            .solve_budgeted_with(&mut session)
-            .unwrap();
-        let warm = warm.solution().unwrap();
-        assert_eq!(warm.stats().layers_restored, 1);
-        let cold = SyncSolver::new(&ctx, &kbp).horizon(3).solve().unwrap();
-        assert_eq!(*warm.protocol(), *cold.protocol());
-        // Clearing snapshots keeps the arena but forgets warm layers.
-        session.clear_snapshots();
-        let again = SyncSolver::new(&ctx, &kbp)
-            .horizon(3)
-            .solve_budgeted_with(&mut session)
-            .unwrap();
-        assert_eq!(again.solution().unwrap().stats().layers_restored, 0);
     }
 }

@@ -177,37 +177,6 @@ impl EvalCache {
         Ok(())
     }
 
-    /// An immutable snapshot of the cache's current contents —
-    /// satisfaction sets, group partitions and the model binding — for a
-    /// cross-request artifact store. A snapshot taken after evaluating a
-    /// layer's guards can later be [`restore`](Self::restore)d as the
-    /// starting cache for the *same* layer of the *same* generated
-    /// system, skipping every evaluation the original run performed.
-    ///
-    /// The correctness contract mirrors
-    /// [`carried_forward`](Self::carried_forward): every cached value is a
-    /// pure function of `(model, FormulaId)`, so a restored cache is only
-    /// valid against the model (and interning arena) it was snapshot
-    /// from. Callers key snapshots by a context fingerprint; this type
-    /// carries the world count so gross mismatches are detectable via
-    /// [`EvalCacheSnapshot::worlds`].
-    #[must_use]
-    pub fn snapshot(&self) -> EvalCacheSnapshot {
-        EvalCacheSnapshot {
-            inner: self.clone(),
-        }
-    }
-
-    /// A fresh cache holding exactly the snapshot's contents; the inverse
-    /// of [`snapshot`](Self::snapshot). Restored entries are
-    /// authoritative: later cached evaluation reads them instead of
-    /// recomputing, which is what makes a warm restore equivalent to (and
-    /// cheaper than) re-evaluating the layer.
-    #[must_use]
-    pub fn restore(snapshot: &EvalCacheSnapshot) -> EvalCache {
-        snapshot.inner.clone()
-    }
-
     /// A new cache whose satisfaction sets are this cache's sets mapped
     /// through a world renaming: bit `i` of each new set is bit
     /// `renaming[i]` of the old set. Cached partitions are *not* carried
@@ -279,117 +248,6 @@ impl EvalCache {
                 model_worlds: worlds,
             }),
         }
-    }
-}
-
-/// A frozen copy of an [`EvalCache`], produced by
-/// [`EvalCache::snapshot`] and consumed by [`EvalCache::restore`].
-///
-/// Snapshots are the unit of the cross-request artifact cache in
-/// `kbp-service`: one snapshot per (context fingerprint, layer), taken
-/// after the layer's guards were evaluated, rehydrated when a later job
-/// reaches the same layer of the same context.
-#[derive(Debug, Clone)]
-pub struct EvalCacheSnapshot {
-    inner: EvalCache,
-}
-
-impl EvalCacheSnapshot {
-    /// The world count the snapshot cache was bound to, if any.
-    #[must_use]
-    pub fn worlds(&self) -> Option<usize> {
-        self.inner.worlds
-    }
-
-    /// Number of satisfaction sets held by the snapshot.
-    #[must_use]
-    pub fn cached_formulas(&self) -> usize {
-        self.inner.cached_formulas()
-    }
-}
-
-// Snapshots cross the persistence boundary (kbp-service warm restarts).
-// `HashMap` iteration order is nondeterministic, so the maps travel as
-// key-sorted entry lists: identical cache contents always serialize to
-// identical bytes, which is what lets restart-determinism tests compare
-// persisted artifacts directly.
-impl serde::Serialize for EvalCacheSnapshot {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        fn sorted<K: Ord + Copy, V>(map: &HashMap<K, V>) -> Vec<(K, &V)> {
-            let mut entries: Vec<(K, &V)> = map.iter().map(|(k, v)| (*k, v)).collect();
-            entries.sort_by_key(|&(k, _)| k);
-            entries
-        }
-        let mut st = s.serialize_struct("EvalCacheSnapshot", 4)?;
-        st.serialize_field("worlds", &self.inner.worlds)?;
-        st.serialize_field("sat", &sorted(&self.inner.sat))?;
-        st.serialize_field("joins", &sorted(&self.inner.joins))?;
-        st.serialize_field("refinements", &sorted(&self.inner.refinements))?;
-        st.end()
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for EvalCacheSnapshot {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{Error, SeqAccess, Visitor};
-        struct SnapshotVisitor;
-        impl<'de> Visitor<'de> for SnapshotVisitor {
-            type Value = EvalCacheSnapshot;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.write_str("struct EvalCacheSnapshot")
-            }
-            fn visit_seq<A: SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<EvalCacheSnapshot, A::Error> {
-                let worlds: Option<usize> = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field worlds"))?;
-                let sat: Vec<(FormulaId, BitSet)> = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field sat"))?;
-                let joins: Vec<(AgentSet, Partition)> = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field joins"))?;
-                let refinements: Vec<(AgentSet, Partition)> = seq
-                    .next_element()?
-                    .ok_or_else(|| A::Error::custom("missing field refinements"))?;
-                // Every cached artifact must agree with the model binding;
-                // a corrupted file must not smuggle in mismatched sets.
-                if let Some(w) = worlds {
-                    for (id, set) in &sat {
-                        if set.len() != w {
-                            return Err(A::Error::custom(format!(
-                                "sat set for formula {} has {} bits, snapshot bound to {w} worlds",
-                                id.index(),
-                                set.len()
-                            )));
-                        }
-                    }
-                    for (g, part) in joins.iter().chain(refinements.iter()) {
-                        if part.len() != w {
-                            return Err(A::Error::custom(format!(
-                                "partition for group {g:?} covers {} worlds, snapshot bound to {w}",
-                                part.len()
-                            )));
-                        }
-                    }
-                } else if !sat.is_empty() || !joins.is_empty() || !refinements.is_empty() {
-                    return Err(A::Error::custom(
-                        "unbound snapshot carries cached artifacts",
-                    ));
-                }
-                let mut inner = EvalCache::new();
-                inner.worlds = worlds;
-                inner.sat = sat.into_iter().collect();
-                inner.joins = joins.into_iter().collect();
-                inner.refinements = refinements.into_iter().collect();
-                Ok(EvalCacheSnapshot { inner })
-            }
-        }
-        const FIELDS: &[&str] = &["worlds", "sat", "joins", "refinements"];
-        d.deserialize_struct("EvalCacheSnapshot", FIELDS, SnapshotVisitor)
     }
 }
 
@@ -1034,41 +892,6 @@ mod tests {
                 m.satisfying_cached(&mut cache, &arena, id).unwrap_err(),
                 err
             );
-        }
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrips_and_is_authoritative() {
-        let (m, _) = sample();
-        let g = AgentSet::all(2);
-        let mut arena = FormulaArena::new();
-        let ids: Vec<_> = [
-            Formula::common(g, p(0)),
-            Formula::knows(Agent::new(0), p(1)),
-            Formula::iff(p(0), p(1)),
-        ]
-        .iter()
-        .map(|f| arena.intern(f))
-        .collect();
-        let mut cache = EvalCache::new();
-        for &id in &ids {
-            m.satisfying_cached(&mut cache, &arena, id).unwrap();
-        }
-        let snap = cache.snapshot();
-        assert_eq!(snap.worlds(), Some(m.world_count()));
-        assert_eq!(snap.cached_formulas(), cache.cached_formulas());
-        let mut restored = EvalCache::restore(&snap);
-        assert_eq!(restored.cached_formulas(), cache.cached_formulas());
-        assert_eq!(restored.cached_partitions(), cache.cached_partitions());
-        for &id in &ids {
-            assert_eq!(restored.get(id), cache.get(id));
-        }
-        // Restored entries are read, not recomputed: evaluating through
-        // the restored cache returns the snapshot sets unchanged.
-        for &id in &ids {
-            let expected = cache.get(id).unwrap().clone();
-            let got = m.satisfying_cached(&mut restored, &arena, id).unwrap();
-            assert_eq!(*got, expected);
         }
     }
 

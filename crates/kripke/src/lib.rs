@@ -67,7 +67,7 @@ pub use announce::{AnnounceError, Announcement};
 pub use bisim::Quotient;
 pub use bitset::BitSet;
 pub use engine::{EvalEngine, TemporalOps};
-pub use eval::{blocks_inside, EvalCache, EvalCacheSnapshot, EvalError};
+pub use eval::{blocks_inside, EvalCache, EvalError};
 pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};
 pub use model::{S5Builder, S5Model, WorldId};
 pub use partition::{Partition, UnionFind};

@@ -276,256 +276,6 @@ impl FormulaArena {
     }
 }
 
-serde::impl_serde_newtype!(FormulaId(u32));
-
-// `InternedNode` mirrors `Formula` on the wire: variant indices follow
-// declaration order and are append-only, because persisted engine
-// sessions (kbp-service warm restarts) embed them in arena snapshots.
-impl serde::Serialize for InternedNode {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTupleVariant;
-        const NAME: &str = "InternedNode";
-        fn pair<S: serde::ser::Serializer, A: serde::Serialize, B: serde::Serialize>(
-            s: S,
-            idx: u32,
-            variant: &'static str,
-            a: &A,
-            b: &B,
-        ) -> Result<S::Ok, S::Error> {
-            let mut tv = s.serialize_tuple_variant("InternedNode", idx, variant, 2)?;
-            tv.serialize_field(a)?;
-            tv.serialize_field(b)?;
-            tv.end()
-        }
-        match self {
-            InternedNode::True => s.serialize_unit_variant(NAME, 0, "True"),
-            InternedNode::False => s.serialize_unit_variant(NAME, 1, "False"),
-            InternedNode::Prop(p) => s.serialize_newtype_variant(NAME, 2, "Prop", p),
-            InternedNode::Not(f) => s.serialize_newtype_variant(NAME, 3, "Not", f),
-            InternedNode::And(fs) => s.serialize_newtype_variant(NAME, 4, "And", fs),
-            InternedNode::Or(fs) => s.serialize_newtype_variant(NAME, 5, "Or", fs),
-            InternedNode::Implies(a, b) => pair(s, 6, "Implies", a, b),
-            InternedNode::Iff(a, b) => pair(s, 7, "Iff", a, b),
-            InternedNode::Knows(i, f) => pair(s, 8, "Knows", i, f),
-            InternedNode::Everyone(g, f) => pair(s, 9, "Everyone", g, f),
-            InternedNode::Common(g, f) => pair(s, 10, "Common", g, f),
-            InternedNode::Distributed(g, f) => pair(s, 11, "Distributed", g, f),
-            InternedNode::Next(f) => s.serialize_newtype_variant(NAME, 12, "Next", f),
-            InternedNode::Eventually(f) => s.serialize_newtype_variant(NAME, 13, "Eventually", f),
-            InternedNode::Always(f) => s.serialize_newtype_variant(NAME, 14, "Always", f),
-            InternedNode::Until(a, b) => pair(s, 15, "Until", a, b),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for InternedNode {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{EnumAccess, Error, SeqAccess, VariantAccess, Visitor};
-        use std::marker::PhantomData;
-
-        const VARIANTS: &[&str] = &[
-            "True",
-            "False",
-            "Prop",
-            "Not",
-            "And",
-            "Or",
-            "Implies",
-            "Iff",
-            "Knows",
-            "Everyone",
-            "Common",
-            "Distributed",
-            "Next",
-            "Eventually",
-            "Always",
-            "Until",
-        ];
-
-        struct PairVisitor<A, B>(PhantomData<(A, B)>);
-        impl<'de, A: serde::Deserialize<'de>, B: serde::Deserialize<'de>> Visitor<'de>
-            for PairVisitor<A, B>
-        {
-            type Value = (A, B);
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a two-field InternedNode variant")
-            }
-            fn visit_seq<S: SeqAccess<'de>>(self, mut seq: S) -> Result<(A, B), S::Error> {
-                let a = seq
-                    .next_element()?
-                    .ok_or_else(|| S::Error::custom("missing first variant field"))?;
-                let b = seq
-                    .next_element()?
-                    .ok_or_else(|| S::Error::custom("missing second variant field"))?;
-                Ok((a, b))
-            }
-        }
-
-        struct NodeVisitor;
-        impl<'de> Visitor<'de> for NodeVisitor {
-            type Value = InternedNode;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("enum InternedNode")
-            }
-            fn visit_enum<A: EnumAccess<'de>>(self, data: A) -> Result<InternedNode, A::Error> {
-                let (idx, v) = data.variant::<u32>()?;
-                Ok(match idx {
-                    0 => {
-                        v.unit_variant()?;
-                        InternedNode::True
-                    }
-                    1 => {
-                        v.unit_variant()?;
-                        InternedNode::False
-                    }
-                    2 => InternedNode::Prop(v.newtype_variant()?),
-                    3 => InternedNode::Not(v.newtype_variant()?),
-                    4 => InternedNode::And(v.newtype_variant()?),
-                    5 => InternedNode::Or(v.newtype_variant()?),
-                    6 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Implies(a, b)
-                    }
-                    7 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Iff(a, b)
-                    }
-                    8 => {
-                        let (i, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Knows(i, f)
-                    }
-                    9 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Everyone(g, f)
-                    }
-                    10 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Common(g, f)
-                    }
-                    11 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Distributed(g, f)
-                    }
-                    12 => InternedNode::Next(v.newtype_variant()?),
-                    13 => InternedNode::Eventually(v.newtype_variant()?),
-                    14 => InternedNode::Always(v.newtype_variant()?),
-                    15 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        InternedNode::Until(a, b)
-                    }
-                    other => {
-                        return Err(A::Error::custom(format!(
-                            "invalid InternedNode variant index {other}"
-                        )))
-                    }
-                })
-            }
-        }
-        d.deserialize_enum("InternedNode", VARIANTS, NodeVisitor)
-    }
-}
-
-impl FormulaArena {
-    /// Rebuilds an arena from a node list in postorder, re-deriving the
-    /// hash-consing index.
-    ///
-    /// Validates the arena invariants a hostile or corrupted byte stream
-    /// could violate: every child id must be strictly smaller than its
-    /// parent's id (postorder issuance) and no node may appear twice
-    /// (hash-consing uniqueness). Returns a description of the first
-    /// violation otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` with a human-readable description when the node
-    /// list breaks either invariant.
-    pub fn from_nodes(nodes: Vec<InternedNode>) -> Result<Self, String> {
-        let mut index = HashMap::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            let mut bad_child = None;
-            let check = |f: &FormulaId, bad: &mut Option<usize>| {
-                if f.index() >= i && bad.is_none() {
-                    *bad = Some(f.index());
-                }
-            };
-            match node {
-                InternedNode::True | InternedNode::False | InternedNode::Prop(_) => {}
-                InternedNode::Not(f)
-                | InternedNode::Knows(_, f)
-                | InternedNode::Everyone(_, f)
-                | InternedNode::Common(_, f)
-                | InternedNode::Distributed(_, f)
-                | InternedNode::Next(f)
-                | InternedNode::Eventually(f)
-                | InternedNode::Always(f) => check(f, &mut bad_child),
-                InternedNode::And(items) | InternedNode::Or(items) => {
-                    for f in items {
-                        check(f, &mut bad_child);
-                    }
-                }
-                InternedNode::Implies(a, b)
-                | InternedNode::Iff(a, b)
-                | InternedNode::Until(a, b) => {
-                    check(a, &mut bad_child);
-                    check(b, &mut bad_child);
-                }
-            }
-            if let Some(child) = bad_child {
-                return Err(format!(
-                    "arena node {i} references child {child} (children must have smaller ids)"
-                ));
-            }
-            let Ok(raw) = u32::try_from(i) else {
-                return Err(format!("arena node count {} exceeds u32 ids", nodes.len()));
-            };
-            if index.insert(node.clone(), FormulaId(raw)).is_some() {
-                return Err(format!("arena node {i} duplicates an earlier node"));
-            }
-        }
-        Ok(FormulaArena { nodes, index })
-    }
-
-    /// The interned node list in postorder (children before parents).
-    ///
-    /// Together with [`from_nodes`](Self::from_nodes) this is the
-    /// persistence surface of the arena: the index is derived state and
-    /// never leaves the process.
-    #[must_use]
-    pub fn nodes(&self) -> &[InternedNode] {
-        &self.nodes
-    }
-}
-
-// The arena crosses the persistence boundary as its node list alone;
-// the hash-consing index is rebuilt (and the postorder invariant
-// re-validated) on the way in.
-impl serde::Serialize for FormulaArena {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_newtype_struct("FormulaArena", &self.nodes)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for FormulaArena {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{Error, Visitor};
-        struct ArenaVisitor;
-        impl<'de> Visitor<'de> for ArenaVisitor {
-            type Value = FormulaArena;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("newtype struct FormulaArena")
-            }
-            fn visit_newtype_struct<D: serde::de::Deserializer<'de>>(
-                self,
-                d: D,
-            ) -> Result<FormulaArena, D::Error> {
-                let nodes = <Vec<InternedNode> as serde::Deserialize>::deserialize(d)?;
-                FormulaArena::from_nodes(nodes).map_err(D::Error::custom)
-            }
-        }
-        d.deserialize_newtype_struct("FormulaArena", ArenaVisitor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,38 +366,6 @@ mod tests {
         assert_eq!(reach.len(), 5);
         // Empty roots reach nothing.
         assert!(arena.reachable(&[]).is_empty());
-    }
-
-    #[test]
-    fn from_nodes_roundtrips_and_validates() {
-        let mut arena = FormulaArena::new();
-        let f = Formula::iff(
-            Formula::and([p(0), p(1)]),
-            Formula::or([p(0), Formula::not(p(1))]),
-        );
-        let root = arena.intern(&f);
-        let rebuilt = FormulaArena::from_nodes(arena.nodes().to_vec()).expect("valid nodes");
-        assert_eq!(rebuilt.len(), arena.len());
-        // The rebuilt index must agree: re-interning finds the same id.
-        let mut rebuilt = rebuilt;
-        assert_eq!(rebuilt.intern(&f), root);
-        assert_eq!(rebuilt.len(), arena.len());
-
-        // Forward reference (child id >= parent id) is rejected.
-        let bad = vec![InternedNode::Not(FormulaId(0))];
-        assert!(FormulaArena::from_nodes(bad).is_err());
-        let bad = vec![
-            InternedNode::Prop(PropId::new(0)),
-            InternedNode::Not(FormulaId(2)),
-        ];
-        assert!(FormulaArena::from_nodes(bad).is_err());
-
-        // Duplicate nodes break hash-consing and are rejected.
-        let dup = vec![
-            InternedNode::Prop(PropId::new(0)),
-            InternedNode::Prop(PropId::new(0)),
-        ];
-        assert!(FormulaArena::from_nodes(dup).is_err());
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //!   concurrent clients, with per-client admission quotas and a
 //!   connection cap. Prints one `{"kind":"listening","addr":...}` line
 //!   on stdout, then serves until stdin reaches EOF (the graceful
-//!   shutdown signal: stop accepting, drain every admitted job, persist
-//!   the cache, exit 0).
+//!   shutdown signal: stop accepting, drain every admitted job, exit 0).
+//!
+//! Every job solves cold; the only state kept across requests, and
+//! across restarts when `KBP_SERVICE_CACHE_DIR` is set, is the table of
+//! `define`d scenarios.
 //!
 //! Exits 2 on a malformed configuration (typed error on stderr) — a
 //! typo in any `KBP_*` variable refuses to start rather than silently
@@ -59,7 +62,7 @@ fn main() {
     let service = match Service::try_new(config) {
         Ok(service) => service,
         Err(e) => {
-            eprintln!("kbpd: cache persistence unavailable: {e}");
+            eprintln!("kbpd: definitions directory unavailable: {e}");
             std::process::exit(2);
         }
     };
@@ -107,7 +110,7 @@ or when the reader of stdout goes away. The stdin pipe is exempt from
 the per-client quota and the idle/write policies (connections only).
 With --listen ADDR the same protocol is served over TCP to many clients
 (responses ordered per connection); stdin EOF shuts down gracefully,
-draining every admitted job and persisting the cache.
+draining every admitted job. Every job solves cold.
 
 Usage:
   kbpd                  stdin/stdout batch mode
@@ -134,9 +137,8 @@ Define:   {\"op\":\"define\",\"id\":N,\"source\":\"<.kbp scenario text>\",
 Environment (malformed values refuse startup with a typed error):
   KBP_SERVICE_WORKERS          worker threads (default: available parallelism)
   KBP_SERVICE_QUEUE            queue capacity (default 64); overflow answers queue_full
-  KBP_SERVICE_CACHE            0/off/false disables the cross-request artifact cache
-  KBP_SERVICE_CACHE_SESSIONS   retained sessions before LRU eviction (default 64)
-  KBP_SERVICE_CACHE_DIR        directory for warm-restart cache persistence
+  KBP_SERVICE_CACHE_DIR        definitions directory: define'd scenarios are
+                               saved there and reloaded at startup
   KBP_SERVICE_CLIENT_PENDING   per-client unanswered-request quota (default 16)
   KBP_SERVICE_CLIENT_DEFINITIONS  per-client defined-scenario quota
                                (default 8; 0 disables)

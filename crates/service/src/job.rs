@@ -202,8 +202,8 @@ pub enum Request {
         /// Echoed id, if the client sent one.
         id: Option<u64>,
     },
-    /// `{"kind":"metrics"}` — queue depth, worker utilization, cache
-    /// hit/eviction counters; answered immediately.
+    /// `{"kind":"metrics"}` — queue depth, worker utilization,
+    /// evaluation and definition counters; answered immediately.
     Metrics {
         /// Echoed id, if the client sent one.
         id: Option<u64>,

@@ -1,9 +1,10 @@
-//! `kbp-service` — a persistent batch-solving service for
+//! `kbp-service` — a long-running batch-solving service for
 //! knowledge-based programs.
 //!
-//! One process invocation of the solver amortizes work *within* a solve
-//! (interned guards, per-layer caches, carry-forward). This crate is the
-//! layer that amortizes work *across* requests:
+//! The solver amortizes work *within* a solve (interned guards,
+//! per-layer caches, carry-forward). This crate serves solves as
+//! requests; each job solves cold, and nothing but `define`d scenarios
+//! is kept between jobs:
 //!
 //! * a typed job API ([`JobRequest`]: `solve`, `enumerate`, `check`,
 //!   `fault_lattice`) with a JSON line protocol ([`json`]);
@@ -12,13 +13,12 @@
 //!   hint instead of stalling the reader;
 //! * a `std::thread::scope` worker pool sized by `KBP_SERVICE_WORKERS`
 //!   ([`Service::run_batch`]);
-//! * a cross-request [`ArtifactCache`]: per-context-fingerprint
-//!   [`kbp_core::EngineSession`]s whose interned arenas and per-layer
-//!   satisfaction-set snapshots make repeated solves of a scenario
-//!   family hit warm sat-sets.
+//! * client-defined DSL scenarios (the `define` op), persisted to the
+//!   definitions directory named by `KBP_SERVICE_CACHE_DIR`
+//!   ([`DefinitionStore`]).
 //!
-//! Responses are **bit-identical** regardless of worker count and cache
-//! state, and are emitted in submission order; see the determinism
+//! Responses are **bit-identical** regardless of worker count, and are
+//! emitted in submission order; see the determinism
 //! argument in [`service`]. The `kbpd` binary speaks the line protocol
 //! over stdin/stdout.
 //!
@@ -33,9 +33,9 @@
 //! else {
 //!     unreachable!()
 //! };
-//! let cold = service.execute(&job).to_line();
-//! let warm = service.execute(&job).to_line();
-//! assert_eq!(cold, warm); // warm solves answer bit-identically
+//! let first = service.execute(&job).to_line();
+//! let second = service.execute(&job).to_line();
+//! assert_eq!(first, second); // a response is a function of its request
 //! ```
 
 // Robustness gate: the library surface must stay panic-free so malformed
@@ -50,7 +50,6 @@
 
 pub mod json;
 
-mod cache;
 mod framing;
 mod job;
 pub mod persist;
@@ -60,19 +59,18 @@ mod registry;
 mod server;
 mod service;
 
-pub use cache::{ArtifactCache, CacheStats};
 pub use framing::{FrameDecoder, FrameError, LineOutcome, DEFAULT_MAX_LINE};
 pub use job::{id_hint, parse_request, DefineRequest, JobKind, JobRequest, Request, RequestError};
-pub use persist::{Compaction, DefinitionRecord, PersistError, SessionKey, SessionStore};
+pub use persist::{DefinitionRecord, DefinitionStore, PersistError};
 pub use queue::{JobQueue, QueueFull};
 pub use registry::{find, registry, LatticeSpec, ScenarioEntry};
 pub use server::{serve_stream, Server, ServerHandle};
 pub use service::{
     disconnect_response, error_response, frame_error_response, quota_response, reject_response,
     too_many_connections_response, ConfigError, DisconnectKind, EvalStats, PlaneSnapshot, Service,
-    ServiceConfig, ServiceStats, CACHE_DIR_ENV, CACHE_ENV, CACHE_SESSIONS_ENV,
-    CLIENT_DEFINITIONS_ENV, CLIENT_PENDING_ENV, DEFAULT_CACHE_SESSIONS, DEFAULT_CLIENT_DEFINITIONS,
-    DEFAULT_CLIENT_PENDING, DEFAULT_IDLE_TIMEOUT_MS, DEFAULT_MAX_CONNECTIONS,
-    DEFAULT_WRITE_BUDGET_BYTES, DEFAULT_WRITE_STALL_MS, IDLE_TIMEOUT_ENV, MAX_CONFIG_THREADS,
-    MAX_CONNECTIONS_ENV, MAX_LINE_ENV, QUEUE_ENV, WORKERS_ENV, WRITE_BUDGET_ENV, WRITE_STALL_ENV,
+    ServiceConfig, ServiceStats, CACHE_DIR_ENV, CLIENT_DEFINITIONS_ENV, CLIENT_PENDING_ENV,
+    DEFAULT_CLIENT_DEFINITIONS, DEFAULT_CLIENT_PENDING, DEFAULT_IDLE_TIMEOUT_MS,
+    DEFAULT_MAX_CONNECTIONS, DEFAULT_WRITE_BUDGET_BYTES, DEFAULT_WRITE_STALL_MS, IDLE_TIMEOUT_ENV,
+    MAX_CONFIG_THREADS, MAX_CONNECTIONS_ENV, MAX_LINE_ENV, QUEUE_ENV, WORKERS_ENV,
+    WRITE_BUDGET_ENV, WRITE_STALL_ENV,
 };

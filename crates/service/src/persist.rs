@@ -1,55 +1,15 @@
-//! Warm-restart persistence for the artifact cache: [`EngineSession`]s
-//! serialized to one file per context fingerprint under a cache
-//! directory, written on eviction and shutdown, reloaded at startup.
+//! Persistence of client-defined scenarios: one file per `define`d
+//! scenario under the definitions directory (`KBP_SERVICE_CACHE_DIR`),
+//! written on every `define`, removed on redefinition, reloaded at
+//! startup. Nothing else persists; every job solves cold.
 //!
-//! # Format
-//!
-//! Each file is `<fingerprint as 16 lowercase hex digits>.kbps` holding
-//!
-//! ```text
-//! magic    [u8; 8]   b"KBPSESS1"
-//! version  u64 LE    FORMAT_VERSION
-//! scenario u64 LE length + bytes     ┐ provenance key: what produced
-//! fault    u8 tag (0 none / 1 some)  │ this fingerprint ([`SessionKey`])
-//!   rung   u64 LE length + bytes     │ (present only when tag = 1)
-//!   seed   u64 LE                    ┘
-//! body     bytes     EngineSession through the positional binary codec
-//! ```
-//!
-//! The provenance key exists because fingerprints alone are opaque:
-//! they hash `(scenario, recall, fault rung, seed)` and the seed makes
-//! the valid set non-enumerable, so "is this file still something the
-//! registry can produce?" is unanswerable from the file name. The key
-//! records the producing inputs; [`SessionStore::compact`] re-derives
-//! the fingerprint from the *current* registry and garbage-collects
-//! files the registry no longer produces (renamed scenarios, removed
-//! rungs, stale formats) instead of letting them accumulate forever.
-//!
-//! The body uses the same positional encoding the workspace's serde
-//! round-trip tests pin down: `u64` little-endian for every integer,
-//! length-prefixed byte strings, enums as variant indexes, structs and
-//! tuples positional. The encoding is **canonical** — snapshot maps
-//! serialize key-sorted (see `EvalCacheSnapshot`'s serde) — so equal
-//! sessions produce equal files, which is what lets the restart
-//! determinism suite compare artifacts byte-for-byte.
-//!
-//! # Versioning
-//!
-//! `FORMAT_VERSION` is bumped whenever any persisted type changes shape
-//! (arena node variants, snapshot fields, session layout). A version or
-//! magic mismatch is *not* an error at load time: the file is skipped
-//! and the context simply solves cold, exactly as if the cache had been
-//! evicted. Corrupt or truncated files degrade the same way. Persistence
-//! must never be able to take the daemon down.
+//! Files of any other name in the directory are ignored, including the
+//! `.kbps` session files older releases wrote there.
 
-use kbp_core::EngineSession;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Leading bytes of every session file.
-pub const MAGIC: &[u8; 8] = b"KBPSESS1";
 
 /// Leading bytes of every persisted scenario definition.
 pub const DEF_MAGIC: &[u8; 8] = b"KBPDEF01";
@@ -57,31 +17,21 @@ pub const DEF_MAGIC: &[u8; 8] = b"KBPDEF01";
 /// File extension of persisted scenario definitions.
 pub const DEF_EXTENSION: &str = "kbpdef";
 
-/// Body format version; bump on any persisted-type shape change.
-/// Version 2 added the provenance key ([`SessionKey`]) to the header.
-pub const FORMAT_VERSION: u64 = 2;
-
-/// File extension of persisted sessions.
-pub const EXTENSION: &str = "kbps";
-
-/// Why a session file could not be written or read back.
+/// Why a definition file could not be written or read back.
 #[derive(Debug)]
 pub enum PersistError {
     /// Filesystem error (create/rename/read/write).
     Io(std::io::Error),
-    /// The payload could not be encoded or decoded.
-    Codec(String),
-    /// The file is not a session file (bad magic) or from an
-    /// incompatible format version.
+    /// The file is not a definition file (bad magic), or is truncated
+    /// or malformed.
     Format(String),
 }
 
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "session file I/O failed: {e}"),
-            PersistError::Codec(e) => write!(f, "session payload invalid: {e}"),
-            PersistError::Format(e) => write!(f, "session file format mismatch: {e}"),
+            PersistError::Io(e) => write!(f, "definition file I/O failed: {e}"),
+            PersistError::Format(e) => write!(f, "definition file format mismatch: {e}"),
         }
     }
 }
@@ -94,169 +44,8 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// The provenance key written into every session-file header: the
-/// registry inputs whose fingerprint names the file. Store compaction
-/// replays these inputs through the *current* registry to decide whether
-/// a file is still producible (see [`SessionStore::compact`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionKey {
-    /// Registry name of the scenario.
-    pub scenario: String,
-    /// Fault rung name and schedule seed, for faulty contexts.
-    pub fault: Option<(String, u64)>,
-}
-
-impl SessionKey {
-    /// A key for a fault-free context of `scenario`.
-    #[must_use]
-    pub fn plain(scenario: &str) -> Self {
-        SessionKey {
-            scenario: scenario.to_string(),
-            fault: None,
-        }
-    }
-
-    /// A key for `scenario` under the named fault rung and seed.
-    #[must_use]
-    pub fn faulty(scenario: &str, rung: &str, seed: u64) -> Self {
-        SessionKey {
-            scenario: scenario.to_string(),
-            fault: Some((rung.to_string(), seed)),
-        }
-    }
-
-    /// The fault component as borrowed parts (the shape
-    /// [`crate::registry::ScenarioEntry::fingerprint`] takes).
-    #[must_use]
-    pub fn fault_ref(&self) -> Option<(&str, u64)> {
-        self.fault
-            .as_ref()
-            .map(|(rung, seed)| (rung.as_str(), *seed))
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.scenario.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.scenario.as_bytes());
-        match &self.fault {
-            None => out.push(0),
-            Some((rung, seed)) => {
-                out.push(1);
-                out.extend_from_slice(&(rung.len() as u64).to_le_bytes());
-                out.extend_from_slice(rung.as_bytes());
-                out.extend_from_slice(&seed.to_le_bytes());
-            }
-        }
-    }
-}
-
-/// Serializes `session` under its provenance `key` to the versioned
-/// on-disk byte layout.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Codec`] if the session fails to encode
-/// (cannot happen for sessions produced by the solver; kept typed for
-/// the panic-free gate).
-pub fn encode_session(key: &SessionKey, session: &EngineSession) -> Result<Vec<u8>, PersistError> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    key.encode_into(&mut out);
-    let mut ser = codec::Encoder { out: &mut out };
-    serde::Serialize::serialize(session, &mut ser).map_err(|e| PersistError::Codec(e.0))?;
-    Ok(out)
-}
-
-/// Parses magic, version and the provenance key; returns the key and the
-/// offset where the session body starts.
-fn decode_header(bytes: &[u8]) -> Result<(SessionKey, usize), PersistError> {
-    let Some(header) = bytes.get(..MAGIC.len()) else {
-        return Err(PersistError::Format("file shorter than magic".into()));
-    };
-    if header != MAGIC {
-        return Err(PersistError::Format("bad magic".into()));
-    }
-    let Some(ver_bytes) = bytes.get(MAGIC.len()..MAGIC.len() + 8) else {
-        return Err(PersistError::Format("file shorter than version".into()));
-    };
-    let mut ver = [0u8; 8];
-    ver.copy_from_slice(ver_bytes);
-    let version = u64::from_le_bytes(ver);
-    if version != FORMAT_VERSION {
-        return Err(PersistError::Format(format!(
-            "format version {version}, expected {FORMAT_VERSION}"
-        )));
-    }
-    let mut pos = MAGIC.len() + 8;
-    let take = |bytes: &[u8], pos: &mut usize, n: usize| -> Result<Vec<u8>, PersistError> {
-        let end = pos
-            .checked_add(n)
-            .filter(|&end| end <= bytes.len())
-            .ok_or_else(|| PersistError::Format("truncated provenance key".into()))?;
-        let out = bytes[*pos..end].to_vec();
-        *pos = end;
-        Ok(out)
-    };
-    let take_u64 = |bytes: &[u8], pos: &mut usize| -> Result<u64, PersistError> {
-        let raw = take(bytes, pos, 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&raw);
-        Ok(u64::from_le_bytes(b))
-    };
-    let take_string = |bytes: &[u8], pos: &mut usize| -> Result<String, PersistError> {
-        let len = usize::try_from(take_u64(bytes, pos)?)
-            .map_err(|_| PersistError::Format("key length exceeds address space".into()))?;
-        if len > bytes.len() - *pos {
-            return Err(PersistError::Format("truncated provenance key".into()));
-        }
-        String::from_utf8(take(bytes, pos, len)?)
-            .map_err(|_| PersistError::Format("provenance key is not UTF-8".into()))
-    };
-    let scenario = take_string(bytes, &mut pos)?;
-    let fault = match take(bytes, &mut pos, 1)?[0] {
-        0 => None,
-        1 => {
-            let rung = take_string(bytes, &mut pos)?;
-            let seed = take_u64(bytes, &mut pos)?;
-            Some((rung, seed))
-        }
-        other => {
-            return Err(PersistError::Format(format!(
-                "invalid fault tag {other} in provenance key"
-            )))
-        }
-    };
-    Ok((SessionKey { scenario, fault }, pos))
-}
-
-/// Decodes a session (and its provenance key) from the on-disk byte
-/// layout, validating magic, version, and the arena/snapshot invariants
-/// re-checked by the typed deserializers.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Format`] on a magic, version or key mismatch
-/// and [`PersistError::Codec`] on a truncated or invalid body.
-pub fn decode_session(bytes: &[u8]) -> Result<(SessionKey, EngineSession), PersistError> {
-    let (key, body_start) = decode_header(bytes)?;
-    let body = &bytes[body_start..];
-    let mut de = codec::Decoder {
-        input: body,
-        pos: 0,
-    };
-    let session: EngineSession =
-        serde::Deserialize::deserialize(&mut de).map_err(|e| PersistError::Codec(e.0))?;
-    if de.pos != body.len() {
-        return Err(PersistError::Codec(format!(
-            "{} trailing bytes after session body",
-            body.len() - de.pos
-        )));
-    }
-    Ok((key, session))
-}
-
-/// A client-registered DSL scenario as persisted next to the session
-/// files: everything needed to rebuild the definition at startup (the
+/// A client-registered DSL scenario as persisted in the definitions
+/// directory: everything needed to rebuild the definition at startup (the
 /// daemon re-compiles the source rather than trusting a serialized
 /// compilation, so a format change in the compiler can never resurrect
 /// a stale lowering).
@@ -273,9 +62,8 @@ pub fn decode_session(bytes: &[u8]) -> Result<(SessionKey, EngineSession), Persi
 /// source  u64 LE length + bytes
 /// ```
 ///
-/// Corrupt, truncated or mis-fingerprinted files are skipped at load —
-/// like session files, definition persistence must never be able to
-/// take the daemon down.
+/// Corrupt, truncated or mis-fingerprinted files are skipped at load:
+/// definition persistence must never be able to take the daemon down.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DefinitionRecord {
     /// Wire name the scenario is registered under.
@@ -340,182 +128,24 @@ impl DefinitionRecord {
     }
 }
 
-/// What a [`SessionStore::compact`] pass did: how many stale files were
-/// removed, and how many removals failed (still on disk, retried next
-/// compaction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Compaction {
-    /// Files removed because the registry no longer produces their
-    /// fingerprint (or the file was unreadable/from an old format).
-    pub removed: usize,
-    /// Removals that failed at the filesystem level.
-    pub failures: usize,
-}
-
-/// A directory of persisted sessions, one file per context fingerprint.
+/// The definitions directory: one file per client-defined scenario,
+/// named by its fingerprint.
 #[derive(Debug, Clone)]
-pub struct SessionStore {
+pub struct DefinitionStore {
     dir: PathBuf,
 }
 
-impl SessionStore {
+impl DefinitionStore {
     /// Opens (creating if necessary) the store rooted at `dir`.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Io`] if the directory cannot be created.
-    pub fn open(dir: &Path) -> Result<SessionStore, PersistError> {
+    pub fn open(dir: &Path) -> Result<DefinitionStore, PersistError> {
         fs::create_dir_all(dir)?;
-        Ok(SessionStore {
+        Ok(DefinitionStore {
             dir: dir.to_path_buf(),
         })
-    }
-
-    /// The directory backing this store.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path_for(&self, fingerprint: u64) -> PathBuf {
-        self.dir.join(format!("{fingerprint:016x}.{EXTENSION}"))
-    }
-
-    /// Writes `session` for `fingerprint` under its provenance `key`,
-    /// atomically replacing any previous file (write to a dot-prefixed
-    /// temporary in the same directory, then rename — a crashed writer
-    /// leaves the old file intact and the temporary is invisible to
-    /// [`list`](Self::list)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] if encoding or any filesystem step
-    /// fails. Callers treat persistence as best-effort.
-    pub fn save(
-        &self,
-        fingerprint: u64,
-        key: &SessionKey,
-        session: &EngineSession,
-    ) -> Result<(), PersistError> {
-        let bytes = encode_session(key, session)?;
-        let tmp = self.dir.join(format!(".{fingerprint:016x}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        match fs::rename(&tmp, self.path_for(fingerprint)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(PersistError::Io(e))
-            }
-        }
-    }
-
-    /// Loads the session (and its provenance key) persisted for
-    /// `fingerprint`, or `None` when no file exists.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for unreadable, corrupt, or
-    /// version-mismatched files; callers degrade to a cold solve.
-    pub fn load(
-        &self,
-        fingerprint: u64,
-    ) -> Result<Option<(SessionKey, EngineSession)>, PersistError> {
-        let path = self.path_for(fingerprint);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(PersistError::Io(e)),
-        };
-        decode_session(&bytes).map(Some)
-    }
-
-    /// Reads only the provenance key of the file for `fingerprint`,
-    /// without decoding the (much larger) session body.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError`] for missing, unreadable or corrupt
-    /// headers.
-    pub fn read_key(&self, fingerprint: u64) -> Result<SessionKey, PersistError> {
-        let bytes = fs::read(self.path_for(fingerprint))?;
-        decode_header(&bytes).map(|(key, _)| key)
-    }
-
-    /// Garbage-collects files whose fingerprints the current registry no
-    /// longer produces: for every listed file, the provenance key is
-    /// read back and judged by `live(key, fingerprint)` — typically a
-    /// registry replay checking the key still fingerprints to the file's
-    /// name. Files failing the check, plus files whose header cannot be
-    /// read at all (corrupt, truncated, pre-provenance formats), are
-    /// removed. Without compaction these accumulate forever: every
-    /// `(rung, seed)` combination ever solved leaves a file, and renamed
-    /// scenarios orphan theirs.
-    pub fn compact(&self, live: impl Fn(&SessionKey, u64) -> bool) -> Compaction {
-        let mut outcome = Compaction::default();
-        let Ok(fingerprints) = self.list() else {
-            return outcome;
-        };
-        for fp in fingerprints {
-            let keep = match self.read_key(fp) {
-                Ok(key) => live(&key, fp),
-                Err(_) => false,
-            };
-            if keep {
-                continue;
-            }
-            match self.remove(fp) {
-                Ok(()) => outcome.removed += 1,
-                Err(_) => outcome.failures += 1,
-            }
-        }
-        outcome
-    }
-
-    /// The fingerprints with a persisted file, ascending — a stable
-    /// order so preloading under a capacity bound is deterministic.
-    ///
-    /// Unparseable file names are ignored (they cannot have been written
-    /// by [`save`](Self::save)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] if the directory cannot be listed.
-    pub fn list(&self) -> Result<Vec<u64>, PersistError> {
-        let mut fingerprints = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(stem) = name.strip_suffix(&format!(".{EXTENSION}")) else {
-                continue;
-            };
-            if stem.len() != 16 {
-                continue;
-            }
-            if let Ok(fp) = u64::from_str_radix(stem, 16) {
-                fingerprints.push(fp);
-            }
-        }
-        fingerprints.sort_unstable();
-        Ok(fingerprints)
-    }
-
-    /// Removes the persisted file for `fingerprint`, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Io`] on filesystem failure other than the
-    /// file already being gone.
-    pub fn remove(&self, fingerprint: u64) -> Result<(), PersistError> {
-        match fs::remove_file(self.path_for(fingerprint)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(PersistError::Io(e)),
-        }
     }
 
     fn def_path_for(&self, fingerprint: u64) -> PathBuf {
@@ -524,8 +154,10 @@ impl SessionStore {
     }
 
     /// Writes the scenario definition named by `fingerprint`, atomically
-    /// replacing any previous file (same dot-prefixed-temporary-then-
-    /// rename discipline as [`save`](Self::save)).
+    /// replacing any previous file (write to a dot-prefixed temporary in
+    /// the same directory, then rename: a crashed writer leaves the old
+    /// file intact, and the temporary is invisible to
+    /// [`load_definitions`](Self::load_definitions)).
     ///
     /// # Errors
     ///
@@ -605,760 +237,19 @@ impl SessionStore {
     }
 }
 
-/// The positional binary codec behind the session files: the minimal
-/// encoder/decoder pair over the vendored serde data model. Integers are
-/// `u64` little-endian, strings and byte slices length-prefixed, enums
-/// variant-indexed, structs and tuples positional (field names never hit
-/// the wire — the typed `Deserialize` impls define the layout).
-mod codec {
-    /// Codec error carrying a human-readable message.
-    #[derive(Debug)]
-    pub struct Error(pub String);
-
-    impl std::fmt::Display for Error {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", self.0)
-        }
-    }
-    impl std::error::Error for Error {}
-    impl serde::ser::Error for Error {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-    impl serde::de::Error for Error {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            Error(msg.to_string())
-        }
-    }
-
-    pub struct Encoder<'a> {
-        pub out: &'a mut Vec<u8>,
-    }
-
-    impl Encoder<'_> {
-        fn put_u64(&mut self, v: u64) {
-            self.out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_bytes(&mut self, b: &[u8]) {
-            self.put_u64(b.len() as u64);
-            self.out.extend_from_slice(b);
-        }
-    }
-
-    macro_rules! enc_int {
-        ($name:ident, $t:ty) => {
-            fn $name(self, v: $t) -> Result<(), Error> {
-                #[allow(clippy::cast_sign_loss)]
-                self.put_u64(v as u64);
-                Ok(())
-            }
-        };
-    }
-
-    impl serde::ser::Serializer for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        type SerializeSeq = Self;
-        type SerializeTuple = Self;
-        type SerializeTupleStruct = Self;
-        type SerializeTupleVariant = Self;
-        type SerializeMap = Self;
-        type SerializeStruct = Self;
-        type SerializeStructVariant = Self;
-
-        fn serialize_bool(self, v: bool) -> Result<(), Error> {
-            self.out.push(u8::from(v));
-            Ok(())
-        }
-        enc_int!(serialize_i8, i8);
-        enc_int!(serialize_i16, i16);
-        enc_int!(serialize_i32, i32);
-        enc_int!(serialize_i64, i64);
-        enc_int!(serialize_u8, u8);
-        enc_int!(serialize_u16, u16);
-        enc_int!(serialize_u32, u32);
-        enc_int!(serialize_u64, u64);
-        fn serialize_f32(self, v: f32) -> Result<(), Error> {
-            self.put_u64(u64::from(v.to_bits()));
-            Ok(())
-        }
-        fn serialize_f64(self, v: f64) -> Result<(), Error> {
-            self.put_u64(v.to_bits());
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), Error> {
-            self.put_u64(u64::from(v));
-            Ok(())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), Error> {
-            self.put_bytes(v.as_bytes());
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), Error> {
-            self.put_bytes(v);
-            Ok(())
-        }
-        fn serialize_none(self) -> Result<(), Error> {
-            self.out.push(0);
-            Ok(())
-        }
-        fn serialize_some<T: ?Sized + serde::Serialize>(self, value: &T) -> Result<(), Error> {
-            self.out.push(1);
-            value.serialize(self)
-        }
-        fn serialize_unit(self) -> Result<(), Error> {
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _: &'static str) -> Result<(), Error> {
-            Ok(())
-        }
-        fn serialize_unit_variant(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-        ) -> Result<(), Error> {
-            self.put_u64(u64::from(idx));
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: ?Sized + serde::Serialize>(
-            self,
-            _: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(self)
-        }
-        fn serialize_newtype_variant<T: ?Sized + serde::Serialize>(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            self.put_u64(u64::from(idx));
-            value.serialize(self)
-        }
-        fn serialize_seq(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| Error("sequence length required".into()))?;
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_tuple(self, _: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_struct(self, _: &'static str, _: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_variant(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self, Error> {
-            self.put_u64(u64::from(idx));
-            Ok(self)
-        }
-        fn serialize_map(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| Error("map length required".into()))?;
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_struct(self, _: &'static str, _: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_struct_variant(
-            self,
-            _: &'static str,
-            idx: u32,
-            _: &'static str,
-            _: usize,
-        ) -> Result<Self, Error> {
-            self.put_u64(u64::from(idx));
-            Ok(self)
-        }
-    }
-
-    macro_rules! enc_compound {
-        ($trait:ident, $fn:ident) => {
-            impl serde::ser::$trait for &mut Encoder<'_> {
-                type Ok = ();
-                type Error = Error;
-                fn $fn<T: ?Sized + serde::Serialize>(&mut self, value: &T) -> Result<(), Error> {
-                    value.serialize(&mut **self)
-                }
-                fn end(self) -> Result<(), Error> {
-                    Ok(())
-                }
-            }
-        };
-    }
-    enc_compound!(SerializeSeq, serialize_element);
-    enc_compound!(SerializeTuple, serialize_element);
-    enc_compound!(SerializeTupleStruct, serialize_field);
-    enc_compound!(SerializeTupleVariant, serialize_field);
-
-    impl serde::ser::SerializeMap for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_key<T: ?Sized + serde::Serialize>(&mut self, key: &T) -> Result<(), Error> {
-            key.serialize(&mut **self)
-        }
-        fn serialize_value<T: ?Sized + serde::Serialize>(
-            &mut self,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl serde::ser::SerializeStruct for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + serde::Serialize>(
-            &mut self,
-            _: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl serde::ser::SerializeStructVariant for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + serde::Serialize>(
-            &mut self,
-            _: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    pub struct Decoder<'de> {
-        pub input: &'de [u8],
-        pub pos: usize,
-    }
-
-    impl<'de> Decoder<'de> {
-        fn take(&mut self, n: usize) -> Result<&'de [u8], Error> {
-            let end = self
-                .pos
-                .checked_add(n)
-                .ok_or_else(|| Error("length overflow".into()))?;
-            if end > self.input.len() {
-                return Err(Error("unexpected end of session body".into()));
-            }
-            let s = &self.input[self.pos..end];
-            self.pos = end;
-            Ok(s)
-        }
-        fn get_u64(&mut self) -> Result<u64, Error> {
-            let b = self.take(8)?;
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(b);
-            Ok(u64::from_le_bytes(raw))
-        }
-        fn get_bytes(&mut self) -> Result<&'de [u8], Error> {
-            let len = usize::try_from(self.get_u64()?)
-                .map_err(|_| Error("length exceeds address space".into()))?;
-            self.take(len)
-        }
-    }
-
-    macro_rules! dec_int {
-        ($name:ident, $visit:ident, $t:ty) => {
-            fn $name<V: serde::de::Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-                let v = self.get_u64()?;
-                #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-                visitor.$visit(v as $t)
-            }
-        };
-    }
-
-    impl<'de> serde::de::Deserializer<'de> for &mut Decoder<'de> {
-        type Error = Error;
-
-        fn deserialize_any<V: serde::de::Visitor<'de>>(self, _: V) -> Result<V::Value, Error> {
-            Err(Error("format is not self-describing".into()))
-        }
-        fn deserialize_bool<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let b = self.take(1)?[0];
-            visitor.visit_bool(b != 0)
-        }
-        dec_int!(deserialize_i8, visit_i8, i8);
-        dec_int!(deserialize_i16, visit_i16, i16);
-        dec_int!(deserialize_i32, visit_i32, i32);
-        dec_int!(deserialize_i64, visit_i64, i64);
-        dec_int!(deserialize_u8, visit_u8, u8);
-        dec_int!(deserialize_u16, visit_u16, u16);
-        dec_int!(deserialize_u32, visit_u32, u32);
-        dec_int!(deserialize_u64, visit_u64, u64);
-        fn deserialize_f32<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let v = self.get_u64()?;
-            #[allow(clippy::cast_possible_truncation)]
-            visitor.visit_f32(f32::from_bits(v as u32))
-        }
-        fn deserialize_f64<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let v = self.get_u64()?;
-            visitor.visit_f64(f64::from_bits(v))
-        }
-        fn deserialize_char<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let v = self.get_u64()?;
-            let c = u32::try_from(v)
-                .ok()
-                .and_then(char::from_u32)
-                .ok_or_else(|| Error("invalid char scalar".into()))?;
-            visitor.visit_char(c)
-        }
-        fn deserialize_str<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let b = self.get_bytes()?;
-            visitor.visit_str(std::str::from_utf8(b).map_err(|e| Error(e.to_string()))?)
-        }
-        fn deserialize_string<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.deserialize_str(visitor)
-        }
-        fn deserialize_bytes<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let b = self.get_bytes()?;
-            visitor.visit_bytes(b)
-        }
-        fn deserialize_byte_buf<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.deserialize_bytes(visitor)
-        }
-        fn deserialize_option<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let tag = self.take(1)?[0];
-            match tag {
-                0 => visitor.visit_none(),
-                1 => visitor.visit_some(self),
-                other => Err(Error(format!("invalid option tag {other}"))),
-            }
-        }
-        fn deserialize_unit<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_unit()
-        }
-        fn deserialize_unit_struct<V: serde::de::Visitor<'de>>(
-            self,
-            _: &'static str,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_unit()
-        }
-        fn deserialize_newtype_struct<V: serde::de::Visitor<'de>>(
-            self,
-            _: &'static str,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_newtype_struct(self)
-        }
-        fn deserialize_seq<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let len = usize::try_from(self.get_u64()?)
-                .map_err(|_| Error("length exceeds address space".into()))?;
-            // Every element costs ≥ 1 byte, so a declared count beyond
-            // the remaining bytes is corrupt; reject before the visitor
-            // can turn `size_hint` into a huge allocation.
-            if len > self.input.len() - self.pos {
-                return Err(Error(format!(
-                    "declared {len} elements with {} bytes left",
-                    self.input.len() - self.pos
-                )));
-            }
-            visitor.visit_seq(Counted {
-                de: self,
-                left: len,
-            })
-        }
-        fn deserialize_tuple<V: serde::de::Visitor<'de>>(
-            self,
-            len: usize,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted {
-                de: self,
-                left: len,
-            })
-        }
-        fn deserialize_tuple_struct<V: serde::de::Visitor<'de>>(
-            self,
-            _: &'static str,
-            len: usize,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.deserialize_tuple(len, visitor)
-        }
-        fn deserialize_map<V: serde::de::Visitor<'de>>(
-            self,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            let len = usize::try_from(self.get_u64()?)
-                .map_err(|_| Error("length exceeds address space".into()))?;
-            if len > self.input.len() - self.pos {
-                return Err(Error(format!(
-                    "declared {len} entries with {} bytes left",
-                    self.input.len() - self.pos
-                )));
-            }
-            visitor.visit_map(Counted {
-                de: self,
-                left: len,
-            })
-        }
-        fn deserialize_struct<V: serde::de::Visitor<'de>>(
-            self,
-            _: &'static str,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted {
-                de: self,
-                left: fields.len(),
-            })
-        }
-        fn deserialize_enum<V: serde::de::Visitor<'de>>(
-            self,
-            _: &'static str,
-            _: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_enum(Enum { de: self })
-        }
-        fn deserialize_identifier<V: serde::de::Visitor<'de>>(
-            self,
-            _: V,
-        ) -> Result<V::Value, Error> {
-            Err(Error("identifiers are positional".into()))
-        }
-        fn deserialize_ignored_any<V: serde::de::Visitor<'de>>(
-            self,
-            _: V,
-        ) -> Result<V::Value, Error> {
-            Err(Error("cannot skip in positional format".into()))
-        }
-    }
-
-    struct Counted<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-        left: usize,
-    }
-
-    impl<'de> serde::de::SeqAccess<'de> for Counted<'_, 'de> {
-        type Error = Error;
-        fn next_element_seed<T: serde::de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: T,
-        ) -> Result<Option<T::Value>, Error> {
-            if self.left == 0 {
-                return Ok(None);
-            }
-            self.left -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(self.left)
-        }
-    }
-
-    impl<'de> serde::de::MapAccess<'de> for Counted<'_, 'de> {
-        type Error = Error;
-        fn next_key_seed<K: serde::de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: K,
-        ) -> Result<Option<K::Value>, Error> {
-            if self.left == 0 {
-                return Ok(None);
-            }
-            self.left -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn next_value_seed<V: serde::de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: V,
-        ) -> Result<V::Value, Error> {
-            seed.deserialize(&mut *self.de)
-        }
-    }
-
-    struct Enum<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-    }
-
-    impl<'de> serde::de::EnumAccess<'de> for Enum<'_, 'de> {
-        type Error = Error;
-        type Variant = Self;
-        fn variant_seed<V: serde::de::DeserializeSeed<'de>>(
-            self,
-            seed: V,
-        ) -> Result<(V::Value, Self), Error> {
-            let idx = u32::try_from(self.de.get_u64()?)
-                .map_err(|_| Error("variant index exceeds u32".into()))?;
-            let val = seed.deserialize(serde::de::value::U32Deserializer::new(idx))?;
-            Ok((val, self))
-        }
-    }
-
-    impl<'de> serde::de::VariantAccess<'de> for Enum<'_, 'de> {
-        type Error = Error;
-        fn unit_variant(self) -> Result<(), Error> {
-            Ok(())
-        }
-        fn newtype_variant_seed<T: serde::de::DeserializeSeed<'de>>(
-            self,
-            seed: T,
-        ) -> Result<T::Value, Error> {
-            seed.deserialize(self.de)
-        }
-        fn tuple_variant<V: serde::de::Visitor<'de>>(
-            self,
-            len: usize,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted {
-                de: self.de,
-                left: len,
-            })
-        }
-        fn struct_variant<V: serde::de::Visitor<'de>>(
-            self,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_seq(Counted {
-                de: self.de,
-                left: fields.len(),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn warm_session() -> EngineSession {
-        // Run a real solve through a session so the persisted artifact
-        // carries a non-trivial arena and layer snapshots.
-        let sc = kbp_scenarios::muddy_children::MuddyChildren::new(3);
-        let ctx = sc.context();
-        let kbp = sc.kbp();
-        let mut session = EngineSession::new();
-        let _ = kbp_core::SyncSolver::new(&ctx, &kbp)
-            .horizon(4)
-            .solve_budgeted_with(&mut session)
-            .expect("solves");
-        session
-    }
-
-    fn test_key() -> SessionKey {
-        SessionKey::plain("muddy_children_3")
-    }
-
     #[test]
-    fn encode_decode_roundtrips_a_warm_session() {
-        let session = warm_session();
-        assert!(session.snapshot_layers() > 0, "solve produced snapshots");
-        let bytes = encode_session(&test_key(), &session).unwrap();
-        assert_eq!(&bytes[..MAGIC.len()], MAGIC);
-        let (key, back) = decode_session(&bytes).unwrap();
-        assert_eq!(key, test_key());
-        assert_eq!(back.snapshot_layers(), session.snapshot_layers());
-        // Canonical encoding: re-encoding the decoded session is
-        // byte-identical (maps travel key-sorted).
-        assert_eq!(encode_session(&key, &back).unwrap(), bytes);
-        // Faulty keys roundtrip too.
-        let faulty = SessionKey::faulty("bit_transmission", "loss", 7);
-        let bytes = encode_session(&faulty, &session).unwrap();
-        let (key, _) = decode_session(&bytes).unwrap();
-        assert_eq!(key, faulty);
-        assert_eq!(key.fault_ref(), Some(("loss", 7)));
-    }
-
-    #[test]
-    fn header_mismatches_are_typed_format_errors() {
-        let session = warm_session();
-        let bytes = encode_session(&test_key(), &session).unwrap();
-
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(matches!(
-            decode_session(&bad_magic),
-            Err(PersistError::Format(_))
-        ));
-
-        let mut bad_version = bytes.clone();
-        bad_version[MAGIC.len()] ^= 0xFF;
-        assert!(matches!(
-            decode_session(&bad_version),
-            Err(PersistError::Format(_))
-        ));
-
-        assert!(matches!(
-            decode_session(&bytes[..4]),
-            Err(PersistError::Format(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_bodies_are_codec_errors_not_panics() {
-        let session = warm_session();
-        let bytes = encode_session(&test_key(), &session).unwrap();
-        // Truncating inside the provenance key is a typed Format error.
-        assert!(matches!(
-            decode_session(&bytes[..MAGIC.len() + 12]),
-            Err(PersistError::Format(_))
-        ));
-        // Truncate the body at several depths.
-        let body_start = MAGIC.len() + 8 + 8 + test_key().scenario.len() + 1;
-        for cut in [body_start, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                matches!(decode_session(&bytes[..cut]), Err(PersistError::Codec(_))),
-                "cut at {cut} must fail typed"
-            );
-        }
-        // Trailing garbage is rejected too.
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(matches!(
-            decode_session(&padded),
-            Err(PersistError::Codec(_))
-        ));
-        // Flip a byte inside the arena region: either a typed error or a
-        // differing-but-valid session, never a panic.
-        let mut flipped = bytes;
-        let mid = body_start + 16;
-        if mid < flipped.len() {
-            flipped[mid] ^= 0x01;
-            let _ = decode_session(&flipped);
-        }
-    }
-
-    #[test]
-    fn store_saves_lists_loads_and_removes() {
-        let dir = std::env::temp_dir().join(format!(
-            "kbp-persist-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SessionStore::open(&dir).unwrap();
-        assert!(store.list().unwrap().is_empty());
-
-        let session = warm_session();
-        store.save(7, &test_key(), &session).unwrap();
-        store.save(3, &test_key(), &session).unwrap();
-        assert_eq!(store.list().unwrap(), vec![3, 7]);
-
-        let (key, back) = store.load(7).unwrap().expect("file exists");
-        assert_eq!(key, test_key());
-        assert_eq!(back.snapshot_layers(), session.snapshot_layers());
-        assert_eq!(store.read_key(7).unwrap(), test_key());
-        assert!(store.load(99).unwrap().is_none());
-
-        // A corrupt file is a typed error, and unrelated names are not
-        // listed.
-        std::fs::write(dir.join(format!("{:016x}.{EXTENSION}", 5u64)), b"junk").unwrap();
-        std::fs::write(dir.join("README.txt"), b"not a session").unwrap();
-        assert!(store.load(5).is_err());
-        assert!(store.read_key(5).is_err());
-        assert_eq!(store.list().unwrap(), vec![3, 5, 7]);
-
-        store.remove(7).unwrap();
-        store.remove(7).unwrap(); // idempotent
-        assert_eq!(store.list().unwrap(), vec![3, 5]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn compaction_removes_what_the_registry_no_longer_produces() {
-        let dir = std::env::temp_dir().join(format!(
-            "kbp-persist-compact-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = SessionStore::open(&dir).unwrap();
-        let session = warm_session();
-
-        // A live file, a file whose key the "registry" disowns, a
-        // corrupt file, and a pre-provenance (version 1) file.
-        store.save(10, &test_key(), &session).unwrap();
-        store
-            .save(20, &SessionKey::plain("renamed_away"), &session)
-            .unwrap();
-        std::fs::write(dir.join(format!("{:016x}.{EXTENSION}", 30u64)), b"junk").unwrap();
-        let mut old = encode_session(&test_key(), &session).unwrap();
-        old[MAGIC.len()] = 1; // version 2 → 1
-        std::fs::write(dir.join(format!("{:016x}.{EXTENSION}", 40u64)), &old).unwrap();
-        assert_eq!(store.list().unwrap(), vec![10, 20, 30, 40]);
-
-        let outcome = store.compact(|key, fp| fp == 10 && key == &test_key());
-        assert_eq!(
-            outcome,
-            Compaction {
-                removed: 3,
-                failures: 0
-            }
-        );
-        assert_eq!(
-            store.list().unwrap(),
-            vec![10],
-            "only the live file survives"
-        );
-
-        // Idempotent: nothing left to collect.
-        assert_eq!(store.compact(|_, _| true), Compaction::default());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn definitions_roundtrip_and_coexist_with_sessions() {
+    fn definitions_roundtrip_and_unknown_files_are_ignored() {
         let dir = std::env::temp_dir().join(format!(
             "kbp-persist-def-test-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = SessionStore::open(&dir).unwrap();
+        let store = DefinitionStore::open(&dir).unwrap();
         assert!(store.load_definitions().unwrap().is_empty());
 
         let rec = DefinitionRecord {
@@ -1379,11 +270,9 @@ mod tests {
             "sorted ascending by fingerprint"
         );
 
-        // Definition files are invisible to the session listing, and
-        // session files are invisible to the definition listing.
-        let session = warm_session();
-        store.save(9, &test_key(), &session).unwrap();
-        assert_eq!(store.list().unwrap(), vec![9]);
+        // Files of any other name, such as the `.kbps` session files
+        // older releases wrote here, are ignored.
+        std::fs::write(dir.join(format!("{:016x}.kbps", 9u64)), b"old session").unwrap();
         assert_eq!(store.load_definitions().unwrap().len(), 2);
 
         // Corrupt and truncated definition files are skipped, not fatal.
@@ -1414,7 +303,6 @@ mod tests {
         store.remove_definition(9).unwrap();
         store.remove_definition(9).unwrap();
         assert_eq!(store.load_definitions().unwrap().len(), 1);
-        assert_eq!(store.list().unwrap(), vec![9], "session file untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -895,7 +895,7 @@ mod tests {
     #[test]
     fn pipe_is_exempt_from_the_protection_policies() {
         let service = Arc::new(Service::new(
-            crate::service::ServiceConfig::new().workers(1).cache(false),
+            crate::service::ServiceConfig::new().workers(1),
         ));
         let queue = Arc::new(JobQueue::new(4, 1));
         let pending = Arc::new(PendingTable::new());

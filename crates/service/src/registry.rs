@@ -1,6 +1,6 @@
 //! The scenario registry: every paper scenario the service can solve,
-//! with its default configuration, optional fault-lattice wiring, and a
-//! stable context fingerprint for artifact-cache keying.
+//! with its default configuration and optional fault-lattice wiring;
+//! plus the stable fingerprint that names a client-defined scenario.
 
 use kbp_core::Kbp;
 use kbp_faults::{loss_lattice, FaultSchedule, FaultyContext};
@@ -81,29 +81,6 @@ impl ScenarioEntry {
             spec.crash_at,
         ))
     }
-
-    /// Stable fingerprint of the `(context, program, recall)` triple this
-    /// entry denotes under an optional fault rung. Jobs with equal
-    /// fingerprints may share an artifact-cache session; the horizon and
-    /// budget deliberately do not participate (a session serves any
-    /// horizon of the same context).
-    #[must_use]
-    pub fn fingerprint(&self, fault: Option<(&str, u64)>) -> u64 {
-        let mut h = Fnv::new();
-        h.write(self.name.as_bytes());
-        h.write(&[match self.recall {
-            Recall::Perfect => 1,
-            Recall::Observational => 2,
-        }]);
-        match fault {
-            None => h.write(&[0]),
-            Some((rung, seed)) => {
-                h.write(rung.as_bytes());
-                h.write(&seed.to_le_bytes());
-            }
-        }
-        h.finish()
-    }
 }
 
 impl std::fmt::Debug for ScenarioEntry {
@@ -117,13 +94,12 @@ impl std::fmt::Debug for ScenarioEntry {
     }
 }
 
-/// Stable fingerprint of a client-*defined* scenario: the registry
-/// stream (`name`, recall byte, fault-free tag) extended with the DSL
-/// source text. Including the source means a redefinition under the same
-/// name but different behaviour gets a fresh fingerprint, so persisted
-/// sessions of the old program can never be replayed against the new
-/// one — they just become unproducible and are garbage-collected at the
-/// next compaction.
+/// Stable fingerprint of a client-*defined* scenario: FNV-1a over the
+/// name, a recall byte, a zero byte and the DSL source text. It names
+/// the definition's file in the definitions directory and is echoed in
+/// the `define` response. Including the source means a redefinition
+/// under the same name but different behaviour gets a fresh
+/// fingerprint, so its file replaces the old one.
 #[must_use]
 pub(crate) fn definition_fingerprint(name: &str, recall: Recall, source: &str) -> u64 {
     let mut h = Fnv::new();
@@ -138,8 +114,8 @@ pub(crate) fn definition_fingerprint(name: &str, recall: Recall, source: &str) -
 }
 
 /// FNV-1a, hand-rolled: `std`'s `DefaultHasher` is not guaranteed stable
-/// across releases, and cache keys must never change meaning between a
-/// server and its clients.
+/// across releases, and a fingerprint must never change meaning between
+/// a server and its clients or across a restart.
 struct Fnv(u64);
 
 impl Fnv {
@@ -343,32 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_separate_scenarios_and_faults() {
-        let mut seen = std::collections::HashSet::new();
-        for entry in registry() {
-            assert!(seen.insert(entry.fingerprint(None)), "{}", entry.name);
-            if entry.lattice.is_some() {
-                for rung in ["none", "loss", "crash-stop", "loss+crash-stop"] {
-                    assert!(
-                        seen.insert(entry.fingerprint(Some((rung, 7)))),
-                        "{}/{rung}",
-                        entry.name
-                    );
-                }
-                assert_ne!(
-                    entry.fingerprint(Some(("loss", 7))),
-                    entry.fingerprint(Some(("loss", 8))),
-                    "{}: seed must separate fingerprints",
-                    entry.name
-                );
-            }
-        }
-        // Stable across processes and runs: a pinned value.
-        let bt = find("bit_transmission").unwrap();
-        assert_eq!(bt.fingerprint(None), bt.fingerprint(None));
-    }
-
-    #[test]
     fn definition_fingerprints_cover_name_recall_and_source() {
         let a = definition_fingerprint("ring", Recall::Perfect, "scenario ring {}");
         assert_eq!(
@@ -389,18 +339,9 @@ mod tests {
             definition_fingerprint("ring", Recall::Perfect, "scenario ring {} "),
             "source participates: a redefinition re-fingerprints"
         );
-        // A definition shadowing a registry name (rejected at admission,
-        // but belt-and-braces) still fingerprints differently because
-        // the source extends the registry's fault-free stream.
-        let bt = find("bit_transmission").unwrap();
-        assert_ne!(
-            bt.fingerprint(None),
-            definition_fingerprint(
-                "bit_transmission",
-                bt.recall,
-                "scenario bit_transmission {}"
-            )
-        );
+        // Stable across releases: persisted files are named by it, and
+        // clients see it in the `define` response.
+        assert_eq!(a, 6498982118501523102);
     }
 
     #[test]

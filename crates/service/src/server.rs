@@ -2,8 +2,8 @@
 //! `kbpd`'s stdin/stdout mode ([`serve_stream`]). Both run one routine:
 //! spawn a worker pool over a shared bounded [`JobQueue`], run the
 //! event-driven plane of [`crate::plane`] inline — over a `TcpListener`,
-//! or over one pipe connection and no listener — then close the queue,
-//! join the workers and persist the artifact cache. The plane answers
+//! or over one pipe connection and no listener — then close the queue
+//! and join the workers. The plane answers
 //! in per-connection request order however the pool schedules.
 //!
 //! # Thread inventory
@@ -37,7 +37,7 @@
 //! accepting, admit nothing new, read-and-discard inbound bytes (so a
 //! close cannot RST away buffered responses), flush what is owed, and
 //! exit exactly when no connections and no in-flight jobs remain. Then
-//! the queue is closed, workers join, and the artifact cache persists.
+//! the queue is closed and the workers join.
 //! So "run returned" *is* the proof that every accepted request was
 //! answered or explicitly counted dropped. Stdin mode needs no shutdown
 //! signal: its plane exits the same way once the pipe has closed.
@@ -89,8 +89,8 @@ impl ServerHandle {
 
     /// Requests a graceful shutdown: the server stops accepting, drains
     /// every admitted job (delivering where the connection survives,
-    /// counting drops where it does not), and persists the cache before
-    /// [`Server::run`] returns. Idempotent. The plane notices the flag
+    /// counting drops where it does not), before [`Server::run`]
+    /// returns. Idempotent. The plane notices the flag
     /// on its next pass, at most one 1 ms tick later — no wake-up
     /// connection needed.
     pub fn shutdown(&self) {
@@ -132,9 +132,7 @@ impl Server {
 
     /// Serves until shutdown. Consumes the server; when this returns,
     /// every accepted request has been answered (or counted dropped
-    /// against a force-closed connection), all threads are joined, and
-    /// the artifact cache has been persisted (when a store is
-    /// configured).
+    /// against a force-closed connection), and all threads are joined.
     ///
     /// # Errors
     ///
@@ -147,8 +145,8 @@ impl Server {
 
 /// Serves the line protocol over a byte stream pair — `kbpd`'s
 /// stdin/stdout mode — as one pipe connection of the plane, exempt from
-/// the per-client quota and the protection policies. Returns, with the
-/// cache persisted, once the input has ended and every request has been
+/// the per-client quota and the protection policies. Returns once the
+/// input has ended and every request has been
 /// answered in order, or once the output has failed and no job is in
 /// flight. In the latter case the thread forwarding `input` may stay
 /// blocked in `read`.
@@ -164,7 +162,7 @@ where
 }
 
 /// The one serving routine: spawn the pool, run the plane, close the
-/// queue, join the workers, persist the cache.
+/// queue, join the workers.
 fn serve(
     service: &Arc<Service>,
     listener: Option<&TcpListener>,
@@ -184,7 +182,6 @@ fn serve(
     for worker in workers {
         let _ = worker.join();
     }
-    service.persist();
     result
 }
 
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn serves_jobs_in_request_order_over_tcp() {
-        let (handle, thread) = start(ServiceConfig::new().workers(3).cache(false));
+        let (handle, thread) = start(ServiceConfig::new().workers(3));
         let responses = send_lines(
             handle.addr(),
             &[
@@ -276,7 +273,7 @@ mod tests {
 
     #[test]
     fn two_clients_interleave_without_crosstalk() {
-        let (handle, thread) = start(ServiceConfig::new().workers(4).cache(false));
+        let (handle, thread) = start(ServiceConfig::new().workers(4));
         let addr = handle.addr();
         let a = std::thread::spawn(move || {
             send_lines(
@@ -318,7 +315,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_get_typed_responses_with_id_hints() {
-        let (handle, thread) = start(ServiceConfig::new().workers(1).cache(false).max_line(256));
+        let (handle, thread) = start(ServiceConfig::new().workers(1).max_line(256));
         let big = format!(
             r#"{{"id":1,"kind":"solve","scenario":"{}"}}"#,
             "x".repeat(400)
@@ -358,7 +355,6 @@ mod tests {
         let (handle, thread) = start(
             ServiceConfig::new()
                 .workers(1)
-                .cache(false)
                 .queue_capacity(64)
                 .client_pending(1),
         );
@@ -415,12 +411,7 @@ mod tests {
 
     #[test]
     fn connection_cap_refuses_with_a_typed_line() {
-        let (handle, thread) = start(
-            ServiceConfig::new()
-                .workers(1)
-                .cache(false)
-                .max_connections(1),
-        );
+        let (handle, thread) = start(ServiceConfig::new().workers(1).max_connections(1));
         // Occupy the single slot with an idle connection.
         let holder = TcpStream::connect(handle.addr()).expect("connect holder");
         // Give the accept loop a moment to register it.
@@ -441,7 +432,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_inflight_jobs() {
-        let (handle, thread) = start(ServiceConfig::new().workers(1).cache(false));
+        let (handle, thread) = start(ServiceConfig::new().workers(1));
         let mut stream = TcpStream::connect(handle.addr()).expect("connect");
         for id in 0..5 {
             writeln!(

@@ -4,26 +4,22 @@
 //! # Determinism argument
 //!
 //! A response line is a pure function of its request. Three things make
-//! this true regardless of worker count and cache state:
+//! this true regardless of worker count:
 //!
-//! 1. every executor runs one job on one thread against a context built
-//!    fresh from the registry (the only shared mutable state is the
-//!    artifact cache, whose sessions only ever *restore* values that are
-//!    pure functions of `(layer, formula)` — see
-//!    [`kbp_core::EngineSession`]);
-//! 2. the wire stats are the solver's clause-lookup counters, which are
-//!    independent of evaluation threading and cache warmth —
-//!    cache-housekeeping counters (`layers_carried`, `layers_restored`,
-//!    `arenas`) are deliberately *not* serialized;
+//! 1. every executor runs one job on one thread, solving cold against a
+//!    context built fresh from the registry or from a definition; no
+//!    solver state is shared between jobs;
+//! 2. the wire stats are the solver's clause-lookup counters —
+//!    housekeeping counters (`layers_carried`, `arenas`) are
+//!    deliberately *not* serialized;
 //! 3. responses are emitted in submission order (the batch runners sort
 //!    by submission index; `kbpd` uses a reorder buffer), so the output
 //!    stream does not depend on scheduling.
 
-use crate::cache::{ArtifactCache, CacheStats};
 use crate::framing::DEFAULT_MAX_LINE;
 use crate::job::{DefineRequest, JobKind, JobRequest, RequestError};
 use crate::json::{obj, Json};
-use crate::persist::{DefinitionRecord, PersistError, SessionKey, SessionStore};
+use crate::persist::{DefinitionRecord, DefinitionStore, PersistError};
 use crate::queue::{JobQueue, QueueFull};
 use crate::registry::{definition_fingerprint, find, ScenarioEntry};
 use kbp_core::{
@@ -50,21 +46,10 @@ pub const MAX_CONFIG_THREADS: usize = 4096;
 /// Environment variable sizing the job queue (admission window).
 pub const QUEUE_ENV: &str = "KBP_SERVICE_QUEUE";
 
-/// Environment variable toggling the artifact cache (`0`/`off`/`false`
-/// to disable).
-pub const CACHE_ENV: &str = "KBP_SERVICE_CACHE";
-
-/// Environment variable bounding the artifact cache (maximum retained
-/// sessions; least-recently-used contexts are evicted past the bound).
-pub const CACHE_SESSIONS_ENV: &str = "KBP_SERVICE_CACHE_SESSIONS";
-
-/// Default artifact-cache bound (retained sessions).
-pub const DEFAULT_CACHE_SESSIONS: usize = 64;
-
-/// Environment variable naming the cache-persistence directory. When
-/// set, evicted and shutdown sessions are serialized there and reloaded
-/// at startup, so a restarted daemon answers warm. Unset (the default)
-/// means no persistence.
+/// Environment variable naming the definitions directory. When set,
+/// every `define`d scenario is written there and reloaded at startup,
+/// so a restarted daemon still serves it. Unset (the default) means no
+/// persistence. The name is kept for existing deployments.
 pub const CACHE_DIR_ENV: &str = "KBP_SERVICE_CACHE_DIR";
 
 /// Environment variable bounding unanswered requests per connection
@@ -134,14 +119,6 @@ pub enum ConfigError {
         /// Its rejected value.
         value: String,
     },
-    /// A boolean flag was neither truthy (`1`/`on`/`true`) nor falsy
-    /// (`0`/`off`/`false`).
-    Flag {
-        /// The environment variable.
-        var: &'static str,
-        /// Its rejected value.
-        value: String,
-    },
     /// A size variable (byte or count bounds without the worker-count cap)
     /// did not hold a positive integer.
     Size {
@@ -159,9 +136,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "{var}: expected a worker count from 1 to {MAX_CONFIG_THREADS}, got '{value}'"
             ),
-            ConfigError::Flag { var, value } => {
-                write!(f, "{var}: expected 0/off/false or 1/on/true, got '{value}'")
-            }
             ConfigError::Size { var, value } => {
                 write!(f, "{var}: expected a positive integer, got '{value}'")
             }
@@ -179,16 +153,11 @@ pub struct ServiceConfig {
     /// Queue capacity; admissions beyond it are rejected with
     /// [`QueueFull`].
     pub queue_capacity: usize,
-    /// Whether the artifact cache retains sessions across jobs.
-    pub cache_enabled: bool,
-    /// Maximum sessions the artifact cache retains (LRU eviction past
-    /// the bound; min 1).
-    pub cache_sessions: usize,
     /// Retry-after hint attached to [`QueueFull`] rejections, in ms.
     pub retry_after_ms: u64,
-    /// Directory for cache persistence; `None` (the default) disables
-    /// it. When set, sessions are saved on eviction/shutdown and
-    /// preloaded at startup.
+    /// The definitions directory; `None` (the default) disables
+    /// persistence. When set, `define`d scenarios are saved there and
+    /// reloaded at startup.
     pub cache_dir: Option<PathBuf>,
     /// Per-connection quota on unanswered requests (`--listen` mode);
     /// admissions beyond it are rejected with a typed `quota_exceeded`
@@ -214,15 +183,14 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults: workers = available parallelism, queue of 64, cache on.
+    /// Defaults: workers = available parallelism, queue of 64, no
+    /// definitions directory.
     #[must_use]
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         ServiceConfig {
             workers,
             queue_capacity: 64,
-            cache_enabled: true,
-            cache_sessions: DEFAULT_CACHE_SESSIONS,
             retry_after_ms: 50,
             cache_dir: None,
             client_pending: DEFAULT_CLIENT_PENDING,
@@ -250,26 +218,6 @@ impl ServiceConfig {
         }
         if let Some(capacity) = env_size(QUEUE_ENV)? {
             config.queue_capacity = capacity;
-        }
-        // Zero is rejected (like the other counts): to run cache-less,
-        // set KBP_SERVICE_CACHE=off rather than a zero-session cache.
-        if let Some(sessions) = env_size(CACHE_SESSIONS_ENV)? {
-            config.cache_sessions = sessions;
-        }
-        if let Ok(raw) = std::env::var(CACHE_ENV) {
-            let trimmed = raw.trim();
-            if !trimmed.is_empty() {
-                config.cache_enabled = match trimmed.to_ascii_lowercase().as_str() {
-                    "1" | "on" | "true" => true,
-                    "0" | "off" | "false" => false,
-                    _ => {
-                        return Err(ConfigError::Flag {
-                            var: CACHE_ENV,
-                            value: raw,
-                        })
-                    }
-                };
-            }
         }
         if let Ok(raw) = std::env::var(CACHE_DIR_ENV) {
             let trimmed = raw.trim();
@@ -319,21 +267,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables or disables the artifact cache.
-    #[must_use]
-    pub fn cache(mut self, enabled: bool) -> Self {
-        self.cache_enabled = enabled;
-        self
-    }
-
-    /// Sets the artifact-cache session bound (min 1).
-    #[must_use]
-    pub fn cache_sessions(mut self, sessions: usize) -> Self {
-        self.cache_sessions = sessions.max(1);
-        self
-    }
-
-    /// Sets (or clears) the cache-persistence directory.
+    /// Sets (or clears) the definitions directory.
     #[must_use]
     pub fn cache_dir(mut self, dir: Option<PathBuf>) -> Self {
         self.cache_dir = dir;
@@ -404,8 +338,8 @@ fn env_threads(var: &'static str) -> Result<Option<usize>, ConfigError> {
 }
 
 /// Reads a positive-integer bound (no worker-count cap — line limits
-/// are legitimately megabytes, queues and caches legitimately
-/// thousands). `Ok(None)` when unset or empty.
+/// are legitimately megabytes, queues legitimately thousands).
+/// `Ok(None)` when unset or empty.
 fn env_size(var: &'static str) -> Result<Option<usize>, ConfigError> {
     match std::env::var(var) {
         Err(_) => Ok(None),
@@ -486,30 +420,12 @@ pub struct ServiceStats {
     pub queue_rejections: usize,
     /// Jobs rejected by a per-client quota (`--listen` mode).
     pub quota_rejections: usize,
-    /// Artifact-cache lookup counters.
-    pub cache: CacheStats,
-    /// Layers induced across all solves (denominator of the warm rate).
-    pub layers_total: usize,
-    /// Layers rehydrated from cache snapshots instead of evaluated.
-    pub layers_restored: usize,
     /// Aggregated generation-quotient counters across all solves.
     pub eval: EvalStats,
     /// Client-defined DSL scenarios currently registered.
     pub definitions_active: usize,
     /// Definitions restored from the persistence directory at startup.
     pub definitions_restored: usize,
-}
-
-impl ServiceStats {
-    /// Fraction of layers served warm, in `[0, 1]`.
-    #[must_use]
-    pub fn warm_layer_rate(&self) -> f64 {
-        if self.layers_total == 0 {
-            0.0
-        } else {
-            self.layers_restored as f64 / self.layers_total as f64
-        }
-    }
 }
 
 /// A snapshot of the connection plane's counters, folded into the
@@ -596,23 +512,19 @@ pub fn disconnect_response(kind: DisconnectKind, message: &str) -> Json {
 #[derive(Debug)]
 pub struct Service {
     config: ServiceConfig,
-    cache: ArtifactCache,
     /// Client-defined DSL scenarios by wire name. `Arc` so a resolved
     /// definition survives a concurrent redefinition for the duration of
     /// its job (the response stays a pure function of the request and
     /// the definition it resolved against).
     definitions: Mutex<HashMap<String, Arc<Definition>>>,
-    /// The persistence directory, shared with the artifact cache; also
-    /// holds one `.kbpdef` file per definition so defined scenarios
-    /// survive a warm restart.
-    def_store: Option<SessionStore>,
+    /// The definitions directory: one `.kbpdef` file per definition, so
+    /// defined scenarios survive a restart.
+    def_store: Option<DefinitionStore>,
     definitions_restored: AtomicUsize,
     jobs_executed: AtomicUsize,
     queue_rejections: AtomicUsize,
     quota_rejections: AtomicUsize,
     workers_busy: AtomicUsize,
-    layers_total: AtomicUsize,
-    layers_restored: AtomicUsize,
     eval_layers: AtomicUsize,
     eval_gen_quotiented_layers: AtomicUsize,
     eval_gen_quotient_worlds: AtomicUsize,
@@ -695,32 +607,29 @@ impl Service {
         let store = config
             .cache_dir
             .as_deref()
-            .and_then(|dir| SessionStore::open(dir).ok());
+            .and_then(|dir| DefinitionStore::open(dir).ok());
         Service::build(config, store)
     }
 
-    /// Creates a service, surfacing a broken persistence directory as a
-    /// startup error instead of running without warm restarts.
+    /// Creates a service, surfacing a broken definitions directory as a
+    /// startup error instead of running without persistence.
     ///
     /// # Errors
     ///
     /// [`PersistError`] when `config.cache_dir` is set and cannot be
-    /// opened (created) as a session store.
+    /// opened (created) as a definitions directory.
     pub fn try_new(config: ServiceConfig) -> Result<Self, PersistError> {
         let store = match config.cache_dir.as_deref() {
-            Some(dir) => Some(SessionStore::open(dir)?),
+            Some(dir) => Some(DefinitionStore::open(dir)?),
             None => None,
         };
         Ok(Service::build(config, store))
     }
 
-    fn build(config: ServiceConfig, store: Option<SessionStore>) -> Self {
-        let def_store = store.clone();
-        let cache = ArtifactCache::with_store(config.cache_enabled, config.cache_sessions, store);
+    fn build(config: ServiceConfig, def_store: Option<DefinitionStore>) -> Self {
         let (definitions, restored) = restore_definitions(def_store.as_ref());
         Service {
             config,
-            cache,
             definitions: Mutex::new(definitions),
             def_store,
             definitions_restored: AtomicUsize::new(restored),
@@ -728,40 +637,11 @@ impl Service {
             queue_rejections: AtomicUsize::new(0),
             quota_rejections: AtomicUsize::new(0),
             workers_busy: AtomicUsize::new(0),
-            layers_total: AtomicUsize::new(0),
-            layers_restored: AtomicUsize::new(0),
             eval_layers: AtomicUsize::new(0),
             eval_gen_quotiented_layers: AtomicUsize::new(0),
             eval_gen_quotient_worlds: AtomicUsize::new(0),
             eval_gen_quotiented_points: AtomicUsize::new(0),
         }
-    }
-
-    /// Persists every resident cache session to the configured store
-    /// (no-op without one), then garbage-collects store files whose
-    /// provenance neither the scenario registry nor the live definition
-    /// table produces — renamed scenarios, retired fault rungs,
-    /// redefined DSL programs, unreadable headers. Called on graceful
-    /// shutdown so a restarted daemon starts warm without the store
-    /// accumulating dead files forever; failures are counted, never
-    /// fatal.
-    pub fn persist(&self) {
-        self.cache.persist_all();
-        // Snapshot the definition table once: the compaction predicate
-        // runs per file and must not take the lock under iteration.
-        let defined: HashMap<String, u64> = self
-            .definitions
-            .lock()
-            .map(|defs| {
-                defs.values()
-                    .map(|d| (d.name.clone(), d.fingerprint))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.cache.compact_store(move |key, fp| {
-            registry_owns(key, fp)
-                || (key.fault_ref().is_none() && defined.get(&key.scenario) == Some(&fp))
-        });
     }
 
     /// The active configuration.
@@ -777,9 +657,6 @@ impl Service {
             jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
             queue_rejections: self.queue_rejections.load(Ordering::Relaxed),
             quota_rejections: self.quota_rejections.load(Ordering::Relaxed),
-            cache: self.cache.stats(),
-            layers_total: self.layers_total.load(Ordering::Relaxed),
-            layers_restored: self.layers_restored.load(Ordering::Relaxed),
             eval: EvalStats {
                 layers: self.eval_layers.load(Ordering::Relaxed),
                 gen_quotiented_layers: self.eval_gen_quotiented_layers.load(Ordering::Relaxed),
@@ -850,7 +727,7 @@ impl Service {
                 }
                 Some(existing) => {
                     // Same-owner redefinition: no quota charge; the old
-                    // fingerprint's artifacts become garbage.
+                    // fingerprint's definition file is replaced.
                     let old = existing.fingerprint;
                     let replaced = (old != fingerprint).then_some(old);
                     defs.insert(name.clone(), Arc::clone(&definition));
@@ -873,7 +750,8 @@ impl Service {
             }
         };
         // Best-effort persistence, after the table mutation: a failed
-        // write costs warm restarts, never the registration.
+        // write costs the definition's survival of a restart, never the
+        // registration.
         if let Some(store) = self.def_store.as_ref() {
             if let Some(old) = replaced_fingerprint {
                 let _ = store.remove_definition(old);
@@ -952,8 +830,8 @@ impl Service {
 
     /// Runs a batch through the worker pool with *blocking* admission:
     /// every job is eventually executed, and responses come back in
-    /// submission order. Worker count and cache state cannot change the
-    /// output (see the module-level determinism argument).
+    /// submission order. Worker count cannot change the output (see the
+    /// module-level determinism argument).
     #[must_use]
     pub fn run_batch(&self, jobs: &[JobRequest]) -> Vec<Json> {
         self.run_pool(jobs.iter().cloned().map(Ok).collect())
@@ -1031,17 +909,12 @@ impl Service {
         &self,
         job: &JobRequest,
         resolved: &Resolved,
-    ) -> Result<(BuiltContext, Kbp, u64, SessionKey), RequestError> {
+    ) -> Result<(BuiltContext, Kbp), RequestError> {
         match resolved {
             Resolved::Registry(entry) => match job.fault.as_deref() {
                 None => {
                     let (ctx, kbp) = entry.build();
-                    Ok((
-                        BuiltContext::Plain(Box::new(ctx)),
-                        kbp,
-                        entry.fingerprint(None),
-                        SessionKey::plain(entry.name),
-                    ))
+                    Ok((BuiltContext::Plain(Box::new(ctx)), kbp))
                 }
                 Some(rung) => {
                     if entry.lattice.is_none() {
@@ -1053,12 +926,7 @@ impl Service {
                         .fault_schedule(rung, job.fault_seed)
                         .ok_or_else(|| RequestError::UnknownFault(rung.to_string()))?;
                     let (ctx, kbp) = entry.build_faulty(schedule);
-                    Ok((
-                        BuiltContext::Faulty(Box::new(ctx)),
-                        kbp,
-                        entry.fingerprint(Some((rung, job.fault_seed))),
-                        SessionKey::faulty(entry.name, rung, job.fault_seed),
-                    ))
+                    Ok((BuiltContext::Faulty(Box::new(ctx)), kbp))
                 }
             },
             Resolved::Defined(def) => {
@@ -1068,20 +936,13 @@ impl Service {
                     ));
                 }
                 let (ctx, kbp) = def.compiled.instantiate();
-                Ok((
-                    BuiltContext::Plain(Box::new(ctx)),
-                    kbp,
-                    def.fingerprint,
-                    SessionKey::plain(&def.name),
-                ))
+                Ok((BuiltContext::Plain(Box::new(ctx)), kbp))
             }
         }
     }
 
-    /// Solves through the artifact cache when a session exists for the
-    /// fingerprint; cold otherwise. Also feeds the warm-rate counters
-    /// and the aggregated per-layer generation-quotient counters.
-    #[allow(clippy::too_many_arguments)]
+    /// Solves cold under the job's budget, and feeds the aggregated
+    /// per-layer generation-quotient counters.
     fn solve_outcome(
         &self,
         job: &JobRequest,
@@ -1089,29 +950,16 @@ impl Service {
         horizon: usize,
         ctx: &dyn Context,
         kbp: &Kbp,
-        fingerprint: u64,
-        key: &SessionKey,
     ) -> Result<SolveOutcome, SolveError> {
-        let solver = SyncSolver::new(ctx, kbp)
+        let outcome = SyncSolver::new(ctx, kbp)
             .horizon(horizon)
             .recall(resolved.recall())
-            .budget(job.budget);
-        let outcome = match self.cache.session(fingerprint, key) {
-            Some(session) => match session.lock() {
-                Ok(mut session) => solver.solve_budgeted_with(&mut session),
-                // A worker panicked mid-solve and poisoned this session:
-                // fall back to a cold solve (identical answer, colder).
-                Err(_) => solver.solve_budgeted(),
-            },
-            None => solver.solve_budgeted(),
-        }?;
-        let (stats, per_layer) = match &outcome {
-            SolveOutcome::Complete(s) => (s.stats(), s.per_layer()),
-            SolveOutcome::Partial(p) => (p.stats(), p.per_layer()),
+            .budget(job.budget)
+            .solve_budgeted()?;
+        let per_layer = match &outcome {
+            SolveOutcome::Complete(s) => s.per_layer(),
+            SolveOutcome::Partial(p) => p.per_layer(),
         };
-        self.layers_total.fetch_add(stats.layers, Ordering::Relaxed);
-        self.layers_restored
-            .fetch_add(stats.layers_restored, Ordering::Relaxed);
         self.note_layer_stats(per_layer);
         Ok(outcome)
     }
@@ -1148,19 +996,11 @@ impl Service {
                 ),
             );
         }
-        let (ctx, kbp, fingerprint, key) = match self.resolve_context(job, resolved) {
+        let (ctx, kbp) = match self.resolve_context(job, resolved) {
             Ok(parts) => parts,
             Err(e) => return error_response(Some(job.id), &e),
         };
-        match self.solve_outcome(
-            job,
-            resolved,
-            horizon,
-            ctx.as_dyn(),
-            &kbp,
-            fingerprint,
-            &key,
-        ) {
+        match self.solve_outcome(job, resolved, horizon, ctx.as_dyn(), &kbp) {
             Ok(outcome) => {
                 let mut fields = response_head(job, "solve", horizon);
                 push_outcome_fields(&mut fields, &outcome);
@@ -1179,19 +1019,11 @@ impl Service {
                 ),
             );
         }
-        let (ctx, kbp, fingerprint, key) = match self.resolve_context(job, resolved) {
+        let (ctx, kbp) = match self.resolve_context(job, resolved) {
             Ok(parts) => parts,
             Err(e) => return error_response(Some(job.id), &e),
         };
-        let outcome = match self.solve_outcome(
-            job,
-            resolved,
-            horizon,
-            ctx.as_dyn(),
-            &kbp,
-            fingerprint,
-            &key,
-        ) {
+        let outcome = match self.solve_outcome(job, resolved, horizon, ctx.as_dyn(), &kbp) {
             Ok(outcome) => outcome,
             Err(e) => return solve_error_response(job.id, &e),
         };
@@ -1234,7 +1066,7 @@ impl Service {
     }
 
     fn run_enumerate(&self, job: &JobRequest, resolved: &Resolved, horizon: usize) -> Json {
-        let (ctx, kbp, _fingerprint, _key) = match self.resolve_context(job, resolved) {
+        let (ctx, kbp) = match self.resolve_context(job, resolved) {
             Ok(parts) => parts,
             Err(e) => return error_response(Some(job.id), &e),
         };
@@ -1304,9 +1136,7 @@ impl Service {
             let (ctx, kbp) = entry.build_faulty(schedule.clone());
             let agents = ctx.agent_count();
             let signature = schedule.signature(horizon, agents);
-            let fingerprint = entry.fingerprint(Some((rung, job.fault_seed)));
-            let key = SessionKey::faulty(entry.name, rung, job.fault_seed);
-            match self.solve_outcome(job, resolved, horizon, &ctx, &kbp, fingerprint, &key) {
+            match self.solve_outcome(job, resolved, horizon, &ctx, &kbp) {
                 Ok(outcome) => {
                     let mut row = vec![
                         ("fault".to_string(), Json::Str(rung.into())),
@@ -1342,9 +1172,6 @@ impl Service {
             ),
             ("jobs_executed", Json::U64(stats.jobs_executed as u64)),
             ("queue_rejections", Json::U64(stats.queue_rejections as u64)),
-            ("cache", self.cache_json(&stats.cache)),
-            ("layers_total", Json::U64(stats.layers_total as u64)),
-            ("layers_restored", Json::U64(stats.layers_restored as u64)),
         ])
     }
 
@@ -1366,8 +1193,8 @@ impl Service {
     }
 
     /// The `{"kind":"metrics"}` response: queue depth (supplied by the
-    /// front end that owns the queue), worker utilization and the full
-    /// cache counters. Monitoring only — racy by nature, never compared
+    /// front end that owns the queue), worker utilization, and the
+    /// evaluation and definition counters. Monitoring only — racy by nature, never compared
     /// bit-for-bit.
     #[must_use]
     pub fn metrics_response(&self, id: Option<u64>, queue_depth: usize) -> Json {
@@ -1412,12 +1239,6 @@ impl Service {
             (
                 "quota_rejections".into(),
                 Json::U64(stats.quota_rejections as u64),
-            ),
-            ("cache".into(), self.cache_json(&stats.cache)),
-            ("layers_total".into(), Json::U64(stats.layers_total as u64)),
-            (
-                "layers_restored".into(),
-                Json::U64(stats.layers_restored as u64),
             ),
             (
                 "eval".into(),
@@ -1500,40 +1321,6 @@ impl Service {
         }
         Json::Obj(fields)
     }
-
-    fn cache_json(&self, cache: &CacheStats) -> Json {
-        obj(vec![
-            ("enabled", Json::Bool(self.cache.is_enabled())),
-            ("hits", Json::U64(cache.hits as u64)),
-            ("misses", Json::U64(cache.misses as u64)),
-            ("sessions", Json::U64(cache.sessions as u64)),
-            ("evictions", Json::U64(cache.evictions as u64)),
-            ("capacity", Json::U64(cache.capacity as u64)),
-            ("preloaded", Json::U64(cache.preloaded as u64)),
-            ("persisted", Json::U64(cache.persisted as u64)),
-            ("persist_failures", Json::U64(cache.persist_failures as u64)),
-            ("compacted", Json::U64(cache.compacted as u64)),
-            ("compact_failures", Json::U64(cache.compact_failures as u64)),
-        ])
-    }
-}
-
-/// Whether the current scenario registry still produces the session
-/// file described by `key` at `fingerprint`: the scenario must exist,
-/// a fault key must name a scenario that *has* a lattice, and the
-/// re-derived fingerprint must match the file name (a mismatch means
-/// the fingerprint algorithm or the scenario definition changed — the
-/// artifact can never be looked up again).
-fn registry_owns(key: &SessionKey, fingerprint: u64) -> bool {
-    let Some(entry) = find(&key.scenario) else {
-        return false;
-    };
-    match key.fault_ref() {
-        None => entry.fingerprint(None) == fingerprint,
-        Some((rung, seed)) => {
-            entry.lattice.is_some() && entry.fingerprint(Some((rung, seed))) == fingerprint
-        }
-    }
 }
 
 /// Reloads persisted scenario definitions at startup. Registry-shadowed
@@ -1541,7 +1328,9 @@ fn registry_owns(key: &SessionKey, fingerprint: u64) -> bool {
 /// disagrees with the file name are skipped — restore must never take
 /// the daemon down, and a definition that no longer compiles should
 /// vanish rather than serve a stale lowering.
-fn restore_definitions(store: Option<&SessionStore>) -> (HashMap<String, Arc<Definition>>, usize) {
+fn restore_definitions(
+    store: Option<&DefinitionStore>,
+) -> (HashMap<String, Arc<Definition>>, usize) {
     let mut definitions = HashMap::new();
     let Some(store) = store else {
         return (definitions, 0);
@@ -2028,23 +1817,10 @@ mod tests {
             run(&[(QUEUE_ENV, "deep")]),
             Err(ConfigError::Size { .. })
         ));
-        assert!(matches!(
-            run(&[(CACHE_ENV, "maybe")]),
-            Err(ConfigError::Flag { .. })
-        ));
-        assert!(matches!(
-            run(&[(CACHE_SESSIONS_ENV, "lots")]),
-            Err(ConfigError::Size { .. })
-        ));
-        assert!(matches!(
-            run(&[(CACHE_SESSIONS_ENV, "0")]),
-            Err(ConfigError::Size { .. })
-        ));
-        // Queue and cache bounds are sizes, not thread counts: no
-        // worker-count cap applies to them.
-        let big = run(&[(QUEUE_ENV, "5000"), (CACHE_SESSIONS_ENV, "10000")]).unwrap();
+        // The queue bound is a size, not a thread count: no
+        // worker-count cap applies to it.
+        let big = run(&[(QUEUE_ENV, "5000")]).unwrap();
         assert_eq!(big.queue_capacity, 5000);
-        assert_eq!(big.cache_sessions, 10000);
         // The new daemon bounds: zero and garbage are startup errors.
         for var in [CLIENT_PENDING_ENV, MAX_CONNECTIONS_ENV, MAX_LINE_ENV] {
             assert!(
@@ -2077,8 +1853,6 @@ mod tests {
         let ok = run(&[
             (WORKERS_ENV, "3"),
             (QUEUE_ENV, "17"),
-            (CACHE_ENV, "off"),
-            (CACHE_SESSIONS_ENV, "5"),
             (CACHE_DIR_ENV, "/tmp/kbp-cache-test"),
             (CLIENT_PENDING_ENV, "9"),
             (MAX_CONNECTIONS_ENV, "7"),
@@ -2091,8 +1865,6 @@ mod tests {
         .unwrap();
         assert_eq!(ok.workers, 3);
         assert_eq!(ok.queue_capacity, 17);
-        assert!(!ok.cache_enabled);
-        assert_eq!(ok.cache_sessions, 5);
         assert_eq!(
             ok.cache_dir.as_deref(),
             Some(Path::new("/tmp/kbp-cache-test"))
@@ -2121,10 +1893,8 @@ mod tests {
         assert_eq!(metrics.get("queue_depth"), Some(&Json::U64(3)));
         assert_eq!(metrics.get("workers_busy"), Some(&Json::U64(0)));
         assert_eq!(metrics.get("jobs_executed"), Some(&Json::U64(1)));
-        let cache = metrics.get("cache").unwrap();
-        assert_eq!(cache.get("misses"), Some(&Json::U64(1)));
-        assert_eq!(cache.get("preloaded"), Some(&Json::U64(0)));
-        assert_eq!(cache.get("compacted"), Some(&Json::U64(0)));
+        assert!(metrics.get("cache").is_none());
+        assert!(metrics.get("layers_restored").is_none());
         // Without a plane snapshot the wire shape is the pre-plane one.
         assert!(metrics.get("connections").is_none());
 
@@ -2165,38 +1935,6 @@ mod tests {
             let error = notice.get("error").unwrap();
             assert_eq!(error.get("kind"), Some(&Json::Str(name.into())));
         }
-    }
-
-    #[test]
-    fn shutdown_compaction_is_scoped_by_the_registry() {
-        let dir = std::env::temp_dir().join(format!(
-            "kbp-service-compact-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let service = Service::new(ServiceConfig::new().workers(1).cache_dir(Some(dir.clone())));
-        // A real solve, persisted under its registry provenance...
-        let _ = service.execute(&job(
-            r#"{"id":1,"kind":"solve","scenario":"bit_transmission"}"#,
-        ));
-        // ...plus a file the registry never produced.
-        let store = crate::persist::SessionStore::open(&dir).unwrap();
-        store
-            .save(
-                0xDEAD,
-                &SessionKey::plain("retired_scenario"),
-                &kbp_core::EngineSession::new(),
-            )
-            .unwrap();
-        service.persist();
-        let survivors = store.list().unwrap();
-        let live = find("bit_transmission").unwrap().fingerprint(None);
-        assert_eq!(survivors, vec![live]);
-        let stats = service.stats();
-        assert_eq!(stats.cache.compacted, 1);
-        assert_eq!(stats.cache.compact_failures, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn dsl_source() -> String {
@@ -2358,7 +2096,7 @@ mod tests {
     }
 
     #[test]
-    fn definitions_survive_a_warm_restart_and_redefinition_compacts() {
+    fn definitions_survive_a_restart_and_redefinition_replaces_the_file() {
         let dir = std::env::temp_dir().join(format!(
             "kbp-service-def-restart-{}-{:?}",
             std::process::id(),
@@ -2367,46 +2105,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let source = dsl_source();
         let config = || ServiceConfig::new().workers(1).cache_dir(Some(dir.clone()));
-        {
+        let solve = r#"{"id":2,"kind":"solve","scenario":"bt_dsl"}"#;
+        let first = {
             let service = Service::new(config());
             let ok = service.define_response(&define(1, Some("bt_dsl"), &source, None), "local");
             assert_eq!(ok.get("ok"), Some(&Json::Bool(true)));
-            // Warm the cache for the defined fingerprint, then persist.
-            let _ = service.execute(&job(r#"{"id":2,"kind":"solve","scenario":"bt_dsl"}"#));
-            service.persist();
-        }
+            service.execute(&job(solve)).to_line()
+        };
         let survivor_fp = {
-            // Restart: the definition and its warm session both return.
+            // Restart: the definition returns and answers identically.
             let service = Service::new(config());
             let stats = service.stats();
             assert_eq!(stats.definitions_active, 1);
             assert_eq!(stats.definitions_restored, 1);
-            let response = service.execute(&job(r#"{"id":3,"kind":"solve","scenario":"bt_dsl"}"#));
-            assert_eq!(response.get("ok"), Some(&Json::Bool(true)));
-            assert!(
-                service.stats().layers_restored > 0,
-                "restart must answer warm from the persisted session"
-            );
-            // Redefine with different source: new fingerprint; the old
-            // session file is no longer producible and compacts away.
+            assert_eq!(service.execute(&job(solve)).to_line(), first);
+            // Redefine with different source: new fingerprint, and the
+            // new file replaces the old one.
             let redefined = service.define_response(
                 &define(4, Some("bt_dsl"), &format!("{source}\n# v2"), None),
                 "local",
             );
             assert_eq!(redefined.get("ok"), Some(&Json::Bool(true)));
-            let _ = service.execute(&job(r#"{"id":5,"kind":"solve","scenario":"bt_dsl"}"#));
-            service.persist();
+            assert_eq!(redefined.get("redefined"), Some(&Json::Bool(true)));
             redefined.get("fingerprint").unwrap().as_u64().unwrap()
         };
-        let store = crate::persist::SessionStore::open(&dir).unwrap();
-        assert_eq!(
-            store.list().unwrap(),
-            vec![survivor_fp],
-            "only the redefined fingerprint's session survives compaction"
-        );
-        let defs = store.load_definitions().unwrap();
+        let defs = DefinitionStore::open(&dir)
+            .unwrap()
+            .load_definitions()
+            .unwrap();
         assert_eq!(defs.len(), 1, "the stale definition file was replaced");
         assert_eq!(defs[0].0, survivor_fp);
+        let restarted = Service::new(config());
+        assert_eq!(restarted.stats().definitions_restored, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

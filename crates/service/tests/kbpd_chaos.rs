@@ -27,8 +27,6 @@ const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
 const KBP_VARS: &[&str] = &[
     "KBP_SERVICE_WORKERS",
     "KBP_SERVICE_QUEUE",
-    "KBP_SERVICE_CACHE",
-    "KBP_SERVICE_CACHE_SESSIONS",
     "KBP_SERVICE_CACHE_DIR",
     "KBP_SERVICE_CLIENT_PENDING",
     "KBP_SERVICE_MAX_CONNECTIONS",
@@ -298,12 +296,9 @@ fn force_closed_connections_drop_responses_but_never_wedge_the_drain() {
         ("KBP_SERVICE_WORKERS", "1"),
         ("KBP_SERVICE_WRITE_BUDGET_BYTES", "2048"),
         ("KBP_SERVICE_QUEUE", "64"),
-        // Cold solves keep the single worker busy long enough that the
-        // victim is force-closed while its jobs are still in flight.
-        ("KBP_SERVICE_CACHE", "0"),
     ]);
     let mut victim = TcpStream::connect(&daemon.addr).expect("connect victim");
-    // Slow jobs first (one worker grinds through them), then an unread
+    // Slow jobs first (one worker grinds through eight solves), then an unread
     // inline-metrics flood to blow the write budget while they are
     // still in flight.
     for id in 0..8 {

@@ -1,7 +1,7 @@
 //! End-to-end coverage for the `define` wire op: a client registers a
 //! DSL scenario over TCP, solves it bit-identically to the compiled-in
-//! registry version, and the definition survives a warm restart of the
-//! daemon (fresh `Server` over the same cache directory).
+//! registry version, and the definition survives a restart of the
+//! daemon (fresh `Server` over the same definitions directory).
 
 use kbp_service::json::{obj, parse as parse_json, Json};
 use kbp_service::{Server, ServerHandle, Service, ServiceConfig};
@@ -153,7 +153,7 @@ fn define_solve_and_warm_restart_over_tcp() {
         thread.join().expect("join").expect("run");
     }
 
-    // Warm restart: a fresh server over the same cache directory
+    // Restart: a fresh server over the same definitions directory
     // answers the defined name without any client re-defining it, and
     // the solution is byte-for-byte the pre-restart one.
     {

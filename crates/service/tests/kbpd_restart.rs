@@ -1,29 +1,25 @@
-//! Warm-restart determinism: a killed-and-restarted `kbpd` with a
-//! persisted cache directory must answer a repeated batch bit-identically
-//! to a cold daemon — and the warmth must be *visible* in metrics
-//! (sessions preloaded at startup, cache hits when the batch repeats).
+//! Restart over a directory an older release left behind. Such a
+//! `KBP_SERVICE_CACHE_DIR` holds persisted scenario definitions next to
+//! `.kbps` artifact-cache session files, which no release reads any
+//! more. A daemon started over it must restore the definition, ignore
+//! the session files (valid and corrupt alike, leaving them untouched),
+//! and answer the golden batch and a job on the defined scenario
+//! byte-identically to a fresh daemon that was sent the definition.
+//!
+//! `data/old_cache_dir` was written by a release that still had the
+//! cache: one `define` of the bit-transmission DSL example, one solve of
+//! it, then a graceful shutdown.
 
+use kbp_service::json::{obj, Json};
+use kbp_service::DefinitionStore;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 
 const INPUT: &str = include_str!("data/smoke_input.jsonl");
 const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
-
-const KBP_VARS: &[&str] = &[
-    "KBP_SERVICE_WORKERS",
-    "KBP_SERVICE_QUEUE",
-    "KBP_SERVICE_CACHE",
-    "KBP_SERVICE_CACHE_SESSIONS",
-    "KBP_SERVICE_CACHE_DIR",
-    "KBP_SERVICE_CLIENT_PENDING",
-    "KBP_SERVICE_MAX_CONNECTIONS",
-    "KBP_SERVICE_MAX_LINE",
-    "KBP_SERVICE_IDLE_TIMEOUT_MS",
-    "KBP_SERVICE_WRITE_BUDGET_BYTES",
-    "KBP_SERVICE_WRITE_STALL_MS",
-];
+const OLD_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/old_cache_dir");
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -32,6 +28,7 @@ fn temp_dir(tag: &str) -> PathBuf {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
     dir
 }
 
@@ -41,13 +38,17 @@ struct Daemon {
     addr: String,
 }
 
-fn spawn_daemon(cache_dir: &std::path::Path) -> Daemon {
+/// Spawns `kbpd --listen` over `dir` with every ambient `KBP_SERVICE_*`
+/// variable removed, so the test pins the configuration it runs under.
+fn spawn_daemon(dir: &Path) -> Daemon {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_kbpd"));
-    for var in KBP_VARS {
-        cmd.env_remove(var);
+    for (var, _) in std::env::vars() {
+        if var.starts_with("KBP_SERVICE_") {
+            cmd.env_remove(var);
+        }
     }
     cmd.env("KBP_SERVICE_WORKERS", "2");
-    cmd.env("KBP_SERVICE_CACHE_DIR", cache_dir);
+    cmd.env("KBP_SERVICE_CACHE_DIR", dir);
     let mut child = cmd
         .arg("--listen")
         .arg("127.0.0.1:0")
@@ -73,6 +74,21 @@ fn spawn_daemon(cache_dir: &std::path::Path) -> Daemon {
 }
 
 impl Daemon {
+    /// Sends `lines` on one connection and reads one response per line.
+    fn round_trip(&self, lines: &[String]) -> Vec<String> {
+        let mut stream = TcpStream::connect(&self.addr).expect("connect");
+        for line in lines {
+            writeln!(stream, "{line}").expect("write");
+        }
+        stream.shutdown(Shutdown::Write).expect("half-close");
+        let responses: Vec<String> = BufReader::new(stream)
+            .lines()
+            .map(|line| line.expect("read"))
+            .collect();
+        assert_eq!(responses.len(), lines.len(), "{responses:?}");
+        responses
+    }
+
     fn shutdown(mut self) {
         drop(self.stdin.take());
         let status = self.child.wait().expect("kbpd exits");
@@ -80,113 +96,98 @@ impl Daemon {
     }
 }
 
-/// Runs the golden batch, then a metrics probe on the same connection
-/// *after* all batch responses arrived (so execution — and therefore
-/// cache-hit accounting — has finished). Returns (batch, metrics).
-fn batch_then_metrics(addr: &str) -> (Vec<String>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(INPUT.as_bytes()).expect("write batch");
-    stream.flush().expect("flush");
-    let expected = INPUT.lines().count();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut batch = Vec::new();
-    let mut line = String::new();
-    while batch.len() < expected {
-        line.clear();
-        assert!(
-            reader.read_line(&mut line).expect("read response") > 0,
-            "connection closed early: {batch:?}"
-        );
-        batch.push(line.trim_end_matches('\n').to_string());
-    }
-    writeln!(stream, "{{\"kind\":\"metrics\",\"id\":999}}").expect("write metrics");
-    stream.shutdown(Shutdown::Write).expect("half-close");
-    line.clear();
-    assert!(
-        reader.read_line(&mut line).expect("read metrics") > 0,
-        "no metrics response"
-    );
-    (batch, line.trim_end_matches('\n').to_string())
-}
-
-fn metric(metrics: &str, key: &str) -> u64 {
-    metrics
-        .split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|rest| {
-            rest.split(|c: char| !c.is_ascii_digit())
-                .next()
-                .filter(|digits| !digits.is_empty())
+/// Every file of `dir` with its bytes, sorted by name.
+fn contents(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|entry| {
+            let entry = entry.expect("dir entry");
+            let name = entry.file_name().into_string().expect("utf8 name");
+            (name, std::fs::read(entry.path()).expect("read file"))
         })
-        .unwrap_or_else(|| panic!("metric {key} missing in {metrics}"))
-        .parse()
-        .expect("metric parses")
-}
-
-#[test]
-fn restarted_daemon_answers_bit_identically_and_visibly_warm() {
-    let cache_dir = temp_dir("warm");
-    let golden: Vec<&str> = GOLDEN.lines().collect();
-
-    // Cold run: empty cache directory, golden answers, then a graceful
-    // shutdown that persists the solve sessions.
-    let cold = spawn_daemon(&cache_dir);
-    let (cold_batch, cold_metrics) = batch_then_metrics(&cold.addr);
-    assert_eq!(cold_batch, golden, "cold daemon matches the golden bytes");
-    assert_eq!(metric(&cold_metrics, "preloaded"), 0, "{cold_metrics}");
-    cold.shutdown();
-
-    let persisted: Vec<_> = std::fs::read_dir(&cache_dir)
-        .expect("cache dir exists")
-        .filter_map(Result::ok)
-        .filter(|e| e.path().extension().is_some_and(|x| x == "kbps"))
         .collect();
-    assert!(
-        !persisted.is_empty(),
-        "shutdown must persist solve sessions to {}",
-        cache_dir.display()
-    );
-
-    // Warm run: same directory. Same bytes on the wire, but the cache
-    // preloaded the persisted sessions and the repeated batch hits.
-    let warm = spawn_daemon(&cache_dir);
-    let (warm_batch, warm_metrics) = batch_then_metrics(&warm.addr);
-    assert_eq!(
-        warm_batch, cold_batch,
-        "a warm restart must answer bit-identically to the cold daemon"
-    );
-    assert!(
-        metric(&warm_metrics, "preloaded") >= 1,
-        "restart must preload persisted sessions: {warm_metrics}"
-    );
-    assert!(
-        metric(&warm_metrics, "hits") >= 1,
-        "repeated batch must hit the preloaded sessions: {warm_metrics}"
-    );
-    warm.shutdown();
-
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    files.sort();
+    files
 }
 
 #[test]
-fn corrupt_cache_files_cold_start_instead_of_crashing() {
-    let cache_dir = temp_dir("corrupt");
-    std::fs::create_dir_all(&cache_dir).expect("mkdir");
-    // A validly-named file full of garbage: the daemon must skip it and
-    // serve cold, not refuse to start or crash.
-    std::fs::write(cache_dir.join("00000000deadbeef.kbps"), b"not a session")
-        .expect("write garbage");
-    let daemon = spawn_daemon(&cache_dir);
-    let (batch, metrics) = batch_then_metrics(&daemon.addr);
-    let golden: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(
-        batch, golden,
-        "garbage in the store must not change answers"
+fn restart_over_an_old_directory_restores_definitions_and_ignores_sessions() {
+    let old = Path::new(OLD_DIR);
+    let records = DefinitionStore::open(old)
+        .expect("fixture opens")
+        .load_definitions()
+        .expect("fixture lists");
+    let [(fingerprint, record)] = records.as_slice() else {
+        panic!("the fixture holds exactly one definition: {records:?}");
+    };
+    let sessions = std::fs::read_dir(old)
+        .expect("fixture dir")
+        .filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "kbps"))
+        })
+        .count();
+    assert_eq!(sessions, 1, "the fixture holds a valid session file");
+
+    // The old directory, plus a corrupt session file.
+    let dir = temp_dir("old");
+    for (name, bytes) in contents(old) {
+        std::fs::write(dir.join(name), bytes).expect("copy fixture");
+    }
+    std::fs::write(dir.join("00000000deadbeef.kbps"), b"not a session").expect("write garbage");
+    let before = contents(&dir);
+
+    let batch: Vec<String> = INPUT.lines().map(str::to_string).collect();
+    let golden: Vec<String> = GOLDEN.lines().map(str::to_string).collect();
+    let solve = format!(
+        "{{\"id\":7,\"kind\":\"solve\",\"scenario\":\"{}\"}}",
+        record.name
     );
+
+    // A fresh daemon, sent the same definition over the wire.
+    let fresh_dir = temp_dir("fresh");
+    let fresh = spawn_daemon(&fresh_dir);
+    let define = obj(vec![
+        ("op", Json::Str("define".into())),
+        ("id", Json::U64(1)),
+        ("name", Json::Str(record.name.clone())),
+        ("source", Json::Str(record.source.clone())),
+        ("client", Json::Str(record.owner.clone())),
+    ])
+    .to_line();
+    let defined = fresh.round_trip(&[define]);
     assert!(
-        metric(&metrics, "persist_failures") >= 1,
-        "the skipped file is counted: {metrics}"
+        defined[0].contains(&format!("\"fingerprint\":{fingerprint},")),
+        "the define fingerprint names the old file: {defined:?}"
     );
-    daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    let mut fresh_answers = fresh.round_trip(&batch);
+    fresh_answers.extend(fresh.round_trip(std::slice::from_ref(&solve)));
+    fresh.shutdown();
+    assert_eq!(fresh_answers[..batch.len()], golden[..]);
+    assert!(
+        fresh_answers[batch.len()].contains("\"ok\":true"),
+        "{fresh_answers:?}"
+    );
+
+    // The daemon over the old directory: definition restored, session
+    // files ignored, every answer byte-identical.
+    let restarted = spawn_daemon(&dir);
+    let mut answers = restarted.round_trip(&batch);
+    answers.extend(restarted.round_trip(std::slice::from_ref(&solve)));
+    let metrics = restarted.round_trip(&["{\"kind\":\"metrics\",\"id\":9}".to_string()]);
+    restarted.shutdown();
+    assert_eq!(answers, fresh_answers);
+    assert!(
+        metrics[0].contains("\"definitions\":{\"active\":1,\"restored\":1,"),
+        "{metrics:?}"
+    );
+    assert!(!metrics[0].contains("\"cache\""), "{metrics:?}");
+    assert_eq!(
+        contents(&dir),
+        before,
+        "the old files are left exactly as they were"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
 }

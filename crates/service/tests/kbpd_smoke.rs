@@ -1,7 +1,8 @@
 //! End-to-end smoke test of the `kbpd` binary: pipe a three-job batch
 //! through stdin and compare stdout byte-for-byte against the golden
 //! transcript (the same transcript CI diffs against). Also pins the
-//! typed startup failure on a malformed `KBP_SERVICE_WORKERS`, the exit
+//! typed startup failure on a malformed `KBP_SERVICE_WORKERS`, that
+//! variables of the removed artifact cache are ignored, the exit
 //! when the reader of stdout goes away, and the stdin pipe's exemption
 //! from the per-client quota and the connection protection policies.
 
@@ -44,12 +45,12 @@ fn run_kbpd(envs: &[(&str, &str)], input: &str) -> std::process::Output {
 
 #[test]
 fn golden_three_job_batch() {
-    // Worker count and cache state must not change a byte of output:
-    // run the same batch under several configurations.
+    // Worker count must not change a byte of output: run the same
+    // batch under several configurations.
     for envs in [
         &[("KBP_SERVICE_WORKERS", "1")][..],
         &[("KBP_SERVICE_WORKERS", "2")][..],
-        &[("KBP_SERVICE_WORKERS", "4"), ("KBP_SERVICE_CACHE", "off")][..],
+        &[("KBP_SERVICE_WORKERS", "4")][..],
     ] {
         let output = run_kbpd(envs, INPUT);
         assert!(output.status.success(), "kbpd failed under {envs:?}");
@@ -64,6 +65,27 @@ fn stale_generation_gate_variable_is_ignored() {
     // generation gate neither blocks startup nor changes a byte.
     let output = run_kbpd(&[("KBP_GEN_QUOTIENT_MIN_WORLDS", "wide")], INPUT);
     assert!(output.status.success(), "kbpd refused a stale variable");
+    let stdout = String::from_utf8(output.stdout).expect("utf8 output");
+    assert_eq!(stdout, GOLDEN);
+}
+
+#[test]
+fn stale_cache_variables_are_ignored() {
+    // The artifact cache and its two knobs are gone: values that used
+    // to refuse startup (a non-boolean switch, a zero session bound)
+    // now neither block it nor change a byte.
+    let output = run_kbpd(
+        &[
+            ("KBP_SERVICE_CACHE", "maybe"),
+            ("KBP_SERVICE_CACHE_SESSIONS", "0"),
+        ],
+        INPUT,
+    );
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "kbpd refused a stale variable"
+    );
     let stdout = String::from_utf8(output.stdout).expect("utf8 output");
     assert_eq!(stdout, GOLDEN);
 }

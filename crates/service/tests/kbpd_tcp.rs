@@ -16,8 +16,6 @@ const GOLDEN: &str = include_str!("data/smoke_golden.jsonl");
 const KBP_VARS: &[&str] = &[
     "KBP_SERVICE_WORKERS",
     "KBP_SERVICE_QUEUE",
-    "KBP_SERVICE_CACHE",
-    "KBP_SERVICE_CACHE_SESSIONS",
     "KBP_SERVICE_CACHE_DIR",
     "KBP_SERVICE_CLIENT_PENDING",
     "KBP_SERVICE_MAX_CONNECTIONS",
@@ -238,7 +236,7 @@ fn health_and_metrics_answer_over_tcp() {
         responses[1].contains("\"kind\":\"metrics\"")
             && responses[1].contains("\"queue_depth\"")
             && responses[1].contains("\"workers_busy\"")
-            && responses[1].contains("\"persist_failures\""),
+            && responses[1].contains("\"definitions\""),
         "{responses:?}"
     );
     daemon.shutdown();

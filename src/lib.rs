@@ -15,7 +15,7 @@
 //! | [`kbp_mck`] | CTLK model checking over reachable-state graphs |
 //! | [`kbp_faults`] | fault-injecting context combinators: scheduled message loss, crash-stop/recovery, observation corruption |
 //! | [`kbp_scenarios`] | the paper's worked examples (bit transmission, muddy children, sequence transmission, robot, fixed-point zoo) |
-//! | [`kbp_service`] | the `kbpd` batch-solving service: JSON line protocol, bounded job queue, deterministic worker pool, cross-request artifact cache |
+//! | [`kbp_service`] | the `kbpd` batch-solving service: JSON line protocol, bounded job queue, deterministic worker pool, persisted scenario definitions |
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,7 @@
 //! Backpressure and budget behaviour of the service: strict admission
 //! rejects deterministically with a typed `QueueFull` hint, and a
-//! budget-exhausted job reports a partial outcome without poisoning the
-//! shared artifact cache for later full-budget jobs.
+//! budget-exhausted job reports a partial outcome that leaves later
+//! full-budget jobs on the same service untouched.
 
 use kbp_core::Budget;
 use kbp_service::{JobKind, JobRequest, Service, ServiceConfig};
@@ -32,12 +32,7 @@ fn lines(service: &Service, jobs: &[JobRequest]) -> Vec<String> {
 #[test]
 fn strict_admission_rejects_exactly_the_overflow() {
     let jobs: Vec<JobRequest> = (0..6).map(|i| job(i, "zoo_plain")).collect();
-    let service = Service::new(
-        ServiceConfig::new()
-            .workers(3)
-            .queue_capacity(4)
-            .cache(true),
-    );
+    let service = Service::new(ServiceConfig::new().workers(3).queue_capacity(4));
     let responses = lines(&service, &jobs);
     assert_eq!(responses.len(), 6);
     for (i, line) in responses.iter().enumerate() {
@@ -88,8 +83,8 @@ fn rejections_are_deterministic_across_worker_counts() {
 }
 
 #[test]
-fn exhausted_budget_yields_partial_and_does_not_poison_the_cache() {
-    let service = Service::new(ServiceConfig::new().workers(1).cache(true));
+fn exhausted_budget_yields_partial_and_leaves_later_solves_intact() {
+    let service = Service::new(ServiceConfig::new().workers(1));
 
     // A budget of one guard evaluation cannot finish bit transmission.
     let mut starved = job(1, "bit_transmission");
@@ -101,18 +96,18 @@ fn exhausted_budget_yields_partial_and_does_not_poison_the_cache() {
         "starved job should report its exhausted resource: {partial}"
     );
 
-    // The same context at full budget, through the same (now-primed)
-    // session, must match a cold solve on a cache-less service exactly.
-    let warm = service.execute(&job(2, "bit_transmission")).to_line();
-    let cold_service = Service::new(ServiceConfig::new().workers(1).cache(false));
-    let cold = cold_service.execute(&job(2, "bit_transmission")).to_line();
-    assert_eq!(warm, cold, "partial solve poisoned the shared session");
-    assert!(warm.contains("\"outcome\":\"complete\""));
+    // The same context at full budget, on the same service, must match
+    // a solve on a fresh service exactly.
+    let after = service.execute(&job(2, "bit_transmission")).to_line();
+    let fresh_service = Service::new(ServiceConfig::new().workers(1));
+    let fresh = fresh_service.execute(&job(2, "bit_transmission")).to_line();
+    assert_eq!(after, fresh, "a partial solve changed a later answer");
+    assert!(after.contains("\"outcome\":\"complete\""));
 }
 
 #[test]
 fn partial_check_reports_without_verifying() {
-    let service = Service::new(ServiceConfig::new().workers(1).cache(true));
+    let service = Service::new(ServiceConfig::new().workers(1));
     let mut starved = job(1, "bit_transmission");
     starved.kind = JobKind::Check;
     starved.budget = Budget::new().max_layer_points(1);
