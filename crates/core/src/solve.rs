@@ -21,8 +21,8 @@ use crate::program::{Kbp, KbpError};
 use kbp_kripke::{BitSet, EvalCache, EvalEngine, EvalError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    layer_renaming, Context, GenerateError, InterpretedSystem, MapProtocol, Recall, StepChoices,
-    SystemBuilder,
+    layer_renaming, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol, Recall,
+    StepChoices, SystemBuilder,
 };
 use std::error::Error;
 use std::fmt;
@@ -747,47 +747,56 @@ impl<'a> SyncSolver<'a> {
             // bisimilar and cannot disagree on a guard, so checking across
             // classes per member local sees exactly the disagreements the
             // explicit layer would.
-            let mut seen: std::collections::HashMap<kbp_systems::LocalId, Vec<bool>> =
-                std::collections::HashMap::new();
+            //
+            // `truths[node * k + j]` is guard `j` at `node`, and `first`
+            // is a dense slot per local id in the layer's range holding
+            // the first node the local occurs at (perfect recall makes the
+            // range exactly the layer's locals).
+            let k = guard_sets.len();
+            let truths: Vec<bool> = (0..layer.len())
+                .flat_map(|node| guard_sets.iter().map(move |s| s.contains(node)))
+                .collect();
+            let row = |node: usize| &truths[node * k..(node + 1) * k];
+            let (lo, hi) = (0..layer.len())
+                .flat_map(|node| layer.members(agent, node))
+                .fold((usize::MAX, 0), |(lo, hi), l| {
+                    (lo.min(l.index()), hi.max(l.index()))
+                });
+            let mut first: Vec<u32> = vec![u32::MAX; hi.saturating_sub(lo) + 1];
+            let mut order: Vec<LocalId> = Vec::new();
             for node in 0..layer.len() {
-                let truths: Vec<bool> = guard_sets.iter().map(|s| s.contains(node)).collect();
                 for &local in layer.members(agent, node) {
-                    match seen.get(&local) {
-                        Some(prev) if *prev != truths => {
-                            let clause = prev
-                                .iter()
-                                .zip(&truths)
-                                .position(|(a, b)| a != b)
-                                .unwrap_or(0);
-                            return Err(SolveError::LocalityViolation {
-                                agent,
-                                clause,
-                                time,
-                            });
-                        }
-                        Some(_) => {}
-                        None => {
-                            seen.insert(local, truths.clone());
-                        }
+                    let slot = &mut first[local.index() - lo];
+                    if *slot == u32::MAX {
+                        *slot = node as u32;
+                        order.push(local);
+                        continue;
+                    }
+                    let (prev, now) = (row(*slot as usize), row(node));
+                    if let Some(clause) = prev.iter().zip(now).position(|(a, b)| a != b) {
+                        return Err(SolveError::LocalityViolation {
+                            agent,
+                            clause,
+                            time,
+                        });
                     }
                 }
             }
 
-            for (local, truths) in seen {
-                let actions = program.induced_actions(&truths);
+            for local in order {
+                let actions = program.induced_actions(row(first[local.index() - lo] as usize));
                 let history = builder.local_history(agent, local);
                 // Under perfect recall a history occurs at exactly one
                 // time, so entries never collide. Under observational
                 // recall the same observation recurs; a memoryless
                 // protocol exists only if the induced actions agree.
-                if let Some(prev) = protocol.get(agent, &history) {
-                    if prev != actions.as_slice() {
+                match protocol.insert_or_get(agent, history, actions.clone()) {
+                    Some(prev) if prev != actions.as_slice() => {
                         return Err(SolveError::ObservationalConflict { agent, time });
                     }
-                } else {
-                    stats.protocol_entries += 1;
+                    Some(_) => {}
+                    None => stats.protocol_entries += 1,
                 }
-                protocol.insert(agent, history, actions.clone());
                 choices.set(agent, local, actions);
             }
         }

@@ -136,7 +136,8 @@ Define:   {\"op\":\"define\",\"id\":N,\"source\":\"<.kbp scenario text>\",
 
 Environment (malformed values refuse startup with a typed error):
   KBP_SERVICE_WORKERS          worker threads (default: available parallelism)
-  KBP_SERVICE_QUEUE            queue capacity (default 64); overflow answers queue_full
+  KBP_SERVICE_QUEUE            queue capacity (default 64); overflow answers
+                               queue_full on sockets and pauses stdin reads
   KBP_SERVICE_CACHE_DIR        definitions directory: define'd scenarios are
                                saved there and reloaded at startup
   KBP_SERVICE_CLIENT_PENDING   per-client unanswered-request quota (default 16)

@@ -21,7 +21,9 @@
 //! loop ([`Pipe`]): a forwarding thread hands stdin chunks over a
 //! bounded channel and raises the same wakeup, and responses go to
 //! stdout as blocking writes. The pipe is the operator's own, so it is
-//! exempt from the per-client quota and from every protection policy.
+//! exempt from the per-client quota and from every protection policy,
+//! and it is back-pressured instead of shed: while the job queue is full
+//! the plane stops reading it (see [`step_conn`]).
 //! With no listener the loop has no timer to keep, so it sleeps until
 //! input or a completion arrives: an idle stdin daemon costs no CPU.
 //!
@@ -659,12 +661,24 @@ fn farewell(conn: &mut Conn, kind: DisconnectKind, config: &crate::service::Serv
 /// One tick of one connection: read, decode, admit/answer, pour, flush,
 /// enforce. Returns how the connection closed, if it did.
 fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
-    // Read burst. While draining, inbound bytes are read and *discarded*
-    // (no new admissions) — leaving them unread would make the eventual
-    // close send RST, destroying the very responses the drain protects.
+    // The operator's pipe is lossless: while the job queue is full it
+    // leaves decoded lines in its decoder and stops reading, so the
+    // forwarder blocks on its bounded channel and stdin is back-pressured.
+    // The next completion frees a slot and wakes the loop. Sockets are
+    // never held: they get a typed `queue_full` instead.
+    let pipe = conn.transport.is_pipe();
+    let held = |ctx: &TickCtx<'_>| pipe && !ctx.draining && ctx.queue.len() >= ctx.queue.capacity();
+    if !ctx.draining {
+        pour_lines(id, conn, ctx, held);
+    }
+
+    // Read burst, only once every decoded line is admitted. While
+    // draining, inbound bytes are read and *discarded* (no new
+    // admissions) — leaving them unread would make the eventual close
+    // send RST, destroying the very responses the drain protects.
     let mut buf = [0u8; READ_CHUNK];
     let mut burst = READ_BURST;
-    while !conn.read_closed && burst > 0 {
+    while !conn.read_closed && burst > 0 && !held(ctx) {
         burst -= 1;
         match conn.transport.read(&mut buf) {
             Ok(0) => {
@@ -683,9 +697,7 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
                     continue;
                 }
                 conn.decoder.feed(&buf[..n]);
-                while let Some(outcome) = conn.decoder.pop() {
-                    process_outcome(id, conn, outcome, ctx);
-                }
+                pour_lines(id, conn, ctx, held);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => burst += 1,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -735,6 +747,22 @@ fn step_conn(id: u64, conn: &mut Conn, ctx: &mut TickCtx<'_>) -> Option<Close> {
         return Some(Close::Graceful);
     }
     None
+}
+
+/// Processes the connection's decoded lines in order until none is left
+/// or `held` says to stop.
+fn pour_lines(
+    id: u64,
+    conn: &mut Conn,
+    ctx: &mut TickCtx<'_>,
+    held: impl Fn(&TickCtx<'_>) -> bool,
+) {
+    while !held(ctx) {
+        let Some(outcome) = conn.decoder.pop() else {
+            return;
+        };
+        process_outcome(id, conn, outcome, ctx);
+    }
 }
 
 /// The protection policy a socket connection has broken, if any, in

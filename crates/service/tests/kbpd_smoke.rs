@@ -3,8 +3,9 @@
 //! transcript (the same transcript CI diffs against). Also pins the
 //! typed startup failure on a malformed `KBP_SERVICE_WORKERS`, that
 //! variables of the removed artifact cache are ignored, the exit
-//! when the reader of stdout goes away, and the stdin pipe's exemption
-//! from the per-client quota and the connection protection policies.
+//! when the reader of stdout goes away, the stdin pipe's exemption
+//! from the per-client quota and the connection protection policies,
+//! and that a piped batch larger than the job queue is answered in full.
 
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
@@ -196,6 +197,32 @@ fn stdin_pipe_is_exempt_from_quota_and_protection_policies() {
         "write_stall",
     ] {
         assert!(!stdout.contains(notice), "no {notice} notice: {stdout}");
+    }
+}
+
+#[test]
+fn piped_batch_larger_than_the_queue_is_lossless() {
+    // A socket client overflowing a 4-slot queue is answered queue_full;
+    // the operator's pipe is back-pressured instead, so a batch six times
+    // the queue is answered line for line, in order.
+    let input: String = (1..=24)
+        .map(|id| format!("{{\"id\":{id},\"kind\":\"solve\",\"scenario\":\"bit_transmission\"}}\n"))
+        .collect();
+    let output = run_kbpd(
+        &[("KBP_SERVICE_WORKERS", "2"), ("KBP_SERVICE_QUEUE", "4")],
+        &input,
+    );
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).expect("utf8 output");
+    assert!(!stdout.contains("queue_full"), "{stdout}");
+    let responses: Vec<&str> = stdout.lines().collect();
+    assert_eq!(responses.len(), 24, "one answer per request: {stdout}");
+    for (i, response) in responses.iter().enumerate() {
+        let id = format!("{{\"id\":{},\"ok\":true,", i + 1);
+        assert!(
+            response.starts_with(&id),
+            "answer {i} in order and ok: {response}"
+        );
     }
 }
 

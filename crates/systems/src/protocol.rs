@@ -9,6 +9,7 @@
 use crate::context::ActionId;
 use crate::state::Obs;
 use kbp_logic::Agent;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An agent's local state as seen by a protocol.
@@ -81,9 +82,17 @@ where
 /// let view = LocalView { agent: a, history: &seen_zero };
 /// assert_eq!(p.actions(&view), vec![ActionId(0)]); // default
 /// ```
+///
+/// Entries are kept in one map per agent, so a lookup borrows the history
+/// slice instead of building an owned `(agent, history)` key. The maps
+/// keep the default hasher: histories are sequences of context-defined
+/// observation codes, which a user's `.kbp` context chooses freely.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MapProtocol {
-    entries: HashMap<(Agent, Vec<Obs>), Vec<ActionId>>,
+    /// Explicit entries, indexed by agent; agents past the end have none.
+    /// A map is only created to take an entry, so the last one is never
+    /// empty and equal tables have equal lengths.
+    entries: Vec<HashMap<Vec<Obs>, Vec<ActionId>>>,
     agent_defaults: HashMap<Agent, Vec<ActionId>>,
     default: Vec<ActionId>,
 }
@@ -100,7 +109,7 @@ impl MapProtocol {
     pub fn new(default: Vec<ActionId>) -> Self {
         assert!(!default.is_empty(), "default action set must be nonempty");
         MapProtocol {
-            entries: HashMap::new(),
+            entries: Vec::new(),
             agent_defaults: HashMap::new(),
             default,
         }
@@ -124,35 +133,69 @@ impl MapProtocol {
     /// Panics if `actions` is empty.
     pub fn insert(&mut self, agent: Agent, history: Vec<Obs>, actions: Vec<ActionId>) {
         assert!(!actions.is_empty(), "action set must be nonempty");
-        self.entries.insert((agent, history), actions);
+        self.agent_entries(agent).insert(history, actions);
+    }
+
+    /// Sets the action set for a history that has no entry yet, in one
+    /// probe. A history that already has one keeps it, and that entry is
+    /// returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `actions` is empty.
+    pub fn insert_or_get(
+        &mut self,
+        agent: Agent,
+        history: Vec<Obs>,
+        actions: Vec<ActionId>,
+    ) -> Option<&[ActionId]> {
+        assert!(!actions.is_empty(), "action set must be nonempty");
+        match self.agent_entries(agent).entry(history) {
+            Entry::Occupied(e) => Some(e.into_mut().as_slice()),
+            Entry::Vacant(v) => {
+                v.insert(actions);
+                None
+            }
+        }
+    }
+
+    /// The entry map of `agent`, created on first use.
+    fn agent_entries(&mut self, agent: Agent) -> &mut HashMap<Vec<Obs>, Vec<ActionId>> {
+        let i = agent.index();
+        if i >= self.entries.len() {
+            self.entries.resize_with(i + 1, HashMap::new);
+        }
+        &mut self.entries[i]
     }
 
     /// Looks up the explicit entry for a history, if any.
     #[must_use]
     pub fn get(&self, agent: Agent, history: &[Obs]) -> Option<&[ActionId]> {
         self.entries
-            .get(&(agent, history.to_vec()))
+            .get(agent.index())?
+            .get(history)
             .map(Vec::as_slice)
     }
 
     /// Number of explicit entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().map(HashMap::len).sum()
     }
 
     /// Whether the protocol has no explicit entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.iter().all(HashMap::is_empty)
     }
 
     /// Iterates over `(agent, history, actions)` entries in arbitrary
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Agent, &[Obs], &[ActionId])> {
-        self.entries
-            .iter()
-            .map(|((a, h), acts)| (*a, h.as_slice(), acts.as_slice()))
+        self.entries.iter().enumerate().flat_map(|(i, map)| {
+            map.iter()
+                .map(move |(h, acts)| (Agent::new(i), h.as_slice(), acts.as_slice()))
+        })
     }
 
     /// Renders the protocol as a sorted, human-readable table using the
@@ -197,14 +240,19 @@ impl MapProtocol {
     pub fn is_deterministic(&self) -> bool {
         self.default.len() == 1
             && self.agent_defaults.values().all(|v| v.len() == 1)
-            && self.entries.values().all(|v| v.len() == 1)
+            && self
+                .entries
+                .iter()
+                .flat_map(HashMap::values)
+                .all(|v| v.len() == 1)
     }
 }
 
 impl ProtocolFn for MapProtocol {
     fn actions(&self, view: &LocalView<'_>) -> Vec<ActionId> {
         self.entries
-            .get(&(view.agent, view.history.to_vec()))
+            .get(view.agent.index())
+            .and_then(|map| map.get(view.history))
             .or_else(|| self.agent_defaults.get(&view.agent))
             .cloned()
             .unwrap_or_else(|| self.default.clone())
@@ -282,6 +330,71 @@ mod tests {
     }
 
     #[test]
+    fn map_protocol_equality_ignores_insertion_order() {
+        let (a, b, c) = (Agent::new(0), Agent::new(2), Agent::new(5));
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        p.insert(a, vec![Obs(1)], vec![ActionId(1)]);
+        p.insert(b, vec![Obs(1), Obs(2)], vec![ActionId(0), ActionId(1)]);
+        let mut q = MapProtocol::new(vec![ActionId(0)]);
+        q.insert(b, vec![Obs(1), Obs(2)], vec![ActionId(0), ActionId(1)]);
+        q.insert(a, vec![Obs(1)], vec![ActionId(1)]);
+        assert_eq!(p, q);
+        q.insert(c, vec![Obs(0)], vec![ActionId(0)]);
+        assert_ne!(p, q);
+        assert_ne!(q, p);
+        // Same entries under different agents differ.
+        let mut r = MapProtocol::new(vec![ActionId(0)]);
+        r.insert(c, vec![Obs(1)], vec![ActionId(1)]);
+        r.insert(b, vec![Obs(1), Obs(2)], vec![ActionId(0), ActionId(1)]);
+        assert_ne!(p, r);
+        // Defaults take part.
+        let mut d = p.clone();
+        d.set_agent_default(a, vec![ActionId(1)]);
+        assert_ne!(p, d);
+        assert_eq!((p.len(), q.len()), (2, 3));
+        let mut entries: Vec<_> = q.iter().map(|(agent, h, _)| (agent, h.to_vec())).collect();
+        entries.sort();
+        assert_eq!(
+            entries,
+            vec![
+                (a, vec![Obs(1)]),
+                (b, vec![Obs(1), Obs(2)]),
+                (c, vec![Obs(0)])
+            ]
+        );
+    }
+
+    #[test]
+    fn map_protocol_actions_fall_back_to_agent_then_global_default() {
+        let (a, b, c) = (Agent::new(0), Agent::new(1), Agent::new(7));
+        let mut p = MapProtocol::new(vec![ActionId(9)]);
+        p.set_agent_default(b, vec![ActionId(4)]);
+        p.insert(b, vec![Obs(3)], vec![ActionId(2)]);
+        let actions = |agent, history: &[Obs]| p.actions(&LocalView { agent, history });
+        assert_eq!(actions(b, &[Obs(3)]), vec![ActionId(2)], "entry");
+        assert_eq!(actions(b, &[Obs(4)]), vec![ActionId(4)], "agent default");
+        assert_eq!(actions(a, &[Obs(3)]), vec![ActionId(9)], "global default");
+        assert_eq!(
+            actions(c, &[Obs(3)]),
+            vec![ActionId(9)],
+            "agent past the table"
+        );
+    }
+
+    #[test]
+    fn insert_or_get_keeps_the_first_entry() {
+        let a = Agent::new(3);
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        assert_eq!(p.insert_or_get(a, vec![Obs(1)], vec![ActionId(1)]), None);
+        assert_eq!(
+            p.insert_or_get(a, vec![Obs(1)], vec![ActionId(2)]),
+            Some(&[ActionId(1)][..])
+        );
+        assert_eq!(p.get(a, &[Obs(1)]), Some(&[ActionId(1)][..]));
+        assert_eq!(p.len(), 1);
+    }
+
+    #[test]
     fn closure_protocols_work() {
         let p = |view: &LocalView<'_>| {
             if view.current() == Obs(0) {
@@ -347,8 +460,49 @@ mod tests {
     }
 }
 
-serde::impl_serde_struct!(MapProtocol {
-    entries,
-    agent_defaults,
-    default,
-});
+/// The serialized shape of [`MapProtocol`]: entries in one map keyed by
+/// `(agent, history)`, independent of the in-memory per-agent layout.
+mod wire {
+    use super::{ActionId, Agent, HashMap, Obs};
+
+    pub(super) struct MapProtocol {
+        pub(super) entries: HashMap<(Agent, Vec<Obs>), Vec<ActionId>>,
+        pub(super) agent_defaults: HashMap<Agent, Vec<ActionId>>,
+        pub(super) default: Vec<ActionId>,
+    }
+
+    serde::impl_serde_struct!(MapProtocol {
+        entries,
+        agent_defaults,
+        default,
+    });
+}
+
+impl serde::Serialize for MapProtocol {
+    fn serialize<S: serde::ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        wire::MapProtocol {
+            entries: self
+                .iter()
+                .map(|(agent, h, acts)| ((agent, h.to_vec()), acts.to_vec()))
+                .collect(),
+            agent_defaults: self.agent_defaults.clone(),
+            default: self.default.clone(),
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for MapProtocol {
+    fn deserialize<D: serde::de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let w = wire::MapProtocol::deserialize(deserializer)?;
+        let mut p = MapProtocol {
+            entries: Vec::new(),
+            agent_defaults: w.agent_defaults,
+            default: w.default,
+        };
+        for ((agent, history), actions) in w.entries {
+            p.agent_entries(agent).insert(history, actions);
+        }
+        Ok(p)
+    }
+}

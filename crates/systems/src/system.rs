@@ -369,9 +369,58 @@ impl From<ContextError> for GenerateError {
 /// Keying by [`LocalId`] makes class-consistency automatic: all points
 /// where the agent has the same local state necessarily receive the same
 /// action set — the defining property of a protocol.
+///
+/// Each agent's choices are a dense slot vector over the window of local
+/// ids set so far, so a lookup is an index, not a hash. Under perfect
+/// recall a layer's local states are a contiguous id range; the window
+/// grows geometrically at either end, so any `set` order costs amortized
+/// constant time, and memory is proportional to the span of ids set.
+/// Slots refer to an interned table of the distinct action sets (a
+/// knowledge-based program induces at most `2^clauses` of them).
 #[derive(Debug, Clone, Default)]
 pub struct StepChoices {
-    per_agent: HashMap<(Agent, LocalId), Vec<ActionId>>,
+    /// Indexed by agent.
+    windows: Vec<ChoiceWindow>,
+    /// The distinct action sets, by interned id.
+    sets: Vec<Vec<ActionId>>,
+    ids: HashMap<Vec<ActionId>, u32>,
+}
+
+/// One agent's slots: `slots[k]` is the interned set id chosen for local
+/// `lo + k`, or [`ChoiceWindow::UNSET`].
+#[derive(Debug, Clone, Default)]
+struct ChoiceWindow {
+    lo: u32,
+    slots: Vec<u32>,
+}
+
+impl ChoiceWindow {
+    const UNSET: u32 = u32::MAX;
+
+    fn get(&self, local: LocalId) -> Option<u32> {
+        let k = local.0.checked_sub(self.lo)? as usize;
+        self.slots.get(k).copied().filter(|&id| id != Self::UNSET)
+    }
+
+    fn set(&mut self, local: LocalId, id: u32) {
+        let l = local.0;
+        if self.slots.is_empty() {
+            self.lo = l;
+        } else if l < self.lo {
+            // Grow downwards by at least the current width, so a
+            // descending fill stays linear.
+            let lo = l.min(self.lo.saturating_sub(self.slots.len() as u32));
+            let grow = (self.lo - lo) as usize;
+            self.slots
+                .splice(0..0, std::iter::repeat_n(Self::UNSET, grow));
+            self.lo = lo;
+        }
+        let k = (l - self.lo) as usize;
+        if k >= self.slots.len() {
+            self.slots.resize(k + 1, Self::UNSET);
+        }
+        self.slots[k] = id;
+    }
 }
 
 impl StepChoices {
@@ -383,32 +432,52 @@ impl StepChoices {
 
     /// Sets the action set for one `(agent, local state)` pair.
     pub fn set(&mut self, agent: Agent, local: LocalId, actions: Vec<ActionId>) {
-        self.per_agent.insert((agent, local), actions);
+        let id = match self.ids.get(actions.as_slice()) {
+            Some(&id) => id,
+            None => {
+                let id = self.sets.len() as u32;
+                self.ids.insert(actions.clone(), id);
+                self.sets.push(actions);
+                id
+            }
+        };
+        let i = agent.index();
+        if i >= self.windows.len() {
+            self.windows.resize_with(i + 1, ChoiceWindow::default);
+        }
+        self.windows[i].set(local, id);
     }
 
     /// Looks up the action set for a pair, if present.
     #[must_use]
     pub fn get(&self, agent: Agent, local: LocalId) -> Option<&[ActionId]> {
-        self.per_agent.get(&(agent, local)).map(Vec::as_slice)
+        self.set_id(agent, local)
+            .map(|id| self.sets[id as usize].as_slice())
     }
 
-    /// The action set for a pair, checked to be present, non-empty and
-    /// within the agent's repertoire in `ctx`.
+    /// The interned id of the pair's action set: equal ids, equal sets.
+    fn set_id(&self, agent: Agent, local: LocalId) -> Option<u32> {
+        self.windows.get(agent.index())?.get(local)
+    }
+
+    /// The interned id of the action set for a pair, checked to be
+    /// present, non-empty and within the agent's `action_count` actions.
     fn validated(
         &self,
-        ctx: &dyn Context,
         agent: Agent,
         local: LocalId,
-    ) -> Result<&[ActionId], GenerateError> {
-        let set = self
-            .get(agent, local)
+        action_count: usize,
+    ) -> Result<u32, GenerateError> {
+        let id = self
+            .set_id(agent, local)
             .ok_or(GenerateError::MissingChoice { agent, local })?;
+        let set = &self.sets[id as usize];
         if set.is_empty() {
             return Err(GenerateError::EmptyChoice { agent, local });
         }
-        match set.iter().find(|a| a.index() >= ctx.action_count(agent)) {
+        match set.iter().find(|a| a.index() >= action_count) {
             Some(&action) => Err(GenerateError::ActionOutOfRange { agent, action }),
-            None => Ok(set),
+            None => Ok(id),
         }
     }
 }
@@ -719,21 +788,23 @@ impl<'c> SystemBuilder<'c> {
         // local of a class must have received the representative's set —
         // the defining property of a knowledge-based protocol, violated
         // only by externally crafted choices.
-        let mut action_sets: Vec<Vec<&[ActionId]>> = Vec::with_capacity(reps.len());
+        // `action_sets[c * agents + i]` is agent `i`'s set at class `c`.
+        let action_counts: Vec<usize> = (0..agents)
+            .map(|i| ctx.action_count(Agent::new(i)))
+            .collect();
+        let mut action_sets: Vec<&[ActionId]> = Vec::with_capacity(reps.len() * agents);
         for (c, &rep) in reps.iter().enumerate() {
             let node = &layer.nodes[rep as usize];
-            let mut per_agent = Vec::with_capacity(agents);
-            for i in 0..agents {
+            for (i, &count) in action_counts.iter().enumerate() {
                 let agent = Agent::new(i);
-                let set = choices.validated(ctx, agent, node.locals[i])?;
+                let id = choices.validated(agent, node.locals[i], count)?;
                 for &ml in members(i, c) {
-                    if ml != node.locals[i] && choices.validated(ctx, agent, ml)? != set {
+                    if ml != node.locals[i] && choices.validated(agent, ml, count)? != id {
                         return Err(GenerateError::QuotientChoiceMismatch { agent, local: ml });
                     }
                 }
-                per_agent.push(set);
+                action_sets.push(&choices.sets[id as usize]);
             }
-            action_sets.push(per_agent);
         }
 
         // Successors of the representatives, deduplicated by
@@ -745,7 +816,7 @@ impl<'c> SystemBuilder<'c> {
         let mut child_obs: Vec<Obs> = Vec::new();
         let mut obs: Vec<Obs> = Vec::with_capacity(agents);
         let mut new_edges: Vec<Vec<(u32, JointAction)>> = vec![Vec::new(); layer.len()];
-        for (c, (&rep, sets)) in reps.iter().zip(&action_sets).enumerate() {
+        for (c, (&rep, sets)) in reps.iter().zip(action_sets.chunks(agents)).enumerate() {
             let node = &layer.nodes[rep as usize];
             let state = self.states.state(node.state).clone();
             let env_moves = ctx.env_actions(&state);
@@ -1497,6 +1568,141 @@ mod tests {
         }
         let err = b.step(&choices).unwrap_err();
         assert!(matches!(err, GenerateError::ActionOutOfRange { .. }));
+    }
+
+    /// Sets a choice for two agents at each id of `order`, in that order,
+    /// and checks every lookup against a hash map, including ids around
+    /// and between the ones set and agents never set.
+    fn check_choices_order(order: &[u32]) {
+        let agents = [Agent::new(0), Agent::new(3)];
+        let sets: Vec<Vec<ActionId>> = (0..12u32)
+            .map(|k| (0..=k % 3).map(|j| ActionId(k + j)).collect())
+            .collect();
+        let mut choices = StepChoices::new();
+        let mut reference: HashMap<(Agent, LocalId), Vec<ActionId>> = HashMap::new();
+        for (k, &raw) in order.iter().enumerate() {
+            for (i, &agent) in agents.iter().enumerate() {
+                let set = sets[(k + i) % sets.len()].clone();
+                choices.set(agent, LocalId(raw), set.clone());
+                reference.insert((agent, LocalId(raw)), set);
+            }
+        }
+        let hi = order.iter().max().copied().unwrap_or(0) + 2;
+        for agent in (0..5).map(Agent::new) {
+            for raw in 0..hi {
+                let local = LocalId(raw);
+                assert_eq!(
+                    choices.get(agent, local),
+                    reference.get(&(agent, local)).map(Vec::as_slice),
+                    "{agent} {local} after {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn step_choices_any_set_order_matches_a_map() {
+        let ascending: Vec<u32> = (40..90).collect();
+        let descending: Vec<u32> = (40..90).rev().collect();
+        // A permutation of every third id, leaving holes in the window.
+        let scattered: Vec<u32> = (0..50).map(|k| 3 * ((k * 17) % 50) + 7).collect();
+        for order in [&ascending, &descending, &scattered] {
+            check_choices_order(order);
+        }
+        check_choices_order(&[]);
+        check_choices_order(&[0, u32::from(u16::MAX)]);
+    }
+
+    #[test]
+    fn step_choices_overwrite_and_absent_pairs() {
+        let (a, b) = (Agent::new(0), Agent::new(1));
+        let mut choices = StepChoices::new();
+        assert_eq!(choices.get(a, LocalId(0)), None, "empty table");
+        choices.set(a, LocalId(5), vec![ActionId(0)]);
+        choices.set(a, LocalId(6), vec![ActionId(1)]);
+        choices.set(a, LocalId(5), vec![ActionId(2), ActionId(3)]);
+        assert_eq!(
+            choices.get(a, LocalId(5)),
+            Some(&[ActionId(2), ActionId(3)][..])
+        );
+        assert_eq!(choices.get(a, LocalId(6)), Some(&[ActionId(1)][..]));
+        for raw in [0, 4, 7, u32::MAX] {
+            assert_eq!(choices.get(a, LocalId(raw)), None, "never-set local {raw}");
+        }
+        assert_eq!(choices.get(b, LocalId(5)), None, "never-set agent");
+        // An empty set is stored like any other; `step` refuses it.
+        choices.set(b, LocalId(5), Vec::new());
+        assert_eq!(choices.get(b, LocalId(5)), Some(&[][..]));
+    }
+
+    /// `step` names the offending pair of a bad choice table: missing,
+    /// empty and out-of-range choices on an explicit frontier, and a
+    /// class whose member locals received different sets on a fused one.
+    #[test]
+    fn step_reports_which_choice_is_bad() {
+        let ctx = meeting_context();
+        let noop = |_: &LocalView<'_>| vec![ActionId(0)];
+        let mut explicit = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        explicit.set_gen_quotient_min_worlds(usize::MAX);
+        explicit.step_with(&noop).unwrap();
+        let x = Agent::new(0);
+        let frontier = explicit.frontier_locals();
+        let (_, bad) = *frontier.iter().rfind(|(agent, _)| *agent == x).unwrap();
+        let with = |set: Option<Vec<ActionId>>| {
+            let mut choices = StepChoices::new();
+            for &(agent, local) in &frontier {
+                match (&set, (agent, local) == (x, bad)) {
+                    (Some(set), true) => choices.set(agent, local, set.clone()),
+                    (None, true) => {}
+                    (_, false) => choices.set(agent, local, vec![ActionId(0)]),
+                }
+            }
+            explicit.clone().step(&choices).unwrap_err()
+        };
+        assert_eq!(
+            with(None),
+            GenerateError::MissingChoice {
+                agent: x,
+                local: bad
+            }
+        );
+        assert_eq!(
+            with(Some(Vec::new())),
+            GenerateError::EmptyChoice {
+                agent: x,
+                local: bad
+            }
+        );
+        assert_eq!(
+            with(Some(vec![ActionId(1), ActionId(2)])),
+            GenerateError::ActionOutOfRange {
+                agent: x,
+                action: ActionId(2)
+            }
+        );
+
+        let mut fused = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+        fused.step_with(&noop).unwrap();
+        assert!(fused.current().is_reduced());
+        let rep = fused.current().nodes()[0].local(x);
+        let mut choices = StepChoices::new();
+        for (agent, local) in fused.frontier_locals() {
+            let wave = agent == x && local != rep;
+            choices.set(agent, local, vec![ActionId(u32::from(wave))]);
+        }
+        let other = *fused
+            .current()
+            .members(x, 0)
+            .iter()
+            .find(|&&l| l != rep)
+            .unwrap();
+        assert_eq!(
+            fused.step(&choices).unwrap_err(),
+            GenerateError::QuotientChoiceMismatch {
+                agent: x,
+                local: other
+            }
+        );
     }
 
     #[test]
