@@ -231,77 +231,6 @@ pub fn approx_memory_bytes(total_points: usize, agents: usize) -> usize {
     total_points * (48 + 4 * agents)
 }
 
-serde::impl_serde_struct!(LayerStats {
-    layer,
-    points,
-    guard_evaluations,
-    protocol_entries,
-    shards,
-    gen_quotient_worlds,
-    gen_quotient_ratio,
-});
-
-// Unit-only enum: serialized by stable variant index (wire format).
-impl serde::Serialize for Resource {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        const NAME: &str = "Resource";
-        match self {
-            Resource::Deadline => s.serialize_unit_variant(NAME, 0, "Deadline"),
-            Resource::LayerPoints => s.serialize_unit_variant(NAME, 1, "LayerPoints"),
-            Resource::GuardEvaluations => s.serialize_unit_variant(NAME, 2, "GuardEvaluations"),
-            Resource::Memory => s.serialize_unit_variant(NAME, 3, "Memory"),
-            Resource::Nodes => s.serialize_unit_variant(NAME, 4, "Nodes"),
-            Resource::Branches => s.serialize_unit_variant(NAME, 5, "Branches"),
-            Resource::Solutions => s.serialize_unit_variant(NAME, 6, "Solutions"),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Resource {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{EnumAccess, Error, VariantAccess, Visitor};
-
-        const VARIANTS: &[&str] = &[
-            "Deadline",
-            "LayerPoints",
-            "GuardEvaluations",
-            "Memory",
-            "Nodes",
-            "Branches",
-            "Solutions",
-        ];
-
-        struct ResourceVisitor;
-        impl<'de> Visitor<'de> for ResourceVisitor {
-            type Value = Resource;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("enum Resource")
-            }
-            fn visit_enum<A: EnumAccess<'de>>(self, data: A) -> Result<Resource, A::Error> {
-                let (idx, v) = data.variant::<u32>()?;
-                v.unit_variant()?;
-                Ok(match idx {
-                    0 => Resource::Deadline,
-                    1 => Resource::LayerPoints,
-                    2 => Resource::GuardEvaluations,
-                    3 => Resource::Memory,
-                    4 => Resource::Nodes,
-                    5 => Resource::Branches,
-                    6 => Resource::Solutions,
-                    other => {
-                        return Err(A::Error::custom(format!(
-                            "unknown Resource variant index {other}"
-                        )))
-                    }
-                })
-            }
-        }
-        d.deserialize_enum("Resource", VARIANTS, ResourceVisitor)
-    }
-}
-
-serde::impl_serde_struct!(BudgetExhausted { resource, at_layer });
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -607,14 +607,3 @@ mod tests {
         assert!(s.contains("K{a} p"), "{s}");
     }
 }
-
-serde::impl_serde_struct!(Clause { guard, action });
-serde::impl_serde_struct!(AgentProgram {
-    agent,
-    clauses,
-    default,
-});
-serde::impl_serde_struct!(Kbp {
-    programs,
-    local_props,
-});

@@ -804,18 +804,6 @@ impl<'a> SyncSolver<'a> {
     }
 }
 
-serde::impl_serde_struct!(SolveStats {
-    layers,
-    points,
-    protocol_entries,
-    guard_evaluations,
-    arenas,
-    layers_carried,
-    layers_sharded,
-    layers_quotiented,
-    layers_gen_quotiented,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -244,6 +244,23 @@ mod tests {
         let upd = m.announce(&p(0)).unwrap();
         let w = upd.map_world(w0).unwrap();
         assert!(upd.model().check(w, &Formula::knows(a, p(0))).unwrap());
+
+        // Two agents, both blind to p: after the announcement p is common
+        // knowledge between them.
+        let (alice, bob) = (Agent::new(0), Agent::new(1));
+        let mut b = S5Builder::new(2, 1);
+        let w0 = b.add_world([PropId::new(0)]);
+        let w1 = b.add_world([]);
+        b.link(alice, w0, w1);
+        b.link(bob, w0, w1);
+        let m = b.build();
+        let upd = m.announce(&p(0)).unwrap();
+        assert_eq!(upd.model().world_count(), 1);
+        let w = upd.map_world(w0).unwrap();
+        let common = Formula::common(kbp_logic::AgentSet::all(2), p(0));
+        assert!(!m.check(w0, &common).unwrap());
+        assert!(upd.model().check(w, &Formula::knows(bob, p(0))).unwrap());
+        assert!(upd.model().check(w, &common).unwrap());
     }
 
     #[test]
@@ -331,5 +348,23 @@ mod tests {
         assert!(m.holds_everywhere(&unknown).unwrap());
         let upd = m.announce(&unknown).unwrap();
         assert_eq!(upd.model().world_count(), 2);
+
+        // One muddy-children round on the 3-child cube: the father's
+        // announcement removes the clean world (8 -> 7), and a public
+        // "nobody knows" round removes the one-muddy worlds (7 -> 4).
+        let n = 3;
+        let observes: Vec<Vec<PropId>> = (0..n)
+            .map(|i| (0..n).filter(|&j| j != i).map(PropId::new).collect())
+            .collect();
+        let cube = S5Model::hypercube(n as usize, &observes);
+        assert_eq!(cube.world_count(), 8);
+        let father = Formula::or((0..n).map(p));
+        let after_father = cube.announce(&father).unwrap().into_model();
+        assert_eq!(after_father.world_count(), 7);
+        let nobody = Formula::and(
+            (0..n).map(|i| Formula::not(Formula::knows_whether(Agent::new(i as usize), p(i)))),
+        );
+        let after_round = after_father.announce(&nobody).unwrap().into_model();
+        assert_eq!(after_round.world_count(), 4);
     }
 }

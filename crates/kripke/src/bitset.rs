@@ -409,5 +409,3 @@ mod tests {
         assert_eq!(BitSet::full(0), s);
     }
 }
-
-serde::impl_serde_struct!(BitSet { words, len });

@@ -59,7 +59,6 @@ mod bitset;
 mod constructions;
 mod engine;
 mod eval;
-mod events;
 mod model;
 mod partition;
 
@@ -68,6 +67,5 @@ pub use bisim::Quotient;
 pub use bitset::BitSet;
 pub use engine::{EvalEngine, TemporalOps};
 pub use eval::{blocks_inside, EvalCache, EvalError};
-pub use events::{Event, EventId, EventModel, EventModelBuilder, Product, UpdateError};
 pub use model::{S5Builder, S5Model, WorldId};
 pub use partition::{Partition, UnionFind};

@@ -331,11 +331,3 @@ mod tests {
         b.add_world([PropId::new(5)]);
     }
 }
-
-serde::impl_serde_newtype!(WorldId(u32));
-serde::impl_serde_struct!(S5Model {
-    num_props,
-    valuation,
-    partitions,
-    num_worlds,
-});

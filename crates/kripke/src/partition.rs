@@ -492,5 +492,3 @@ mod tests {
         assert_eq!(a.refine_with(&t), a);
     }
 }
-
-serde::impl_serde_struct!(Partition { block_of, blocks });

@@ -291,6 +291,3 @@ mod tests {
         assert_eq!(Agent::new(7).to_string(), "a7");
     }
 }
-
-serde::impl_serde_newtype!(Agent(u8));
-serde::impl_serde_newtype!(AgentSet(u64));

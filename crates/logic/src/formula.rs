@@ -903,152 +903,3 @@ mod tests {
         assert_eq!(f.to_string_with(&voc), "K{alice} rain");
     }
 }
-
-serde::impl_serde_newtype!(PropId(u32));
-
-// `Formula` is the one enum crossing the serialization boundary; its
-// variant indices follow declaration order and are part of the wire
-// format — append-only.
-impl serde::Serialize for Formula {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTupleVariant;
-        const NAME: &str = "Formula";
-        fn pair<S: serde::ser::Serializer, A: serde::Serialize, B: serde::Serialize>(
-            s: S,
-            idx: u32,
-            variant: &'static str,
-            a: &A,
-            b: &B,
-        ) -> Result<S::Ok, S::Error> {
-            let mut tv = s.serialize_tuple_variant("Formula", idx, variant, 2)?;
-            tv.serialize_field(a)?;
-            tv.serialize_field(b)?;
-            tv.end()
-        }
-        match self {
-            Formula::True => s.serialize_unit_variant(NAME, 0, "True"),
-            Formula::False => s.serialize_unit_variant(NAME, 1, "False"),
-            Formula::Prop(p) => s.serialize_newtype_variant(NAME, 2, "Prop", p),
-            Formula::Not(f) => s.serialize_newtype_variant(NAME, 3, "Not", f),
-            Formula::And(fs) => s.serialize_newtype_variant(NAME, 4, "And", fs),
-            Formula::Or(fs) => s.serialize_newtype_variant(NAME, 5, "Or", fs),
-            Formula::Implies(a, b) => pair(s, 6, "Implies", a, b),
-            Formula::Iff(a, b) => pair(s, 7, "Iff", a, b),
-            Formula::Knows(i, f) => pair(s, 8, "Knows", i, f),
-            Formula::Everyone(g, f) => pair(s, 9, "Everyone", g, f),
-            Formula::Common(g, f) => pair(s, 10, "Common", g, f),
-            Formula::Distributed(g, f) => pair(s, 11, "Distributed", g, f),
-            Formula::Next(f) => s.serialize_newtype_variant(NAME, 12, "Next", f),
-            Formula::Eventually(f) => s.serialize_newtype_variant(NAME, 13, "Eventually", f),
-            Formula::Always(f) => s.serialize_newtype_variant(NAME, 14, "Always", f),
-            Formula::Until(a, b) => pair(s, 15, "Until", a, b),
-        }
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Formula {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        use serde::de::{EnumAccess, Error, SeqAccess, VariantAccess, Visitor};
-        use std::marker::PhantomData;
-
-        const VARIANTS: &[&str] = &[
-            "True",
-            "False",
-            "Prop",
-            "Not",
-            "And",
-            "Or",
-            "Implies",
-            "Iff",
-            "Knows",
-            "Everyone",
-            "Common",
-            "Distributed",
-            "Next",
-            "Eventually",
-            "Always",
-            "Until",
-        ];
-
-        struct PairVisitor<A, B>(PhantomData<(A, B)>);
-        impl<'de, A: serde::Deserialize<'de>, B: serde::Deserialize<'de>> Visitor<'de>
-            for PairVisitor<A, B>
-        {
-            type Value = (A, B);
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a two-field Formula variant")
-            }
-            fn visit_seq<S: SeqAccess<'de>>(self, mut seq: S) -> Result<(A, B), S::Error> {
-                let a = seq
-                    .next_element()?
-                    .ok_or_else(|| S::Error::custom("missing first variant field"))?;
-                let b = seq
-                    .next_element()?
-                    .ok_or_else(|| S::Error::custom("missing second variant field"))?;
-                Ok((a, b))
-            }
-        }
-
-        struct FormulaVisitor;
-        impl<'de> Visitor<'de> for FormulaVisitor {
-            type Value = Formula;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("enum Formula")
-            }
-            fn visit_enum<A: EnumAccess<'de>>(self, data: A) -> Result<Formula, A::Error> {
-                let (idx, v) = data.variant::<u32>()?;
-                Ok(match idx {
-                    0 => {
-                        v.unit_variant()?;
-                        Formula::True
-                    }
-                    1 => {
-                        v.unit_variant()?;
-                        Formula::False
-                    }
-                    2 => Formula::Prop(v.newtype_variant()?),
-                    3 => Formula::Not(v.newtype_variant()?),
-                    4 => Formula::And(v.newtype_variant()?),
-                    5 => Formula::Or(v.newtype_variant()?),
-                    6 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Implies(a, b)
-                    }
-                    7 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Iff(a, b)
-                    }
-                    8 => {
-                        let (i, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Knows(i, f)
-                    }
-                    9 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Everyone(g, f)
-                    }
-                    10 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Common(g, f)
-                    }
-                    11 => {
-                        let (g, f) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Distributed(g, f)
-                    }
-                    12 => Formula::Next(v.newtype_variant()?),
-                    13 => Formula::Eventually(v.newtype_variant()?),
-                    14 => Formula::Always(v.newtype_variant()?),
-                    15 => {
-                        let (a, b) = v.tuple_variant(2, PairVisitor(PhantomData))?;
-                        Formula::Until(a, b)
-                    }
-                    other => {
-                        return Err(A::Error::custom(format!(
-                            "invalid Formula variant index {other}"
-                        )))
-                    }
-                })
-            }
-        }
-        d.deserialize_enum("Formula", VARIANTS, FormulaVisitor)
-    }
-}

@@ -208,6 +208,9 @@ mod tests {
         let a = voc.add_agent("alice");
         assert_eq!(voc.agent("alice"), Some(a));
         assert_eq!(voc.agent("bob"), None);
+        // Agents are numbered in order of first addition.
+        assert_eq!(voc.add_agent("bob"), Agent::new(1));
+        assert_eq!(voc.agent("bob"), Some(Agent::new(1)));
     }
 
     #[test]
@@ -246,10 +249,3 @@ mod tests {
         assert!(e.to_string().contains("3"));
     }
 }
-
-serde::impl_serde_struct!(Vocabulary {
-    prop_names,
-    prop_ids,
-    agent_names,
-    agent_ids,
-});

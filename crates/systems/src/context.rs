@@ -584,7 +584,3 @@ mod tests {
         assert_eq!(j.of(Agent::new(1)), ActionId(4));
     }
 }
-
-serde::impl_serde_newtype!(ActionId(u32));
-serde::impl_serde_newtype!(EnvActionId(u32));
-serde::impl_serde_struct!(JointAction { env, acts });

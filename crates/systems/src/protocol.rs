@@ -459,50 +459,3 @@ mod tests {
         assert!(!p.is_deterministic());
     }
 }
-
-/// The serialized shape of [`MapProtocol`]: entries in one map keyed by
-/// `(agent, history)`, independent of the in-memory per-agent layout.
-mod wire {
-    use super::{ActionId, Agent, HashMap, Obs};
-
-    pub(super) struct MapProtocol {
-        pub(super) entries: HashMap<(Agent, Vec<Obs>), Vec<ActionId>>,
-        pub(super) agent_defaults: HashMap<Agent, Vec<ActionId>>,
-        pub(super) default: Vec<ActionId>,
-    }
-
-    serde::impl_serde_struct!(MapProtocol {
-        entries,
-        agent_defaults,
-        default,
-    });
-}
-
-impl serde::Serialize for MapProtocol {
-    fn serialize<S: serde::ser::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        wire::MapProtocol {
-            entries: self
-                .iter()
-                .map(|(agent, h, acts)| ((agent, h.to_vec()), acts.to_vec()))
-                .collect(),
-            agent_defaults: self.agent_defaults.clone(),
-            default: self.default.clone(),
-        }
-        .serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for MapProtocol {
-    fn deserialize<D: serde::de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = wire::MapProtocol::deserialize(deserializer)?;
-        let mut p = MapProtocol {
-            entries: Vec::new(),
-            agent_defaults: w.agent_defaults,
-            default: w.default,
-        };
-        for ((agent, history), actions) in w.entries {
-            p.agent_entries(agent).insert(history, actions);
-        }
-        Ok(p)
-    }
-}

@@ -329,8 +329,3 @@ mod tests {
         assert_eq!(s.to_string(), "⟨3,1⟩");
     }
 }
-
-serde::impl_serde_newtype!(GlobalState(Vec<u32>));
-serde::impl_serde_newtype!(Obs(u64));
-serde::impl_serde_newtype!(StateId(u32));
-serde::impl_serde_newtype!(LocalId(u32));
