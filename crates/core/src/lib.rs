@@ -74,7 +74,6 @@ mod budget;
 mod enumerate;
 mod fsm;
 mod implement;
-mod parse;
 mod program;
 mod solve;
 
@@ -82,7 +81,6 @@ pub use budget::{approx_memory_bytes, Budget, BudgetExhausted, LayerStats, Resou
 pub use enumerate::{Enumeration, Enumerator, Implementation};
 pub use fsm::{Controller, ControllerProtocol, ControllerState};
 pub use implement::{check_implementation, ImplementationReport, Mismatch};
-pub use parse::{parse_kbp, ProgramParseError};
 pub use program::{AgentProgram, Clause, Kbp, KbpBuilder, KbpError};
 pub use solve::{
     PartialSolution, Solution, SolveError, SolveOutcome, SolveStats, SyncSolver,

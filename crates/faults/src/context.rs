@@ -23,7 +23,7 @@ pub const CORRUPT_OBS: Obs = Obs(u64::MAX);
 /// crashed agent (its senses freeze while it is down).
 ///
 /// Crashed agents take a designated no-op action regardless of what their
-/// protocol chooses — [`ActionId(0)`] unless overridden with
+/// protocol chooses — [`ActionId(0)`](ActionId) unless overridden with
 /// [`with_noop`](Self::with_noop).
 pub struct FaultyContext<C> {
     inner: C,

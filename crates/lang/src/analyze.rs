@@ -19,13 +19,11 @@
 //! These deliberately mirror `kbp_core`'s `validate` checks so that a
 //! scenario passing analysis lowers into a program the solver accepts.
 
-use crate::ast::{Expr, GroupOp, Guard, Ident, ProgramDecl, Scenario};
+use crate::ast::{Expr, GroupOp, Guard, Ident, NameKind, ProgramDecl, Scenario};
 use crate::diag::Diagnostic;
 use crate::span::Span;
+use kbp_logic::Agent;
 use std::collections::{HashMap, HashSet};
-
-/// Maximum number of agents (mirrors `kbp_logic::Agent::MAX_AGENTS`).
-pub const MAX_AGENTS: usize = 64;
 
 /// What the analyzer learned beyond pass/fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,11 +147,8 @@ impl<'a> Checker<'a> {
         }
         if self.sc.agents.is_empty() {
             self.error(at, "missing `agents` declaration");
-        } else if self.sc.agents.len() > MAX_AGENTS {
-            self.error(
-                self.sc.agents[MAX_AGENTS].span,
-                format!("too many agents (the limit is {MAX_AGENTS})"),
-            );
+        } else if self.sc.agents.len() > Agent::MAX_AGENTS {
+            self.error(self.sc.agents[Agent::MAX_AGENTS].span, too_many_agents());
         }
         if self.sc.vars.is_empty() {
             self.error(at, "missing `vars` declaration");
@@ -486,43 +481,15 @@ impl<'a> Checker<'a> {
 
     /// Resolves every name in a guard; returns whether all resolved.
     fn check_guard_names(&mut self, g: &Guard) -> bool {
-        match g {
-            Guard::True(_) | Guard::False(_) => true,
-            Guard::Prop(id) => {
-                if self.props.contains(id.text.as_str()) {
-                    true
-                } else {
-                    self.error(id.span, format!("unknown proposition `{}`", id.text));
-                    false
-                }
-            }
-            Guard::Not(inner, _)
-            | Guard::Next(inner, _)
-            | Guard::Eventually(inner, _)
-            | Guard::Always(inner, _) => self.check_guard_names(inner),
-            Guard::And(items, _) | Guard::Or(items, _) => {
-                let mut ok = true;
-                for item in items {
-                    ok &= self.check_guard_names(item);
-                }
-                ok
-            }
-            Guard::Implies(a, b, _) | Guard::Iff(a, b, _) | Guard::Until(a, b, _) => {
-                let left = self.check_guard_names(a);
-                self.check_guard_names(b) && left
-            }
-            Guard::Knows(agent, inner, _) => {
-                let known = self.known_agent(agent, "in `K{…}`");
-                self.check_guard_names(inner) && known
-            }
-            Guard::Group(_, agents, inner, _) => {
-                let mut ok = true;
-                for a in agents {
-                    ok &= self.known_agent(a, "in the agent group");
-                }
-                self.check_guard_names(inner) && ok
-            }
-        }
+        let (agents, props) = (&self.agents, &self.props);
+        check_guard_names(
+            g,
+            |kind, name| match kind {
+                NameKind::Prop => props.contains(name),
+                NameKind::KnowsAgent | NameKind::GroupAgent => agents.contains_key(name),
+            },
+            self.diags,
+        )
     }
 
     /// Mirrors `kbp_core`'s subjectivity predicate: the guard must be a
@@ -610,6 +577,35 @@ impl<'a> Checker<'a> {
             self.error(span, msg);
         }
     }
+}
+
+/// Reports every name of `g` that `known` does not resolve, in source
+/// order; returns whether all resolved. The scenario analyzer and
+/// [`crate::parse_program`] share it, so both word the errors alike.
+pub(crate) fn check_guard_names(
+    g: &Guard,
+    known: impl Fn(NameKind, &str) -> bool,
+    diags: &mut Vec<Diagnostic>,
+) -> bool {
+    let mut ok = true;
+    g.for_each_name(&mut |kind, id| {
+        if known(kind, &id.text) {
+            return;
+        }
+        ok = false;
+        let message = match kind {
+            NameKind::Prop => format!("unknown proposition `{}`", id.text),
+            NameKind::KnowsAgent => format!("unknown agent `{}` in `K{{…}}`", id.text),
+            NameKind::GroupAgent => format!("unknown agent `{}` in the agent group", id.text),
+        };
+        diags.push(Diagnostic::error(id.span, message));
+    });
+    ok
+}
+
+/// The refusal for an agent past [`Agent::MAX_AGENTS`].
+pub(crate) fn too_many_agents() -> String {
+    format!("too many agents (the limit is {})", Agent::MAX_AGENTS)
 }
 
 /// The span of the first temporal operator not guarded by a knowledge

@@ -309,9 +309,10 @@ impl GroupOp {
     }
 }
 
-/// A guard formula — the epistemic/temporal test of a `case`. The
-/// grammar and precedence mirror `kbp_logic::parse` exactly, so lowered
-/// guards are structurally identical to hand-built ones.
+/// A guard formula — the epistemic/temporal test of a `case`, and the
+/// AST [`crate::parse_formula`] reads a formula into. Its precedence is
+/// the one `Formula::to_string_with` prints, so lowered guards are
+/// structurally identical to hand-built ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Guard {
     /// `true`.
@@ -344,7 +345,50 @@ pub enum Guard {
     Until(Box<Guard>, Box<Guard>, Span),
 }
 
+/// What a name in a guard denotes (see [`Guard::for_each_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NameKind {
+    /// A proposition.
+    Prop,
+    /// The agent of a `K{…}`.
+    KnowsAgent,
+    /// A member of an `E{…}`, `C{…}` or `D{…}` group.
+    GroupAgent,
+}
+
 impl Guard {
+    /// Calls `f` on every proposition and agent name of the guard, in
+    /// source order.
+    pub(crate) fn for_each_name(&self, f: &mut impl FnMut(NameKind, &Ident)) {
+        match self {
+            Guard::True(_) | Guard::False(_) => {}
+            Guard::Prop(id) => f(NameKind::Prop, id),
+            Guard::Not(inner, _)
+            | Guard::Next(inner, _)
+            | Guard::Eventually(inner, _)
+            | Guard::Always(inner, _) => inner.for_each_name(f),
+            Guard::And(items, _) | Guard::Or(items, _) => {
+                for item in items {
+                    item.for_each_name(f);
+                }
+            }
+            Guard::Implies(a, b, _) | Guard::Iff(a, b, _) | Guard::Until(a, b, _) => {
+                a.for_each_name(f);
+                b.for_each_name(f);
+            }
+            Guard::Knows(agent, inner, _) => {
+                f(NameKind::KnowsAgent, agent);
+                inner.for_each_name(f);
+            }
+            Guard::Group(_, agents, inner, _) => {
+                for agent in agents {
+                    f(NameKind::GroupAgent, agent);
+                }
+                inner.for_each_name(f);
+            }
+        }
+    }
+
     /// The source span of the guard.
     #[must_use]
     pub fn span(&self) -> Span {
@@ -567,7 +611,8 @@ fn write_expr(out: &mut String, e: &Expr, min_prec: u8) {
     }
 }
 
-/// Renders a guard in the same concrete syntax `kbp_logic::parse` uses.
+/// Renders a guard in the concrete syntax `Formula::to_string_with`
+/// prints and [`crate::parse_formula`] reads.
 #[must_use]
 pub fn print_guard(g: &Guard) -> String {
     let mut out = String::new();

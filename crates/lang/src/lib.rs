@@ -11,29 +11,36 @@
 //! (agents, state vars, initial states, an environment, observation
 //! functions, a transition table) together with one knowledge-based
 //! program per agent — guarded cases whose tests are epistemic/temporal
-//! formulas in the syntax of `kbp_logic::parse`.
+//! formulas.
 //!
 //! The pipeline has three stages, each usable on its own:
 //!
 //! 1. [`parse`] — a total, error-recovering parser producing a
 //!    span-carrying [`Scenario`] plus diagnostics;
-//! 2. [`analyze`] — semantic checks that report *all* findings with
-//!    source spans (unknown names, arity mismatches, duplicates,
-//!    missing declarations, the paper's synchrony condition,
-//!    subjectivity of guards);
-//! 3. [`lower`] — compilation into a [`kbp_systems::FnContext`] and a
-//!    [`kbp_core::Kbp`], consumed unchanged by the solver, the
-//!    enumerator and the evaluation engine. Lowering preserves formula
-//!    structure and declaration-order numbering, so a DSL transcription
-//!    of a hand-coded scenario solves bit-identically.
+//! 2. [`analyze`](fn@analyze) — semantic checks that report *all*
+//!    findings with source spans (unknown names, arity mismatches,
+//!    duplicates, missing declarations, the paper's synchrony
+//!    condition, subjectivity of guards);
+//! 3. [`lower`](fn@lower) — compilation into a
+//!    [`kbp_systems::FnContext`] and a [`kbp_core::Kbp`], consumed
+//!    unchanged by the solver, the enumerator and the evaluation
+//!    engine. Lowering preserves formula structure and
+//!    declaration-order numbering, so a DSL transcription of a
+//!    hand-coded scenario solves bit-identically.
 //!
 //! [`compile`] runs all three; [`check`] does the same but also hands
 //! back warnings on success (the `kbpc` binary and the `kbpd` `define`
 //! endpoint use it).
+//!
+//! The same grammar is the workspace's only formula and program syntax.
+//! [`parse_formula`] reads one guard formula over a
+//! [`kbp_logic::Vocabulary`], and [`parse_program`] reads bare `program`
+//! blocks against an existing [`kbp_systems::Context`].
 
 pub mod analyze;
 pub mod ast;
 pub mod diag;
+mod entry;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
@@ -42,6 +49,7 @@ pub mod span;
 pub use analyze::{analyze, Analysis};
 pub use ast::Scenario;
 pub use diag::{has_errors, Diagnostic, Severity};
+pub use entry::{parse_formula, parse_program};
 pub use lower::{lower, Compiled};
 pub use parser::parse;
 pub use span::{LineCol, LineMap, Span};

@@ -3,8 +3,8 @@
 //! [`kbp_core::Kbp`].
 //!
 //! The contract is **structural fidelity**: guards lower into the same
-//! [`Formula`] shapes `kbp_logic::parse` and the hand-coded scenarios
-//! build (`&`/`|` chains stay flattened n-ary, `K{i}` becomes
+//! [`Formula`] shapes the hand-coded scenarios build (`&`/`|` chains
+//! stay flattened n-ary, `K{i}` becomes
 //! [`Formula::knows`], groups become the corresponding group
 //! constructors), and every identifier space (agents, registers,
 //! propositions, actions, environment actions, initial states) is
@@ -217,13 +217,30 @@ fn eval(e: &LExpr, s: &GlobalState, j: Option<&JointAction>) -> u64 {
 }
 
 /// Name-resolution tables shared by expression and guard lowering.
-struct Tables<'a> {
-    agents: HashMap<&'a str, usize>,
+pub(crate) struct Tables<'a> {
+    pub(crate) agents: HashMap<&'a str, usize>,
     vars: HashMap<&'a str, usize>,
-    props: HashMap<&'a str, u32>,
+    pub(crate) props: HashMap<&'a str, u32>,
     env: HashMap<&'a str, u64>,
     /// Per agent: action name → id.
     actions: Vec<HashMap<&'a str, u32>>,
+}
+
+impl<'a> Tables<'a> {
+    /// The agents and propositions of a vocabulary, for lowering guards
+    /// outside a scenario.
+    pub(crate) fn of_vocabulary(voc: &'a Vocabulary) -> Self {
+        Tables {
+            agents: voc.agents().map(|(a, name)| (name, a.index())).collect(),
+            vars: HashMap::new(),
+            props: voc
+                .props()
+                .map(|(p, name)| (name, p.index() as u32))
+                .collect(),
+            env: HashMap::new(),
+            actions: Vec::new(),
+        }
+    }
 }
 
 /// Lowers a scenario that passed [`crate::analyze::analyze`] with no
@@ -425,7 +442,7 @@ fn lower_action_compare(op: BinOp, lhs: &Expr, rhs: &Expr, t: &Tables<'_>) -> Op
     }
 }
 
-fn lower_guard(g: &Guard, t: &Tables<'_>) -> Formula {
+pub(crate) fn lower_guard(g: &Guard, t: &Tables<'_>) -> Formula {
     let agent_of =
         |id: &crate::ast::Ident| Agent::new(t.agents.get(id.text.as_str()).copied().unwrap_or(0));
     match g {
@@ -435,8 +452,8 @@ fn lower_guard(g: &Guard, t: &Tables<'_>) -> Formula {
             t.props.get(id.text.as_str()).copied().unwrap_or(0),
         )),
         Guard::Not(inner, _) => Formula::not(lower_guard(inner, t)),
-        // Construct the n-ary variants directly (exactly as
-        // kbp_logic::parse does) to preserve chain flattening.
+        // Construct the n-ary variants directly, not through the
+        // smart constructors, to preserve chain flattening.
         Guard::And(items, _) => Formula::And(items.iter().map(|i| lower_guard(i, t)).collect()),
         Guard::Or(items, _) => Formula::Or(items.iter().map(|i| lower_guard(i, t)).collect()),
         Guard::Implies(a, b, _) => {

@@ -6,10 +6,12 @@
 //! block boundary), so one mistake does not hide the rest of the file's
 //! findings.
 //!
-//! Guard syntax mirrors `kbp_logic::parse` exactly — same precedence
-//! (`<->` loosest, then `->`, `|`, `&`, `U`, unary), same flattening of
-//! `&`/`|` chains — so lowered guards are structurally identical to
-//! hand-built formulas.
+//! The guard grammar is the workspace's only formula syntax: besides
+//! scenarios, [`crate::parse_formula`] reads one guard on its own and
+//! [`crate::parse_program`] reads bare `program` blocks. Its precedence
+//! (`<->` loosest, then `->`, `|`, `&`, `U`, unary) and its flattening
+//! of `&`/`|` chains are those `Formula::to_string_with` prints, so
+//! lowered guards are structurally identical to hand-built formulas.
 
 use crate::ast::{
     ActionsDecl, BinOp, CaseDecl, Expr, GroupOp, Guard, Ident, InitDecl, LocalDecl, ObsDecl,
@@ -25,6 +27,26 @@ use crate::span::Span;
 /// parser diagnostics in source order of discovery.
 #[must_use]
 pub fn parse(src: &str) -> (Option<Scenario>, Vec<Diagnostic>) {
+    run(src, Parser::scenario)
+}
+
+/// Parses one guard formula that fills the whole source.
+pub(crate) fn parse_guard(src: &str) -> (Option<Guard>, Vec<Diagnostic>) {
+    run(src, |p| {
+        let guard = p.guard().ok()?;
+        p.expect(TokenKind::Eof, "after the formula").ok()?;
+        Some(guard)
+    })
+}
+
+/// Parses zero or more `program` blocks that fill the whole source.
+pub(crate) fn parse_programs(src: &str) -> (Vec<ProgramDecl>, Vec<Diagnostic>) {
+    run(src, Parser::programs)
+}
+
+/// Lexes `src` and runs one grammar entry over the token stream, returning
+/// its result plus the lexer's and the parser's diagnostics.
+fn run<'s, T>(src: &'s str, entry: impl FnOnce(&mut Parser<'s>) -> T) -> (T, Vec<Diagnostic>) {
     let (raw, mut diags) = lex(src);
     // Error tokens already carry diagnostics; the parser works on the
     // clean stream.
@@ -38,9 +60,9 @@ pub fn parse(src: &str) -> (Option<Scenario>, Vec<Diagnostic>) {
         pos: 0,
         diags: Vec::new(),
     };
-    let scenario = p.scenario();
+    let out = entry(&mut p);
     diags.append(&mut p.diags);
-    (scenario, diags)
+    (out, diags)
 }
 
 fn describe(kind: TokenKind) -> &'static str {
@@ -258,16 +280,7 @@ impl<'s> Parser<'s> {
             self.error_at(close.span, "expected `}` closing the scenario body");
             sc.span = kw.span.to(close.span);
         }
-        let trailing = self.peek();
-        if trailing.kind != TokenKind::Eof {
-            self.error_at(
-                trailing.span,
-                format!(
-                    "expected end of input after the scenario, found {}",
-                    describe(trailing.kind)
-                ),
-            );
-        }
+        let _ = self.expect(TokenKind::Eof, "after the scenario");
         Some(sc)
     }
 
@@ -404,9 +417,7 @@ impl<'s> Parser<'s> {
                 }
             }
             TokenKind::KwProgram => {
-                self.bump();
-                let agent = self.ident("naming the agent after `program`")?;
-                let decl = self.program_block(tok.span, agent)?;
+                let decl = self.program()?;
                 sc.programs.push(decl);
             }
             _ => {
@@ -473,7 +484,10 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn program_block(&mut self, start: Span, agent: Ident) -> PResult<ProgramDecl> {
+    /// `program <agent> { … }`, starting at the `program` keyword.
+    fn program(&mut self) -> PResult<ProgramDecl> {
+        let start = self.bump().span;
+        let agent = self.ident("naming the agent after `program`")?;
         self.expect(TokenKind::LBrace, "opening the `program` body")?;
         let mut cases = Vec::new();
         let mut default = None;
@@ -541,6 +555,37 @@ impl<'s> Parser<'s> {
             default,
             span: start.to(close.span),
         })
+    }
+
+    /// Bare `program` blocks, as [`parse_programs`] reads them. A token
+    /// that cannot start a block is reported, and the parser skips to the
+    /// next `program`.
+    fn programs(&mut self) -> Vec<ProgramDecl> {
+        let mut out = Vec::new();
+        loop {
+            let tok = self.peek();
+            match tok.kind {
+                TokenKind::Eof => return out,
+                TokenKind::KwProgram => match self.program() {
+                    Ok(decl) => out.push(decl),
+                    Err(()) => self.sync_program(),
+                },
+                other => {
+                    self.bump();
+                    self.error_at(
+                        tok.span,
+                        format!("expected `program`, found {}", describe(other)),
+                    );
+                    self.sync_program();
+                }
+            }
+        }
+    }
+
+    fn sync_program(&mut self) {
+        while !matches!(self.peek().kind, TokenKind::KwProgram | TokenKind::Eof) {
+            self.bump();
+        }
     }
 
     fn sync_case(&mut self) {
@@ -709,12 +754,11 @@ impl<'s> Parser<'s> {
 
     // ---- guard formulas ---------------------------------------------------
     //
-    // Mirrors kbp_logic::parse: iff := implies (`<->` iff)?; implies :=
-    // or (`->` implies)?; or := and ((`|`|`||`) and)* flattened; and :=
-    // until ((`&`|`&&`) until)* flattened; until := unary (`U` until)?;
-    // unary := `!` | K{a} | E/C/D{a,…} | X/F/G | true | false | prop |
-    // parens. The modal letters are ordinary identifiers recognized
-    // positionally.
+    // iff := implies (`<->` iff)?; implies := or (`->` implies)?; or :=
+    // and ((`|`|`||`) and)* flattened; and := until ((`&`|`&&`) until)*
+    // flattened; until := unary (`U` until)?; unary := `!` | K{a} |
+    // E/C/D{a,…} | X/F/G | true | false | prop | parens. The modal
+    // letters are ordinary identifiers recognized positionally.
 
     fn guard(&mut self) -> PResult<Guard> {
         self.guard_iff()
@@ -918,17 +962,6 @@ scenario tiny {
         assert_eq!(sc.programs.len(), 2);
         assert_eq!(sc.programs[0].cases.len(), 1);
         assert_eq!(print_guard(&sc.programs[0].cases[0].guard), "K{a} set");
-    }
-
-    #[test]
-    fn guard_precedence_matches_logic_parser() {
-        let (sc, diags) = parse("scenario g { program a { case p | q & K{a} r -> s do m } }");
-        assert!(diags.is_empty(), "{diags:?}");
-        let sc = sc.expect("scenario");
-        assert_eq!(
-            print_guard(&sc.programs[0].cases[0].guard),
-            "p | q & K{a} r -> s"
-        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! * [`Vocabulary`] — interns proposition and agent names into dense ids.
 //! * [`Formula`] — the recursive formula AST, with smart constructors,
-//!   normal forms and structural queries.
-//! * [`parse`](parse::parse) — a small concrete syntax, round-tripping with
-//!   the [`Display`](std::fmt::Display) impl.
+//!   normal forms, structural queries and a printer
+//!   ([`Formula::to_string_with`]). The concrete syntax it prints is read
+//!   back by `kbp_lang::parse_formula`.
 //!
 //! # Example
 //!
@@ -45,7 +45,6 @@ mod formula;
 mod intern;
 mod nnf;
 mod objective;
-pub mod parse;
 pub mod random;
 mod vocabulary;
 

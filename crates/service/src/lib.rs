@@ -18,9 +18,9 @@
 //!   ([`DefinitionStore`]).
 //!
 //! Responses are **bit-identical** regardless of worker count, and are
-//! emitted in submission order; see the determinism
-//! argument in [`service`]. The `kbpd` binary speaks the line protocol
-//! over stdin/stdout.
+//! emitted in submission order; see the determinism argument at the top
+//! of `service.rs`. The `kbpd` binary speaks the line protocol over
+//! stdin/stdout.
 //!
 //! # Example
 //!

@@ -8,10 +8,11 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`kbp_logic`] | epistemic–temporal formulas, vocabulary, parser |
+//! | [`kbp_logic`] | epistemic–temporal formulas, vocabulary, printer |
 //! | [`kbp_kripke`] | finite S5ₙ models, `K`/`E`/`C`/`D`, announcements, bisimulation |
 //! | [`kbp_systems`] | contexts, protocols, generated interpreted systems, point evaluation |
 //! | [`kbp_core`] | KBPs, the fixed-point implementation relation, the unique-implementation solver, the implementation enumerator |
+//! | [`kbp_lang`] | the one concrete syntax: `.kbp` scenarios, formulas and `program` blocks, with spanned diagnostics |
 //! | [`kbp_mck`] | CTLK model checking over reachable-state graphs |
 //! | [`kbp_faults`] | fault-injecting context combinators: scheduled message loss, crash-stop/recovery, observation corruption |
 //! | [`kbp_scenarios`] | the paper's worked examples (bit transmission, muddy children, sequence transmission, robot, fixed-point zoo) |
@@ -48,22 +49,29 @@
 pub use kbp_core;
 pub use kbp_faults;
 pub use kbp_kripke;
+pub use kbp_lang;
 pub use kbp_logic;
 pub use kbp_mck;
 pub use kbp_scenarios;
 pub use kbp_service;
 pub use kbp_systems;
 
+// The README's Rust examples run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use kbp_core::{
-        check_implementation, parse_kbp, Budget, BudgetExhausted, Controller, ControllerProtocol,
-        Enumeration, Enumerator, Implementation, ImplementationReport, Kbp, KbpError, LayerStats,
+        check_implementation, Budget, BudgetExhausted, Controller, ControllerProtocol, Enumeration,
+        Enumerator, Implementation, ImplementationReport, Kbp, KbpError, LayerStats,
         PartialSolution, Resource, Solution, SolveError, SolveOutcome, SyncSolver,
     };
     pub use kbp_faults::{CrashKind, EnvFault, FaultSchedule, FaultyContext};
     pub use kbp_kripke::{BitSet, S5Builder, S5Model, WorldId};
-    pub use kbp_logic::{parse::parse, Agent, AgentSet, Formula, PropId, Vocabulary};
+    pub use kbp_lang::{parse_formula as parse, parse_program};
+    pub use kbp_logic::{Agent, AgentSet, Formula, PropId, Vocabulary};
     pub use kbp_mck::{ctl, Mck, StateGraph};
     pub use kbp_scenarios::bit_transmission::{BitTransmission, Channel};
     pub use kbp_scenarios::coordinated_attack::CoordinatedAttack;

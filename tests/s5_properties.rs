@@ -177,8 +177,8 @@ proptest! {
         }
         let phi = formula_from_seed(seed, temporal);
         let printed = phi.to_string_with(&voc);
-        let reparsed = kbp_logic::parse::parse(&printed, &mut voc.clone())
-            .unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e}"));
+        let reparsed = kbp_lang::parse_formula(&printed, &mut voc.clone())
+            .unwrap_or_else(|e| panic!("reparse of `{printed}` failed: {e:?}"));
         prop_assert_eq!(phi, reparsed, "round-trip failed via `{}`", printed);
     }
 
