@@ -104,6 +104,8 @@ impl AgentProgram {
 pub enum KbpError {
     /// Two programs were declared for the same agent.
     DuplicateAgent(Agent),
+    /// Two default actions were declared for the same agent.
+    DuplicateDefault(Agent),
     /// The context has an agent with no program.
     MissingAgent(Agent),
     /// A program refers to an agent outside the context.
@@ -140,6 +142,9 @@ impl fmt::Display for KbpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             KbpError::DuplicateAgent(a) => write!(f, "two programs declared for agent {a}"),
+            KbpError::DuplicateDefault(a) => {
+                write!(f, "two default actions declared for agent {a}")
+            }
             KbpError::MissingAgent(a) => write!(f, "no program declared for agent {a}"),
             KbpError::UnknownAgent(a) => write!(f, "program for unknown agent {a}"),
             KbpError::NotSubjective {
@@ -200,6 +205,9 @@ impl Error for KbpError {}
 pub struct Kbp {
     programs: Vec<AgentProgram>,
     local_props: HashSet<(Agent, PropId)>,
+    /// Agents the builder was given more than one default action for,
+    /// reported by [`validate`](Kbp::validate).
+    duplicate_defaults: Vec<Agent>,
 }
 
 impl Kbp {
@@ -240,14 +248,17 @@ impl Kbp {
             .any(|c| c.guard.has_temporal())
     }
 
-    /// Checks the program against a context: every context agent has a
-    /// program, guards are subjective and use in-range vocabulary, and
-    /// actions are in range.
+    /// Checks the program against a context: no agent was given two
+    /// default actions, every context agent has a program, guards are
+    /// subjective and use in-range vocabulary, and actions are in range.
     ///
     /// # Errors
     ///
     /// Returns the first [`KbpError`] found.
     pub fn validate(&self, ctx: &dyn Context) -> Result<(), KbpError> {
+        if let Some(&agent) = self.duplicate_defaults.first() {
+            return Err(KbpError::DuplicateDefault(agent));
+        }
         let n = ctx.agent_count();
         for p in &self.programs {
             if p.agent.index() >= n {
@@ -297,8 +308,10 @@ impl Kbp {
         Ok(())
     }
 
-    /// Renders the whole program using the names of `voc` and the action
-    /// names of `ctx`.
+    /// Renders the whole program as `program` blocks, naming agents,
+    /// propositions and actions as `ctx` does — the syntax
+    /// `kbp_lang::parse_program` reads back. Local-proposition
+    /// declarations have no syntax there and are not printed.
     #[must_use]
     pub fn to_pretty(&self, ctx: &dyn Context) -> String {
         let voc = ctx.vocabulary();
@@ -309,17 +322,16 @@ impl Kbp {
             } else {
                 p.agent.to_string()
             };
-            out.push_str(&format!("program for {name}:\n"));
-            out.push_str("  case of\n");
+            out.push_str(&format!("program {name} {{\n"));
             for c in &p.clauses {
                 out.push_str(&format!(
-                    "    if {} do {}\n",
+                    "  case {} do {}\n",
                     c.guard.to_string_with(voc),
                     ctx.action_name(p.agent, c.action)
                 ));
             }
             out.push_str(&format!(
-                "    otherwise {}\n  end case\n",
+                "  default {}\n}}\n",
                 ctx.action_name(p.agent, p.default)
             ));
         }
@@ -392,11 +404,9 @@ impl KbpBuilder {
         self
     }
 
-    /// Finalises the program.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an agent has two default actions declared.
+    /// Finalises the program. An agent given two default actions keeps
+    /// the first, and [`Kbp::validate`] reports
+    /// [`KbpError::DuplicateDefault`] for it.
     #[must_use]
     pub fn build(self) -> Kbp {
         let mut agents: Vec<Agent> = self
@@ -408,6 +418,7 @@ impl KbpBuilder {
         agents.sort_unstable();
         agents.dedup();
         let mut programs = Vec::with_capacity(agents.len());
+        let mut duplicate_defaults = Vec::new();
         for agent in agents {
             let clauses: Vec<Clause> = self
                 .clauses
@@ -421,11 +432,9 @@ impl KbpBuilder {
                 .filter(|(a, _)| *a == agent)
                 .map(|(_, d)| *d)
                 .collect();
-            assert!(
-                defaults.len() <= 1,
-                "agent {agent} has {} default actions declared",
-                defaults.len()
-            );
+            if defaults.len() > 1 {
+                duplicate_defaults.push(agent);
+            }
             programs.push(AgentProgram {
                 agent,
                 clauses,
@@ -435,6 +444,7 @@ impl KbpBuilder {
         Kbp {
             programs,
             local_props: self.local_props,
+            duplicate_defaults,
         }
     }
 }
@@ -602,8 +612,23 @@ mod tests {
             .default_action(b, ActionId(0))
             .build();
         let s = kbp.to_pretty(&ctx);
-        assert!(s.contains("program for a:"), "{s}");
-        assert!(s.contains("do go"), "{s}");
-        assert!(s.contains("K{a} p"), "{s}");
+        assert_eq!(
+            s,
+            "program a {\n  case K{a} p do go\n  default noop\n}\n\
+             program b {\n  default noop\n}\n"
+        );
+    }
+
+    #[test]
+    fn a_second_default_is_reported_by_validate() {
+        let ctx = two_agent_context();
+        let (a, b) = (Agent::new(0), Agent::new(1));
+        let kbp = Kbp::builder()
+            .default_action(a, ActionId(1))
+            .default_action(b, ActionId(0))
+            .default_action(a, ActionId(0))
+            .build();
+        assert_eq!(kbp.program(a).unwrap().default_action(), ActionId(1));
+        assert_eq!(kbp.validate(&ctx), Err(KbpError::DuplicateDefault(a)));
     }
 }

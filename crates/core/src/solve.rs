@@ -936,6 +936,20 @@ mod tests {
     }
 
     #[test]
+    fn two_defaults_for_one_agent_are_an_error_not_a_panic() {
+        let ctx = peek_announce_context();
+        let a = Agent::new(0);
+        let kbp = Kbp::builder()
+            .default_action(a, ActionId(0))
+            .default_action(a, ActionId(1))
+            .build();
+        assert_eq!(
+            SyncSolver::new(&ctx, &kbp).solve().unwrap_err(),
+            SolveError::Kbp(KbpError::DuplicateDefault(a))
+        );
+    }
+
+    #[test]
     fn detects_locality_violation() {
         // Declare the hidden bit "local" although the agent cannot see it:
         // the two initial points share a local state but disagree on bit.

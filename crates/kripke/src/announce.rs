@@ -195,7 +195,7 @@ impl S5Model {
         let partitions = (0..self.agent_count())
             .map(|a| {
                 let p = self.partition(kbp_logic::Agent::new(a));
-                Partition::from_keys(n_new, |i| p.block_of(new_to_old[i]))
+                Partition::from_index_keys(n_new, |i| p.block_of(new_to_old[i]))
             })
             .collect();
 

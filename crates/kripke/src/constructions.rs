@@ -109,7 +109,7 @@ impl S5Model {
             let agent = Agent::new(i);
             let part = self.partition(agent).clone();
             let members = members.clone();
-            b.partition_by_key(agent, move |w: WorldId| part.block_of(members[w.index()]));
+            b.partition_by_index_key(agent, move |w: WorldId| part.block_of(members[w.index()]));
         }
         Ok((b.build(), WorldId::new(new_world)))
     }

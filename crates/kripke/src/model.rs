@@ -241,9 +241,30 @@ impl S5Builder {
         self
     }
 
+    /// Sets `agent`'s partition like
+    /// [`partition_by_key`](S5Builder::partition_by_key), for keys that
+    /// are already small dense ids: grouping goes through
+    /// [`Partition::from_index_keys`]'s slot table instead of a hash map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the agent is out of range.
+    pub fn partition_by_index_key(
+        &mut self,
+        agent: Agent,
+        key: impl Fn(WorldId) -> usize,
+    ) -> &mut Self {
+        assert!(agent.index() < self.num_agents, "agent out of range");
+        let n = self.props_of_world.len();
+        self.explicit[agent.index()] =
+            Some(Partition::from_index_keys(n, |x| key(WorldId::new(x))));
+        self.links[agent.index()].clear();
+        self
+    }
+
     /// Finalises the model.
     #[must_use]
-    pub fn build(self) -> S5Model {
+    pub fn build(mut self) -> S5Model {
         let n = self.props_of_world.len();
         let mut valuation = vec![BitSet::new(n); self.num_props];
         for (w, props) in self.props_of_world.iter().enumerate() {
@@ -253,7 +274,7 @@ impl S5Builder {
         }
         let mut partitions = Vec::with_capacity(self.num_agents);
         for i in 0..self.num_agents {
-            if let Some(p) = self.explicit[i].clone() {
+            if let Some(p) = self.explicit[i].take() {
                 partitions.push(p);
             } else {
                 let mut uf = UnionFind::new(n);

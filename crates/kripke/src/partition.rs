@@ -84,28 +84,26 @@ impl UnionFind {
     pub fn into_partition(mut self) -> Partition {
         let n = self.len();
         let mut block_of = vec![u32::MAX; n];
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
         let mut rep_to_block = vec![u32::MAX; n];
+        let mut count = 0u32;
         for x in 0..n {
             let r = self.find(x);
-            let b = if rep_to_block[r] == u32::MAX {
-                let id = blocks.len() as u32;
-                rep_to_block[r] = id;
-                blocks.push(Vec::new());
-                id
-            } else {
-                rep_to_block[r]
-            };
-            block_of[x] = b;
-            blocks[b as usize].push(x as u32);
+            if rep_to_block[r] == u32::MAX {
+                rep_to_block[r] = count;
+                count += 1;
+            }
+            block_of[x] = rep_to_block[r];
         }
-        Partition { block_of, blocks }
+        Partition::from_dense_labels(block_of, count as usize)
     }
 }
 
 /// A partition of `0..len` into disjoint, jointly exhaustive blocks.
 ///
 /// Blocks have dense ids assigned in order of their smallest member.
+/// Storage is compressed sparse rows: one label per element, one offset
+/// per block, and one buffer holding every block's members back to back
+/// in ascending order — three allocations whatever the block count.
 ///
 /// # Example
 ///
@@ -120,33 +118,26 @@ impl UnionFind {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
+    /// The block id of every element.
     block_of: Vec<u32>,
-    blocks: Vec<Vec<u32>>,
+    /// Block `b`'s members are `elems[start[b]..start[b + 1]]`; one more
+    /// entry than there are blocks.
+    start: Vec<u32>,
+    /// Every element, grouped by block, ascending within each block.
+    elems: Vec<u32>,
 }
 
 impl Partition {
     /// The discrete partition (every element alone).
     #[must_use]
     pub fn discrete(len: usize) -> Self {
-        Partition {
-            block_of: (0..len as u32).collect(),
-            blocks: (0..len as u32).map(|x| vec![x]).collect(),
-        }
+        Partition::from_dense_labels((0..len as u32).collect(), len)
     }
 
     /// The trivial partition (all elements in one block); empty if `len == 0`.
     #[must_use]
     pub fn trivial(len: usize) -> Self {
-        if len == 0 {
-            return Partition {
-                block_of: Vec::new(),
-                blocks: Vec::new(),
-            };
-        }
-        Partition {
-            block_of: vec![0; len],
-            blocks: vec![(0..len as u32).collect()],
-        }
+        Partition::from_dense_labels(vec![0; len], usize::from(len > 0))
     }
 
     /// Builds a partition by grouping elements with equal keys.
@@ -154,29 +145,87 @@ impl Partition {
     pub fn from_keys<K: std::hash::Hash + Eq>(len: usize, key: impl Fn(usize) -> K) -> Self {
         use std::collections::HashMap;
         let mut map: HashMap<K, u32> = HashMap::new();
-        let mut block_of = Vec::with_capacity(len);
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        for x in 0..len {
-            let k = key(x);
-            let b = *map.entry(k).or_insert_with(|| {
-                blocks.push(Vec::new());
-                (blocks.len() - 1) as u32
-            });
-            block_of.push(b);
-            blocks[b as usize].push(x as u32);
+        let block_of: Vec<u32> = (0..len)
+            .map(|x| {
+                let next = map.len() as u32;
+                *map.entry(key(x)).or_insert(next)
+            })
+            .collect();
+        let count = map.len();
+        Partition::from_dense_labels(block_of, count)
+    }
+
+    /// Builds a partition by grouping elements with equal keys, where the
+    /// keys are already small dense ids (local-state indices, union-find
+    /// roots): grouping goes through a slot table over the keys' range
+    /// instead of a hash map. Equals [`from_keys`](Self::from_keys) over
+    /// the same keys.
+    ///
+    /// The slot table costs memory proportional to the span between the
+    /// smallest and largest key; a span wider than the universe several
+    /// times over groups by hashing instead.
+    #[must_use]
+    pub fn from_index_keys(len: usize, key: impl Fn(usize) -> usize) -> Self {
+        let keys: Vec<usize> = (0..len).map(key).collect();
+        let (lo, hi) = keys
+            .iter()
+            .fold((usize::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        if len == 0 || hi - lo > 4 * len {
+            return Partition::from_keys(len, |x| keys[x]);
         }
-        Partition { block_of, blocks }
+        let mut slot = vec![u32::MAX; hi - lo + 1];
+        let mut count = 0u32;
+        let block_of: Vec<u32> = keys
+            .iter()
+            .map(|&k| {
+                let s = &mut slot[k - lo];
+                if *s == u32::MAX {
+                    *s = count;
+                    count += 1;
+                }
+                *s
+            })
+            .collect();
+        Partition::from_dense_labels(block_of, count as usize)
     }
 
     /// Builds a partition from a dense label vector whose ids are already
     /// assigned in order of first occurrence (label `k` first appears only
-    /// after labels `0..k`), as the refinement kernels produce them.
+    /// after labels `0..k`), as the refinement kernels produce them. Every
+    /// constructor ends here: one counting sort fills the member buffer,
+    /// so blocks come out ascending.
     pub(crate) fn from_dense_labels(block_of: Vec<u32>, count: usize) -> Self {
-        let mut blocks: Vec<Vec<u32>> = vec![Vec::new(); count];
-        for (x, &b) in block_of.iter().enumerate() {
-            blocks[b as usize].push(x as u32);
+        debug_assert!(
+            block_of
+                .iter()
+                .try_fold(0u32, |seen, &b| (b <= seen).then(|| seen.max(b + 1)))
+                .is_some_and(|seen| seen as usize == count),
+            "labels must be dense and numbered by first occurrence"
+        );
+        // `start[b + 1]` counts block `b`; the prefix sum turns counts
+        // into offsets, and placing element `x` bumps `start[b]` to the
+        // next free slot, so after the pass `start[b]` is block `b + 1`'s
+        // offset and one shift restores the table.
+        let mut start = vec![0u32; count + 1];
+        for &b in &block_of {
+            start[b as usize + 1] += 1;
         }
-        Partition { block_of, blocks }
+        for b in 0..count {
+            start[b + 1] += start[b];
+        }
+        let mut elems = vec![0u32; block_of.len()];
+        for (x, &b) in block_of.iter().enumerate() {
+            let at = &mut start[b as usize];
+            elems[*at as usize] = x as u32;
+            *at += 1;
+        }
+        start.copy_within(0..count, 1);
+        start[0] = 0;
+        Partition {
+            block_of,
+            start,
+            elems,
+        }
     }
 
     /// Number of elements.
@@ -194,7 +243,7 @@ impl Partition {
     /// Number of blocks.
     #[must_use]
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.start.len() - 1
     }
 
     /// The block id of element `x`.
@@ -214,12 +263,14 @@ impl Partition {
     /// Panics if `b >= block_count`.
     #[must_use]
     pub fn block(&self, b: usize) -> &[u32] {
-        &self.blocks[b]
+        &self.elems[self.start[b] as usize..self.start[b + 1] as usize]
     }
 
     /// Iterates over all blocks as slices.
     pub fn blocks(&self) -> impl Iterator<Item = &[u32]> {
-        self.blocks.iter().map(Vec::as_slice)
+        self.start
+            .windows(2)
+            .map(|w| &self.elems[w[0] as usize..w[1] as usize])
     }
 
     /// Whether `a` and `b` share a block.
@@ -264,7 +315,7 @@ impl Partition {
         let mut tmp_count: u32 = 0;
         let mut slot = vec![u32::MAX; other.block_count()];
         let mut touched: Vec<u32> = Vec::new();
-        for block in &self.blocks {
+        for block in self.blocks() {
             for &x in block {
                 let bb = other.block_of[x as usize] as usize;
                 let id = if slot[bb] == u32::MAX {
@@ -286,21 +337,16 @@ impl Partition {
         // Pass 2: relabel by first appearance in element order, restoring
         // the canonical smallest-member block numbering.
         let mut remap = vec![u32::MAX; tmp_count as usize];
-        let mut block_of = Vec::with_capacity(n);
-        let mut blocks: Vec<Vec<u32>> = Vec::new();
-        for (x, &t) in tmp_of.iter().enumerate() {
-            let id = if remap[t as usize] == u32::MAX {
-                let id = blocks.len() as u32;
-                remap[t as usize] = id;
-                blocks.push(Vec::new());
-                id
-            } else {
-                remap[t as usize]
-            };
-            block_of.push(id);
-            blocks[id as usize].push(x as u32);
+        let mut count = 0u32;
+        for t in &mut tmp_of {
+            let r = &mut remap[*t as usize];
+            if *r == u32::MAX {
+                *r = count;
+                count += 1;
+            }
+            *t = *r;
         }
-        Partition { block_of, blocks }
+        Partition::from_dense_labels(tmp_of, count as usize)
     }
 
     /// The finest common coarsening of two partitions (join in the
@@ -327,13 +373,12 @@ impl Partition {
             return Partition::trivial(n);
         }
         let mut uf = UnionFind::new(n);
-        for blocks in [&self.blocks, &other.blocks] {
-            for block in blocks {
-                // Star unions against the block's first member keep the
-                // union-find trees shallow (one find chain per member).
-                let first = block[0] as usize;
-                for &w in &block[1..] {
-                    uf.union(first, w as usize);
+        for block in self.blocks().chain(other.blocks()) {
+            // Star unions against the block's first member keep the
+            // union-find trees shallow (one find chain per member).
+            if let Some((&first, rest)) = block.split_first() {
+                for &w in rest {
+                    uf.union(first as usize, w as usize);
                 }
             }
         }
@@ -399,6 +444,7 @@ impl PairMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn union_find_basic() {
@@ -480,6 +526,57 @@ mod tests {
         let e = Partition::discrete(0);
         assert_eq!(e.refine_with(&e), e);
         assert_eq!(e.join_with(&e), e);
+    }
+
+    /// Blocks ascend, every element sits in the block its label names,
+    /// labels are numbered by first occurrence, and the partition equals
+    /// the hash-grouped one over its own labels.
+    fn assert_canonical(p: &Partition) -> Result<(), TestCaseError> {
+        let mut next_new = 0;
+        for (x, &b) in p.block_ids().iter().enumerate() {
+            prop_assert!(b as usize <= next_new, "label {b} before {next_new}");
+            next_new = next_new.max(b as usize + 1);
+            prop_assert!(p.block(b as usize).contains(&(x as u32)));
+        }
+        prop_assert_eq!(next_new, p.block_count());
+        for block in p.blocks() {
+            prop_assert!(!block.is_empty());
+            prop_assert!(block.windows(2).all(|w| w[0] < w[1]), "{block:?}");
+        }
+        prop_assert_eq!(p.blocks().map(<[u32]>::len).sum::<usize>(), p.len());
+        prop_assert_eq!(p, &Partition::from_keys(p.len(), |x| p.block_ids()[x]));
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn every_constructor_is_canonical(
+            labels in proptest::collection::vec((0usize..6, 0usize..4), 0..40),
+        ) {
+            let n = labels.len();
+            let a = Partition::from_keys(n, |x| labels[x].0);
+            let b = Partition::from_keys(n, |x| labels[x].1);
+            prop_assert_eq!(&Partition::from_index_keys(n, |x| labels[x].0), &a);
+            // Offset keys exercise the slot table's base; spread-out keys
+            // exercise the hashing fallback.
+            prop_assert_eq!(&Partition::from_index_keys(n, |x| labels[x].0 + 1000), &a);
+            prop_assert_eq!(&Partition::from_index_keys(n, |x| labels[x].0 * 100_000), &a);
+            let mut uf = UnionFind::new(n);
+            for (x, &(k, _)) in labels.iter().enumerate() {
+                uf.union(x, k % n);
+            }
+            for p in [
+                Partition::discrete(n),
+                Partition::trivial(n),
+                a.refine_with(&b),
+                a.join_with(&b),
+                uf.into_partition(),
+                a,
+                b,
+            ] {
+                assert_canonical(&p)?;
+            }
+        }
     }
 
     #[test]

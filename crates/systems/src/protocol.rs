@@ -84,17 +84,63 @@ where
 /// ```
 ///
 /// Entries are kept in one map per agent, so a lookup borrows the history
-/// slice instead of building an owned `(agent, history)` key. The maps
-/// keep the default hasher: histories are sequences of context-defined
-/// observation codes, which a user's `.kbp` context chooses freely.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// slice instead of building an owned `(agent, history)` key, and each
+/// entry holds the interned id of its action set: a knowledge-based
+/// program induces few distinct sets however many histories it acts at.
+/// The maps keep the default hasher: histories are sequences of
+/// context-defined observation codes, which a user's `.kbp` context
+/// chooses freely. Equality compares the resolved sets, so it depends
+/// neither on insertion order nor on the order sets were interned in.
+#[derive(Debug, Clone, Default)]
 pub struct MapProtocol {
     /// Explicit entries, indexed by agent; agents past the end have none.
-    /// A map is only created to take an entry, so the last one is never
-    /// empty and equal tables have equal lengths.
-    entries: Vec<HashMap<Vec<Obs>, Vec<ActionId>>>,
+    entries: Vec<HashMap<Vec<Obs>, u32>>,
+    /// The entries' action sets, by interned id.
+    sets: ActionSets,
     agent_defaults: HashMap<Agent, Vec<ActionId>>,
     default: Vec<ActionId>,
+}
+
+impl PartialEq for MapProtocol {
+    fn eq(&self, other: &Self) -> bool {
+        self.default == other.default
+            && self.agent_defaults == other.agent_defaults
+            && self.len() == other.len()
+            && self
+                .iter()
+                .all(|(agent, history, actions)| other.get(agent, history) == Some(actions))
+    }
+}
+
+impl Eq for MapProtocol {}
+
+/// Distinct action sets interned to dense ids: equal ids, equal sets.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ActionSets {
+    sets: Vec<Vec<ActionId>>,
+    ids: HashMap<Vec<ActionId>, u32>,
+}
+
+impl ActionSets {
+    /// The id of `actions`, interning it on first sight.
+    pub(crate) fn intern(&mut self, actions: Vec<ActionId>) -> u32 {
+        if let Some(&id) = self.ids.get(actions.as_slice()) {
+            return id;
+        }
+        let id = self.sets.len() as u32;
+        self.ids.insert(actions.clone(), id);
+        self.sets.push(actions);
+        id
+    }
+
+    /// The set interned under `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this table.
+    pub(crate) fn get(&self, id: u32) -> &[ActionId] {
+        &self.sets[id as usize]
+    }
 }
 
 impl MapProtocol {
@@ -110,6 +156,7 @@ impl MapProtocol {
         assert!(!default.is_empty(), "default action set must be nonempty");
         MapProtocol {
             entries: Vec::new(),
+            sets: ActionSets::default(),
             agent_defaults: HashMap::new(),
             default,
         }
@@ -133,7 +180,8 @@ impl MapProtocol {
     /// Panics if `actions` is empty.
     pub fn insert(&mut self, agent: Agent, history: Vec<Obs>, actions: Vec<ActionId>) {
         assert!(!actions.is_empty(), "action set must be nonempty");
-        self.agent_entries(agent).insert(history, actions);
+        let id = self.sets.intern(actions);
+        agent_entries(&mut self.entries, agent).insert(history, id);
     }
 
     /// Sets the action set for a history that has no entry yet, in one
@@ -150,31 +198,20 @@ impl MapProtocol {
         actions: Vec<ActionId>,
     ) -> Option<&[ActionId]> {
         assert!(!actions.is_empty(), "action set must be nonempty");
-        match self.agent_entries(agent).entry(history) {
-            Entry::Occupied(e) => Some(e.into_mut().as_slice()),
+        match agent_entries(&mut self.entries, agent).entry(history) {
+            Entry::Occupied(e) => Some(self.sets.get(*e.get())),
             Entry::Vacant(v) => {
-                v.insert(actions);
+                v.insert(self.sets.intern(actions));
                 None
             }
         }
     }
 
-    /// The entry map of `agent`, created on first use.
-    fn agent_entries(&mut self, agent: Agent) -> &mut HashMap<Vec<Obs>, Vec<ActionId>> {
-        let i = agent.index();
-        if i >= self.entries.len() {
-            self.entries.resize_with(i + 1, HashMap::new);
-        }
-        &mut self.entries[i]
-    }
-
     /// Looks up the explicit entry for a history, if any.
     #[must_use]
     pub fn get(&self, agent: Agent, history: &[Obs]) -> Option<&[ActionId]> {
-        self.entries
-            .get(agent.index())?
-            .get(history)
-            .map(Vec::as_slice)
+        let &id = self.entries.get(agent.index())?.get(history)?;
+        Some(self.sets.get(id))
     }
 
     /// Number of explicit entries.
@@ -192,9 +229,9 @@ impl MapProtocol {
     /// Iterates over `(agent, history, actions)` entries in arbitrary
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Agent, &[Obs], &[ActionId])> {
-        self.entries.iter().enumerate().flat_map(|(i, map)| {
+        self.entries.iter().enumerate().flat_map(move |(i, map)| {
             map.iter()
-                .map(move |(h, acts)| (Agent::new(i), h.as_slice(), acts.as_slice()))
+                .map(move |(h, &id)| (Agent::new(i), h.as_slice(), self.sets.get(id)))
         })
     }
 
@@ -244,18 +281,29 @@ impl MapProtocol {
                 .entries
                 .iter()
                 .flat_map(HashMap::values)
-                .all(|v| v.len() == 1)
+                .all(|&id| self.sets.get(id).len() == 1)
     }
+}
+
+/// The entry map of `agent` in a [`MapProtocol`]'s `entries`, created on
+/// first use.
+fn agent_entries(
+    entries: &mut Vec<HashMap<Vec<Obs>, u32>>,
+    agent: Agent,
+) -> &mut HashMap<Vec<Obs>, u32> {
+    let i = agent.index();
+    if i >= entries.len() {
+        entries.resize_with(i + 1, HashMap::new);
+    }
+    &mut entries[i]
 }
 
 impl ProtocolFn for MapProtocol {
     fn actions(&self, view: &LocalView<'_>) -> Vec<ActionId> {
-        self.entries
-            .get(view.agent.index())
-            .and_then(|map| map.get(view.history))
-            .or_else(|| self.agent_defaults.get(&view.agent))
-            .cloned()
-            .unwrap_or_else(|| self.default.clone())
+        self.get(view.agent, view.history)
+            .or_else(|| self.agent_defaults.get(&view.agent).map(Vec::as_slice))
+            .unwrap_or(&self.default)
+            .to_vec()
     }
 }
 
@@ -362,6 +410,41 @@ mod tests {
                 (c, vec![Obs(0)])
             ]
         );
+    }
+
+    #[test]
+    fn map_protocol_equality_ignores_interning_order() {
+        let (a, b) = (Agent::new(0), Agent::new(1));
+        let (one, both) = (vec![ActionId(1)], vec![ActionId(0), ActionId(1)]);
+        let rows = [
+            (a, vec![Obs(0)], one.clone()),
+            (a, vec![Obs(1)], both.clone()),
+            (b, vec![Obs(0)], both.clone()),
+            (b, vec![Obs(2)], one.clone()),
+        ];
+        // `p` meets `one` first and `q` meets `both` first, so the two
+        // tables intern the same sets under swapped ids.
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        for (agent, h, acts) in rows.iter().cloned() {
+            p.insert(agent, h, acts);
+        }
+        let mut q = MapProtocol::new(vec![ActionId(0)]);
+        for k in [1, 2, 3, 0] {
+            let (agent, h, acts) = rows[k].clone();
+            assert_eq!(q.insert_or_get(agent, h, acts), None);
+        }
+        assert_eq!(p, q);
+        assert_eq!(q, p);
+        // One differing set breaks equality either way round.
+        let mut r = q.clone();
+        r.insert(b, vec![Obs(2)], both.clone());
+        assert_ne!(p, r);
+        assert_ne!(r, p);
+        // Overwriting it back restores equality, though `r` still holds
+        // the set it no longer uses.
+        r.insert(b, vec![Obs(2)], one);
+        assert_eq!(p, r);
+        assert_eq!(r.get(b, &[Obs(2)]), Some(&[ActionId(1)][..]));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Global states, observations, and interning tables.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -136,15 +137,17 @@ impl StateTable {
         Self::default()
     }
 
-    /// Interns a state, returning its id. Idempotent.
+    /// Interns a state, returning its id, in one probe. Idempotent; only
+    /// a state seen for the first time is cloned.
     pub fn intern(&mut self, state: GlobalState) -> StateId {
-        if let Some(&id) = self.ids.get(&state) {
-            return id;
+        match self.ids.entry(state) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(v) => {
+                let id = StateId(self.states.len() as u32);
+                self.states.push(v.key().clone());
+                *v.insert(id)
+            }
         }
-        let id = StateId(self.states.len() as u32);
-        self.states.push(state.clone());
-        self.ids.insert(state, id);
-        id
     }
 
     /// The state for an id.
@@ -232,14 +235,14 @@ impl LocalTable {
     }
 
     fn intern(&mut self, parent: Option<LocalId>, obs: Obs) -> LocalId {
-        let key = (parent, obs);
-        if let Some(&id) = self.ids.get(&key) {
-            return id;
+        match self.ids.entry((parent, obs)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(v) => {
+                let id = LocalId(self.entries.len() as u32);
+                self.entries.push(*v.key());
+                *v.insert(id)
+            }
         }
-        let id = LocalId(self.entries.len() as u32);
-        self.entries.push(key);
-        self.ids.insert(key, id);
-        id
     }
 
     /// The observation history of a local state, oldest first.

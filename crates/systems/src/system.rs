@@ -14,7 +14,7 @@
 //! operators).
 
 use crate::context::{ActionId, Context, ContextError, JointAction};
-use crate::protocol::{LocalView, ProtocolFn};
+use crate::protocol::{ActionSets, LocalView, ProtocolFn};
 use crate::state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
 use kbp_kripke::{Partition, S5Builder, S5Model, UnionFind};
 use kbp_logic::{Agent, PropId};
@@ -22,7 +22,7 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, RandomState};
 
 /// How agents' local states evolve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,10 +119,10 @@ impl Node {
 pub struct QuotientFrontier {
     /// Exact number of explicit points each class stands for.
     multiplicity: Vec<u64>,
-    /// `members[agent][class]`: sorted, deduplicated local states held by
-    /// the explicit points of the class. Always contains the
+    /// `members[agent].get(class)`: sorted, deduplicated local states
+    /// held by the explicit points of the class. Always contains the
     /// representative's own local state.
-    members: Vec<Vec<Vec<LocalId>>>,
+    members: Vec<MemberLists>,
     /// Sum of all multiplicities: the explicit-equivalent layer width.
     explicit_points: u64,
 }
@@ -159,7 +159,63 @@ impl QuotientFrontier {
     /// Panics if the agent or class is out of range.
     #[must_use]
     pub fn members(&self, agent: Agent, class: usize) -> &[LocalId] {
-        &self.members[agent.index()][class]
+        self.members[agent.index()].get(class)
+    }
+}
+
+/// One agent's member-local lists, one list per class, flat: list `c` is
+/// `locals[start[c]..start[c + 1]]`. Lists are appended at the tail of
+/// the buffer and sorted and deduplicated in place when closed, so a
+/// layer's lists cost two allocations whatever their number.
+#[derive(Debug, Clone)]
+struct MemberLists {
+    /// One more entry than there are closed lists; the last is where the
+    /// open list begins.
+    start: Vec<u32>,
+    locals: Vec<LocalId>,
+}
+
+impl MemberLists {
+    fn with_capacity(lists: usize) -> Self {
+        let mut start = Vec::with_capacity(lists + 1);
+        start.push(0);
+        MemberLists {
+            start,
+            locals: Vec::with_capacity(lists),
+        }
+    }
+
+    /// Closed list `c`.
+    fn get(&self, c: usize) -> &[LocalId] {
+        &self.locals[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// Where the open list begins in the buffer.
+    fn open_start(&self) -> usize {
+        self.start[self.start.len() - 1] as usize
+    }
+
+    /// Sorts and deduplicates the open list in place, and closes it.
+    fn close(&mut self) {
+        let open = self.open_start();
+        let list = &mut self.locals[open..];
+        list.sort_unstable();
+        let mut kept = 0;
+        for r in 0..list.len() {
+            if kept == 0 || list[r] != list[kept - 1] {
+                list[kept] = list[r];
+                kept += 1;
+            }
+        }
+        self.locals.truncate(open + kept);
+        self.start.push(self.locals.len() as u32);
+    }
+
+    /// Closes a list holding the buffer range `range` again, which is
+    /// already sorted and deduplicated.
+    fn close_copy_of(&mut self, range: std::ops::Range<usize>) {
+        self.locals.extend_from_within(range);
+        self.start.push(self.locals.len() as u32);
     }
 }
 
@@ -382,8 +438,7 @@ pub struct StepChoices {
     /// Indexed by agent.
     windows: Vec<ChoiceWindow>,
     /// The distinct action sets, by interned id.
-    sets: Vec<Vec<ActionId>>,
-    ids: HashMap<Vec<ActionId>, u32>,
+    sets: ActionSets,
 }
 
 /// One agent's slots: `slots[k]` is the interned set id chosen for local
@@ -432,15 +487,7 @@ impl StepChoices {
 
     /// Sets the action set for one `(agent, local state)` pair.
     pub fn set(&mut self, agent: Agent, local: LocalId, actions: Vec<ActionId>) {
-        let id = match self.ids.get(actions.as_slice()) {
-            Some(&id) => id,
-            None => {
-                let id = self.sets.len() as u32;
-                self.ids.insert(actions.clone(), id);
-                self.sets.push(actions);
-                id
-            }
-        };
+        let id = self.sets.intern(actions);
         let i = agent.index();
         if i >= self.windows.len() {
             self.windows.resize_with(i + 1, ChoiceWindow::default);
@@ -451,8 +498,7 @@ impl StepChoices {
     /// Looks up the action set for a pair, if present.
     #[must_use]
     pub fn get(&self, agent: Agent, local: LocalId) -> Option<&[ActionId]> {
-        self.set_id(agent, local)
-            .map(|id| self.sets[id as usize].as_slice())
+        self.set_id(agent, local).map(|id| self.sets.get(id))
     }
 
     /// The interned id of the pair's action set: equal ids, equal sets.
@@ -471,7 +517,7 @@ impl StepChoices {
         let id = self
             .set_id(agent, local)
             .ok_or(GenerateError::MissingChoice { agent, local })?;
-        let set = &self.sets[id as usize];
+        let set = self.sets.get(id);
         if set.is_empty() {
             return Err(GenerateError::EmptyChoice { agent, local });
         }
@@ -546,29 +592,30 @@ impl<'c> SystemBuilder<'c> {
             nodes_created: 0,
             gen_quotient_min_worlds: 0,
         };
-        let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
+        let mut index = PointIndex::new();
         let mut nodes: Vec<Node> = Vec::new();
         for state in ctx.initial_states() {
-            let sid = b.states.intern(state.clone());
             let locals: Vec<LocalId> = (0..agents)
                 .map(|i| {
                     let obs = ctx.observe(Agent::new(i), &state);
                     b.locals[i].intern_root(obs)
                 })
                 .collect();
-            let key = (sid, locals.clone());
-            dedup.entry(key).or_insert_with(|| {
+            let sid = b.states.intern(state);
+            if let Err(digest) = index.find(&nodes, sid, &locals) {
+                index.insert(digest, nodes.len() as u32);
                 nodes.push(Node {
                     state: sid,
                     locals,
                     parents: Vec::new(),
                     edges: Vec::new(),
                 });
-                (nodes.len() - 1) as u32
-            });
+            }
         }
         b.nodes_created = nodes.len();
-        let model = b.model_of(nodes.iter().map(Node::state), |w, i| nodes[w].locals[i]);
+        let model = b.model_of(nodes.iter().map(Node::state), |w, i| {
+            nodes[w].locals[i].index()
+        });
         b.layers.push(Layer {
             nodes,
             model,
@@ -700,11 +747,13 @@ impl<'c> SystemBuilder<'c> {
 
     /// The S5 model over worlds holding the given global states: the
     /// valuation is the context's, and an agent `i` cannot tell worlds
-    /// `v` and `w` apart iff `key(v, i) == key(w, i)`.
-    fn model_of<K: Hash + Eq>(
+    /// `v` and `w` apart iff `key(v, i) == key(w, i)`. Keys are dense ids
+    /// (local-state indices or member-link root labels), grouped through
+    /// a slot table.
+    fn model_of(
         &self,
         states: impl Iterator<Item = StateId>,
-        key: impl Fn(usize, usize) -> K,
+        key: impl Fn(usize, usize) -> usize,
     ) -> S5Model {
         let prop_count = self.ctx.vocabulary().prop_count();
         let mut mb = S5Builder::new(self.ctx.agent_count(), prop_count);
@@ -716,7 +765,7 @@ impl<'c> SystemBuilder<'c> {
             mb.add_world(props);
         }
         for i in 0..self.ctx.agent_count() {
-            mb.partition_by_key(Agent::new(i), |w| key(w.index(), i));
+            mb.partition_by_index_key(Agent::new(i), |w| key(w.index(), i));
         }
         mb.build()
     }
@@ -729,7 +778,7 @@ impl<'c> SystemBuilder<'c> {
         model: &S5Model,
         state: impl Fn(usize) -> StateId,
     ) -> Result<Partition, GenerateError> {
-        let split = Partition::from_keys(model.world_count(), state);
+        let split = Partition::from_index_keys(model.world_count(), |w| state(w).index());
         let props: Vec<PropId> = (0..self.ctx.vocabulary().prop_count())
             .map(|p| PropId::new(p as u32))
             .collect();
@@ -779,7 +828,7 @@ impl<'c> SystemBuilder<'c> {
         // the member locals `members(i, c)`; without a quotient every node
         // is its own class.
         let members = |i: usize, c: usize| match quotient {
-            Some(q) => &q.members[i][c][..],
+            Some(q) => q.members[i].get(c),
             None => std::slice::from_ref(&layer.nodes[c].locals[i]),
         };
         let multiplicity = |c: usize| quotient.map_or(1, |q| q.multiplicity[c]);
@@ -803,18 +852,19 @@ impl<'c> SystemBuilder<'c> {
                         return Err(GenerateError::QuotientChoiceMismatch { agent, local: ml });
                     }
                 }
-                action_sets.push(&choices.sets[id as usize]);
+                action_sets.push(choices.sets.get(id));
             }
         }
 
         // Successors of the representatives, deduplicated by
         // `(state, locals)`. A fused step also records each child's
         // lineage and, `agents` per child, its observations.
-        let mut dedup: HashMap<(StateId, Vec<LocalId>), u32> = HashMap::new();
+        let mut index = PointIndex::new();
         let mut children: Vec<Node> = Vec::new();
         let mut lineage: Vec<Lineage> = Vec::new();
         let mut child_obs: Vec<Obs> = Vec::new();
         let mut obs: Vec<Obs> = Vec::with_capacity(agents);
+        let mut locals: Vec<LocalId> = Vec::with_capacity(agents);
         let mut new_edges: Vec<Vec<(u32, JointAction)>> = vec![Vec::new(); layer.len()];
         for (c, (&rep, sets)) in reps.iter().zip(action_sets.chunks(agents)).enumerate() {
             let node = &layer.nodes[rep as usize];
@@ -830,18 +880,17 @@ impl<'c> SystemBuilder<'c> {
                 for &env in &env_moves {
                     let joint = JointAction::new(env, acts.clone());
                     let next = ctx.transition(&state, &joint);
-                    let sid = self.states.intern(next.clone());
                     obs.clear();
                     obs.extend((0..agents).map(|i| ctx.observe(Agent::new(i), &next)));
-                    let locals: Vec<LocalId> = (0..agents)
-                        .map(|i| match recall {
-                            Recall::Perfect => self.locals[i].intern_child(node.locals[i], obs[i]),
-                            Recall::Observational => self.locals[i].intern_root(obs[i]),
-                        })
-                        .collect();
-                    let child = match dedup.entry((sid, locals)) {
-                        Entry::Occupied(e) => {
-                            let child = *e.get() as usize;
+                    locals.clear();
+                    locals.extend((0..agents).map(|i| match recall {
+                        Recall::Perfect => self.locals[i].intern_child(node.locals[i], obs[i]),
+                        Recall::Observational => self.locals[i].intern_root(obs[i]),
+                    }));
+                    let sid = self.states.intern(next);
+                    let child = match index.find(&children, sid, &locals) {
+                        Ok(child) => {
+                            let child = child as usize;
                             if fused && lineage[child].last != c as u32 {
                                 // A successor tuple shared by two classes
                                 // forces equal parent local tuples under
@@ -865,10 +914,11 @@ impl<'c> SystemBuilder<'c> {
                             }
                             child
                         }
-                        Entry::Vacant(v) => {
+                        Err(digest) => {
+                            index.insert(digest, children.len() as u32);
                             children.push(Node {
                                 state: sid,
-                                locals: v.key().1.clone(),
+                                locals: locals.clone(),
                                 parents: Vec::new(),
                                 edges: Vec::new(),
                             });
@@ -887,7 +937,7 @@ impl<'c> SystemBuilder<'c> {
                                 });
                                 child_obs.extend_from_slice(&obs);
                             }
-                            *v.insert((children.len() - 1) as u32) as usize
+                            children.len() - 1
                         }
                     };
                     let parents = &mut children[child].parents;
@@ -923,34 +973,45 @@ impl<'c> SystemBuilder<'c> {
         }
 
         let (nodes, model, quotient) = if fused {
-            // Member locals of each child, `[agent][child]`: the chain
-            // images of its first parent class's member locals under the
-            // child's observation (perfect recall), or the child's own root
-            // local (observational). This is what keeps the local-state
-            // forest — and with it every protocol history —
-            // explicit-complete while the point tuples stay folded.
-            let mut child_members: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(n_new); agents];
-            let mut chain_cache: HashMap<(u32, usize, Obs), Vec<LocalId>> = HashMap::new();
+            // Member locals of each child, per agent: the chain images of
+            // its first parent class's member locals under the child's
+            // observation (perfect recall), or the child's own root local
+            // (observational). This is what keeps the local-state forest —
+            // and with it every protocol history — explicit-complete while
+            // the point tuples stay folded. Children of one class with one
+            // observation share their image, so the cache keeps the buffer
+            // range of the first and later ones copy it.
+            let mut child_members: Vec<MemberLists> = (0..agents)
+                .map(|_| MemberLists::with_capacity(n_new))
+                .collect();
+            let mut chain_cache: HashMap<(u32, usize, Obs), (u32, u32)> = HashMap::new();
             for (w, ch) in children.iter().enumerate() {
                 let c = lineage[w].first;
-                for (i, per_agent) in child_members.iter_mut().enumerate() {
+                for (i, lists) in child_members.iter_mut().enumerate() {
                     let ms = members(i, c as usize);
                     // A lone member is the representative's own local,
                     // whose chain image is the child's local.
                     if recall == Recall::Observational || ms.len() == 1 {
-                        per_agent.push(vec![ch.locals[i]]);
+                        lists.locals.push(ch.locals[i]);
+                        lists.close();
                         continue;
                     }
                     let o = child_obs[w * agents + i];
-                    let table = &mut self.locals[i];
-                    let ls = chain_cache.entry((c, i, o)).or_insert_with(|| {
-                        let mut ls: Vec<LocalId> =
-                            ms.iter().map(|&l| table.intern_child(l, o)).collect();
-                        ls.sort_unstable_by_key(|l| l.index());
-                        ls.dedup();
-                        ls
-                    });
-                    per_agent.push(ls.clone());
+                    match chain_cache.entry((c, i, o)) {
+                        Entry::Occupied(e) => {
+                            let (from, to) = *e.get();
+                            lists.close_copy_of(from as usize..to as usize);
+                        }
+                        Entry::Vacant(v) => {
+                            let table = &mut self.locals[i];
+                            let from = lists.open_start();
+                            lists
+                                .locals
+                                .extend(ms.iter().map(|&l| table.intern_child(l, o)));
+                            lists.close();
+                            v.insert((from as u32, lists.open_start() as u32));
+                        }
+                    }
                 }
             }
 
@@ -966,8 +1027,10 @@ impl<'c> SystemBuilder<'c> {
             // class's fiber is exactly the union of the (pairwise disjoint)
             // child fibers and the multiplicity sum stays an exact
             // explicit-point count.
-            let roots = member_link_roots(agents, n_new, |w, i| &child_members[i][w]);
-            let cmodel = self.model_of(children.iter().map(Node::state), |w, i| roots[i][w]);
+            let roots = member_link_roots(agents, n_new, |w, i| child_members[i].get(w));
+            let cmodel = self.model_of(children.iter().map(Node::state), |w, i| {
+                roots[i][w] as usize
+            });
             let classes = self.classes_of(&cmodel, |w| children[w].state)?;
             let labels = classes.block_ids();
             for e in new_edges.iter_mut().flatten() {
@@ -989,7 +1052,7 @@ impl<'c> SystemBuilder<'c> {
                     &classes,
                     agents,
                     |w| lineage[w].multiplicity,
-                    |w, i| &child_members[i][w],
+                    |w, i| child_members[i].get(w),
                 );
                 let nodes: Vec<Node> = classes
                     .blocks()
@@ -1010,13 +1073,14 @@ impl<'c> SystemBuilder<'c> {
                     })
                     .collect();
                 // Classes are linked iff they share a member local.
-                let roots = member_link_roots(agents, nodes.len(), |c, i| &q.members[i][c]);
-                let model = self.model_of(nodes.iter().map(Node::state), |w, i| roots[i][w]);
+                let roots = member_link_roots(agents, nodes.len(), |c, i| q.members[i].get(c));
+                let model =
+                    self.model_of(nodes.iter().map(Node::state), |w, i| roots[i][w] as usize);
                 (nodes, model, Some(q))
             }
         } else {
             let model = self.model_of(children.iter().map(Node::state), |w, i| {
-                children[w].locals[i]
+                children[w].locals[i].index()
             });
             (children, model, None)
         };
@@ -1111,31 +1175,40 @@ impl<'c> SystemBuilder<'c> {
 
 /// Union-find roots linking elements that share any member local for
 /// an agent: `get(element, agent)` yields the element's member local
-/// set. Returns, per agent, a dense root label per element — the
+/// set. Returns, per agent, a root label in `0..n` per element — the
 /// transitive closure of "shares a local", which is exactly the
-/// equivalence an S5 partition can carry.
+/// equivalence an S5 partition can carry. The first holder of each local
+/// sits in a slot table over the agent's local range; when no local is
+/// held twice, every element is its own root and no union-find is built.
 fn member_link_roots<'m>(
     agents: usize,
     n: usize,
     get: impl Fn(usize, usize) -> &'m [LocalId],
-) -> Vec<Vec<usize>> {
+) -> Vec<Vec<u32>> {
     let mut out = Vec::with_capacity(agents);
     for i in 0..agents {
-        let mut uf = UnionFind::new(n);
-        let mut first: HashMap<LocalId, usize> = HashMap::new();
+        let (lo, hi) = (0..n)
+            .flat_map(|w| get(w, i))
+            .fold((usize::MAX, 0), |(lo, hi), l| {
+                (lo.min(l.index()), hi.max(l.index()))
+            });
+        let mut first = vec![u32::MAX; hi.saturating_sub(lo) + 1];
+        let mut uf: Option<UnionFind> = None;
         for w in 0..n {
             for &l in get(w, i) {
-                match first.entry(l) {
-                    Entry::Occupied(e) => {
-                        uf.union(*e.get(), w);
-                    }
-                    Entry::Vacant(v) => {
-                        v.insert(w);
-                    }
+                let slot = &mut first[l.index() - lo];
+                if *slot == u32::MAX {
+                    *slot = w as u32;
+                } else {
+                    uf.get_or_insert_with(|| UnionFind::new(n))
+                        .union(*slot as usize, w);
                 }
             }
         }
-        out.push((0..n).map(|w| uf.find(w)).collect());
+        out.push(match uf {
+            Some(mut uf) => (0..n).map(|w| uf.find(w) as u32).collect(),
+            None => (0..n as u32).collect(),
+        });
     }
     out
 }
@@ -1153,18 +1226,17 @@ fn fold_blocks<'m>(
     let k = classes.block_count();
     let mut reps = Vec::with_capacity(k);
     let mut multiplicity = Vec::with_capacity(k);
-    let mut per_agent: Vec<Vec<Vec<LocalId>>> = vec![Vec::with_capacity(k); agents];
+    let mut per_agent: Vec<MemberLists> =
+        (0..agents).map(|_| MemberLists::with_capacity(k)).collect();
     for block in classes.blocks() {
-        reps.push(block.iter().copied().min().unwrap_or(0));
+        // Blocks ascend, so the first element is the minimum.
+        reps.push(block.first().copied().unwrap_or(0));
         multiplicity.push(block.iter().map(|&w| mult(w as usize)).sum());
-        for (i, class_members) in per_agent.iter_mut().enumerate() {
-            let mut ls: Vec<LocalId> = block
-                .iter()
-                .flat_map(|&w| members(w as usize, i).iter().copied())
-                .collect();
-            ls.sort_unstable_by_key(|l| l.index());
-            ls.dedup();
-            class_members.push(ls);
+        for (i, lists) in per_agent.iter_mut().enumerate() {
+            for &w in block {
+                lists.locals.extend_from_slice(members(w as usize, i));
+            }
+            lists.close();
         }
     }
     let explicit_points = multiplicity.iter().sum();
@@ -1174,6 +1246,53 @@ fn fold_blocks<'m>(
         explicit_points,
     };
     (reps, q)
+}
+
+/// Deduplicates a layer's points by `(state, locals)` without owning a
+/// key per point: the map holds a SipHash digest of the pair under a
+/// random key drawn per layer, and points whose digests collide are
+/// chained and compared against the stored nodes themselves.
+struct PointIndex {
+    hasher: RandomState,
+    /// The latest point with each digest.
+    latest: HashMap<u64, u32>,
+    /// `earlier[k]`: the previous point with point `k`'s digest, or
+    /// [`PointIndex::NONE`].
+    earlier: Vec<u32>,
+}
+
+impl PointIndex {
+    const NONE: u32 = u32::MAX;
+
+    fn new() -> Self {
+        PointIndex {
+            hasher: RandomState::new(),
+            latest: HashMap::new(),
+            earlier: Vec::new(),
+        }
+    }
+
+    /// The index of point `(state, locals)` among `nodes`, or the digest
+    /// to [`insert`](Self::insert) it under.
+    fn find(&self, nodes: &[Node], state: StateId, locals: &[LocalId]) -> Result<u32, u64> {
+        let digest = self.hasher.hash_one((state, locals));
+        let mut k = self.latest.get(&digest).copied().unwrap_or(Self::NONE);
+        while k != Self::NONE {
+            let node = &nodes[k as usize];
+            if node.state == state && node.locals == locals {
+                return Ok(k);
+            }
+            k = self.earlier[k as usize];
+        }
+        Err(digest)
+    }
+
+    /// Records point `k`, the next one pushed, under `digest`.
+    fn insert(&mut self, digest: u64, k: u32) {
+        debug_assert_eq!(k as usize, self.earlier.len());
+        let earlier = self.latest.insert(digest, k).unwrap_or(Self::NONE);
+        self.earlier.push(earlier);
+    }
 }
 
 /// How a child of a fused step descends from the frontier's classes.
@@ -1909,6 +2028,100 @@ mod tests {
         }
         assert_eq!(reduced.members(Agent::new(0), 0).len(), 2);
         assert_eq!(reduced.members(Agent::new(1), 0).len(), 1);
+    }
+
+    #[test]
+    fn member_lists_sort_and_dedup_each_list_in_place() {
+        let l = LocalId::from_raw;
+        let mut lists = MemberLists::with_capacity(3);
+        lists.locals.extend([l(3), l(1), l(3)]);
+        lists.close();
+        // Equal neighbours across a list boundary stay in both lists.
+        lists.locals.extend([l(2), l(3), l(3)]);
+        lists.close();
+        lists.close_copy_of(0..2);
+        assert_eq!(lists.get(0), [l(1), l(3)]);
+        assert_eq!(lists.get(1), [l(2), l(3)]);
+        assert_eq!(lists.get(2), [l(1), l(3)]);
+        assert_eq!(lists.open_start(), 6);
+    }
+
+    /// The flat member lists of a fused unrolling: sorted, deduplicated,
+    /// the chain images of the parent class's members, and together
+    /// exactly the explicit layer's locals. Pinned as histories, since
+    /// ids depend on interning order.
+    #[test]
+    fn fused_member_lists_are_sorted_chain_images() {
+        let ctx = meeting_context();
+        let either = |v: &LocalView<'_>| match v.agent.index() {
+            0 => vec![ActionId(0), ActionId(1)],
+            _ => vec![ActionId(0)],
+        };
+        let fused = generate(&ctx, &either, Recall::Perfect, 3).unwrap();
+        let explicit = {
+            let mut b = SystemBuilder::new(&ctx, Recall::Perfect).unwrap();
+            b.set_gen_quotient_min_worlds(usize::MAX);
+            for _ in 0..3 {
+                b.step_with(&either).unwrap();
+            }
+            b.finish()
+        };
+        let histories = |sys: &InterpretedSystem, agent: Agent, ls: &[LocalId]| {
+            ls.iter()
+                .map(|&l| sys.local_view(agent, l).iter().map(|o| o.0).collect())
+                .collect::<Vec<Vec<u64>>>()
+        };
+        let mut pinned = Vec::new();
+        for t in 1..=3 {
+            let layer = fused.layer(t);
+            let q = layer.quotient().unwrap();
+            for i in 0..2 {
+                let agent = Agent::new(i);
+                let mut all: Vec<Vec<u64>> = Vec::new();
+                for c in 0..q.class_count() {
+                    let ms = q.members(agent, c);
+                    assert!(ms.windows(2).all(|w| w[0] < w[1]), "{ms:?}");
+                    assert!(ms.contains(&layer.nodes()[c].local(agent)));
+                    // Each member extends a member of a parent class by
+                    // the child's observation.
+                    let parents = fused.layer(t - 1);
+                    for h in histories(&fused, agent, ms) {
+                        let (last, past) = h.split_last().unwrap();
+                        let own = fused.local_view(agent, layer.nodes()[c].local(agent));
+                        assert_eq!(*last, own[t].0);
+                        assert!(layer.nodes()[c].parents().iter().any(|&p| {
+                            histories(&fused, agent, parents.members(agent, p as usize))
+                                .contains(&past.to_vec())
+                        }));
+                    }
+                    pinned.push((t, i, c, histories(&fused, agent, ms)));
+                    all.extend(histories(&fused, agent, ms));
+                }
+                let mut want: Vec<Vec<u64>> = explicit
+                    .layer(t)
+                    .nodes()
+                    .iter()
+                    .flat_map(|n| histories(&explicit, agent, &[n.local(agent)]))
+                    .collect();
+                all.sort();
+                all.dedup();
+                want.sort();
+                want.dedup();
+                assert_eq!(all, want, "layer {t}, agent {i}");
+            }
+        }
+        let x = |h: &[&[u64]]| h.iter().map(|h| h.to_vec()).collect::<Vec<_>>();
+        assert_eq!(
+            pinned,
+            [
+                (1, 0, 0, x(&[&[0, 0], &[1, 0]])),
+                (1, 1, 0, x(&[&[0, 0]])),
+                (2, 0, 0, x(&[&[0, 0, 0], &[1, 0, 0]])),
+                (2, 1, 0, x(&[&[0, 0, 0]])),
+                (3, 0, 0, x(&[&[0, 0, 0, 0], &[1, 0, 0, 0]])),
+                (3, 1, 0, x(&[&[0, 0, 0, 0]])),
+            ]
+        );
     }
 
     /// A bad choice at any one frontier local is reported alike whether

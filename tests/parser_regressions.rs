@@ -9,13 +9,11 @@
 //! the printer/parser pair. These run as plain unit tests, so they are
 //! exercised even when the proptest regression file is not picked up.
 //! Last, every registry scenario's program is printed as `program` blocks
-//! and read back.
+//! by `Kbp::to_pretty` and read back.
 
-use kbp_core::Kbp;
 use kbp_lang::{parse_formula, parse_program};
 use kbp_logic::random::{random_formula, FormulaConfig, SplitMix64};
 use kbp_logic::{Agent, AgentSet, Formula, PropId, Vocabulary};
-use kbp_systems::Context;
 
 const AGENTS: usize = 2;
 const PROPS: usize = 3;
@@ -117,37 +115,14 @@ fn crafted_precedence_corners() {
     );
 }
 
-/// Prints a program as `program` blocks, naming agents, propositions and
-/// actions as the context does.
-fn program_source(kbp: &Kbp, ctx: &dyn Context) -> String {
-    let voc = ctx.vocabulary();
-    let mut out = String::new();
-    for p in kbp.programs() {
-        let agent = p.agent();
-        out.push_str(&format!("program {} {{\n", voc.agent_name(agent)));
-        for c in p.clauses() {
-            out.push_str(&format!(
-                "  case {} do {}\n",
-                c.guard.to_string_with(voc),
-                ctx.action_name(agent, c.action)
-            ));
-        }
-        out.push_str(&format!(
-            "  default {}\n}}\n",
-            ctx.action_name(agent, p.default_action())
-        ));
-    }
-    out
-}
-
-/// Every registry scenario's program, printed with its own vocabulary and
-/// action names, reads back as the same `Kbp`: the formula printer and the
-/// one grammar agree on every shipped vocabulary.
+/// Every registry scenario's program, printed by `Kbp::to_pretty` with
+/// its own vocabulary and action names, reads back as the same `Kbp`: the
+/// program printer and the one grammar agree on every shipped vocabulary.
 #[test]
 fn every_registry_scenario_reparses() {
     for entry in kbp_service::registry() {
         let (ctx, kbp) = entry.build();
-        let src = program_source(&kbp, &ctx);
+        let src = kbp.to_pretty(&ctx);
         assert!(src.contains("case "), "{}: no clause printed", entry.name);
         let reparsed =
             parse_program(&src, &ctx).unwrap_or_else(|d| panic!("{}: {d:?}\n{src}", entry.name));
