@@ -233,7 +233,7 @@ fn extract_controller(
     let mut entries: Vec<(Vec<Obs>, Vec<ActionId>)> = proto
         .iter()
         .filter(|(a, _, _)| *a == agent)
-        .map(|(_, h, acts)| (h.to_vec(), acts.to_vec()))
+        .map(|(_, h, acts)| (h, acts.to_vec()))
         .collect();
     entries.sort();
     for (history, actions) in &entries {

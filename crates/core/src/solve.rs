@@ -21,9 +21,10 @@ use crate::program::{Kbp, KbpError};
 use kbp_kripke::{BitSet, EvalCache, EvalEngine, EvalError};
 use kbp_logic::{Agent, FormulaArena, FormulaId};
 use kbp_systems::{
-    layer_renaming, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol, Recall,
-    StepChoices, SystemBuilder,
+    layer_renaming, ActionId, Context, GenerateError, InterpretedSystem, LocalId, MapProtocol,
+    Recall, StepChoices, SystemBuilder,
 };
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -535,10 +536,10 @@ impl<'a> SyncSolver<'a> {
             builder.set_node_limit(limit);
         }
         builder.set_gen_quotient_min_worlds(self.gen_quotient_min_worlds);
-        let mut protocol = MapProtocol::new(vec![kbp_systems::ActionId(0)]);
-        for program in self.kbp.programs() {
-            protocol.set_agent_default(program.agent(), vec![program.default_action()]);
-        }
+        // One choice table for the whole solve: each agent's slots cover
+        // every local id the induction has recorded, and the protocol is
+        // read off them once the construction stops.
+        let mut choices = StepChoices::new();
         let mut stats = SolveStats::default();
         let mut per_layer: Vec<LayerStats> = Vec::new();
         let mut total_points = 0usize;
@@ -576,13 +577,14 @@ impl<'a> SyncSolver<'a> {
         let mut cache = EvalCache::new();
 
         let partial = |builder: SystemBuilder<'_>,
-                       protocol: MapProtocol,
+                       choices: StepChoices,
                        mut stats: SolveStats,
                        per_layer: Vec<LayerStats>,
                        exhausted: BudgetExhausted| {
             let system = builder.finish();
             stats.layers = system.layer_count();
             stats.points = usize::try_from(system.explicit_point_count()).unwrap_or(usize::MAX);
+            let protocol = self.protocol_of(&system, choices);
             SolveOutcome::Partial(Box::new(PartialSolution {
                 system,
                 protocol,
@@ -612,7 +614,7 @@ impl<'a> SyncSolver<'a> {
                 agents,
             ) {
                 if degrade {
-                    return Ok(partial(builder, protocol, stats, per_layer, exhausted));
+                    return Ok(partial(builder, choices, stats, per_layer, exhausted));
                 }
                 return Err(SolveError::Budget(exhausted));
             }
@@ -638,10 +640,10 @@ impl<'a> SyncSolver<'a> {
                     cache.clear();
                 }
             }
-            let choices = self.induce_layer(
+            self.induce_layer(
                 &builder,
                 t,
-                &mut protocol,
+                &mut choices,
                 &mut stats,
                 engine,
                 &guard_ids,
@@ -684,7 +686,7 @@ impl<'a> SyncSolver<'a> {
                             resource: Resource::Nodes,
                             at_layer: t + 1,
                         };
-                        return Ok(partial(builder, protocol, stats, per_layer, exhausted));
+                        return Ok(partial(builder, choices, stats, per_layer, exhausted));
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -695,6 +697,7 @@ impl<'a> SyncSolver<'a> {
         stats.layers = system.layer_count();
         stats.points = usize::try_from(system.explicit_point_count()).unwrap_or(usize::MAX);
         let stabilized = system.stabilization();
+        let protocol = self.protocol_of(&system, choices);
         Ok(SolveOutcome::Complete(Box::new(Solution {
             system,
             protocol,
@@ -704,23 +707,34 @@ impl<'a> SyncSolver<'a> {
         })))
     }
 
-    /// Evaluates every guard on the frontier layer, records protocol
-    /// entries, and produces the step choices.
+    /// The standard protocol the recorded `choices` define on `system`:
+    /// an entry per local state the induction reached, each agent's
+    /// default action elsewhere.
+    fn protocol_of(&self, system: &InterpretedSystem, choices: StepChoices) -> MapProtocol {
+        let mut protocol = MapProtocol::from_choices(vec![ActionId(0)], system, choices);
+        for program in self.kbp.programs() {
+            protocol.set_agent_default(program.agent(), vec![program.default_action()]);
+        }
+        protocol
+    }
+
+    /// Evaluates every guard on the frontier layer and records the
+    /// induced action set of each of its local states in `choices`, by
+    /// local id.
     #[allow(clippy::too_many_arguments)]
     fn induce_layer(
         &self,
         builder: &SystemBuilder<'_>,
         time: usize,
-        protocol: &mut MapProtocol,
+        choices: &mut StepChoices,
         stats: &mut SolveStats,
         engine: &EvalEngine,
         guard_ids: &[Vec<FormulaId>],
         flat_ids: &[FormulaId],
         cache: &mut EvalCache,
-    ) -> Result<StepChoices, SolveError> {
+    ) -> Result<(), SolveError> {
         let layer = builder.current();
         let model = layer.model();
-        let mut choices = StepChoices::new();
 
         // One fill per layer covers all programs: a subformula used by
         // several agents' guards is evaluated once, and independent guards
@@ -783,24 +797,28 @@ impl<'a> SyncSolver<'a> {
                 }
             }
 
+            // The induced set is a function of the guard row, so it is
+            // induced and interned once per distinct row. Under perfect
+            // recall a local state occurs at exactly one time, so its slot
+            // is always fresh. Under observational recall the same
+            // observation recurs; a memoryless protocol exists only if the
+            // induced actions agree.
+            let mut induced: HashMap<&[bool], u32> = HashMap::new();
             for local in order {
-                let actions = program.induced_actions(row(first[local.index() - lo] as usize));
-                let history = builder.local_history(agent, local);
-                // Under perfect recall a history occurs at exactly one
-                // time, so entries never collide. Under observational
-                // recall the same observation recurs; a memoryless
-                // protocol exists only if the induced actions agree.
-                match protocol.insert_or_get(agent, history, actions.clone()) {
-                    Some(prev) if prev != actions.as_slice() => {
+                let truths = row(first[local.index() - lo] as usize);
+                let id = *induced
+                    .entry(truths)
+                    .or_insert_with(|| choices.intern_set(program.induced_actions(truths)));
+                match choices.set_interned(agent, local, id) {
+                    None => stats.protocol_entries += 1,
+                    Some(prev) if prev != id => {
                         return Err(SolveError::ObservationalConflict { agent, time });
                     }
                     Some(_) => {}
-                    None => stats.protocol_entries += 1,
                 }
-                choices.set(agent, local, actions);
             }
         }
-        Ok(choices)
+        Ok(())
     }
 }
 
@@ -1008,6 +1026,55 @@ mod tests {
             Some(&[ActionId(0)][..])
         );
         assert_eq!(solution.stabilized(), Some(1));
+    }
+
+    #[test]
+    fn observational_conflict_names_agent_and_time() {
+        // Agent b's observation never changes; it knows `start` (the
+        // clock reads 0) only at time 0, so the induced action flips at
+        // time 1 for the same observation. Agent a sees the clock.
+        let mut voc = Vocabulary::new();
+        let a = voc.add_agent("a");
+        let b = voc.add_agent("b");
+        let start = voc.add_prop("start");
+        let ctx = ContextBuilder::new(voc)
+            .initial_state(GlobalState::new(vec![0]))
+            .agent_actions(a, ["noop"])
+            .agent_actions(b, ["noop", "go"])
+            .transition(|s, _| s.with_reg(0, (s.reg(0) + 1).min(2)))
+            .observe(|agent, s| {
+                if agent.index() == 0 {
+                    Obs(u64::from(s.reg(0)))
+                } else {
+                    Obs(0)
+                }
+            })
+            .props(move |q, s| q == start && s.reg(0) == 0)
+            .build();
+        let kbp = Kbp::builder()
+            .default_action(a, ActionId(0))
+            .clause(b, Formula::knows(b, Formula::prop(start)), ActionId(1))
+            .default_action(b, ActionId(0))
+            .build();
+        let solve = |recall| {
+            SyncSolver::new(&ctx, &kbp)
+                .horizon(3)
+                .recall(recall)
+                .solve()
+        };
+        assert_eq!(
+            solve(Recall::Observational).unwrap_err(),
+            SolveError::ObservationalConflict { agent: b, time: 1 }
+        );
+        let perfect = solve(Recall::Perfect).unwrap();
+        assert_eq!(
+            perfect.protocol().get(b, &[Obs(0)]),
+            Some(&[ActionId(1)][..])
+        );
+        assert_eq!(
+            perfect.protocol().get(b, &[Obs(0), Obs(0)]),
+            Some(&[ActionId(0)][..])
+        );
     }
 
     #[test]

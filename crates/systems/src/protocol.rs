@@ -7,9 +7,9 @@
 //! current observation (observational semantics).
 
 use crate::context::ActionId;
-use crate::state::Obs;
+use crate::state::{LocalId, LocalTable, Obs};
+use crate::system::{InterpretedSystem, StepChoices};
 use kbp_logic::Agent;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An agent's local state as seen by a protocol.
@@ -32,10 +32,11 @@ impl LocalView<'_> {
     }
 
     /// The time step this view belongs to (history length − 1) under
-    /// perfect recall; `0` under observational semantics.
+    /// perfect recall; `0` under observational semantics, and for an empty
+    /// history (never produced by the framework).
     #[must_use]
     pub fn time(&self) -> usize {
-        self.history.len() - 1
+        self.history.len().saturating_sub(1)
     }
 }
 
@@ -83,32 +84,90 @@ where
 /// assert_eq!(p.actions(&view), vec![ActionId(0)]); // default
 /// ```
 ///
-/// Entries are kept in one map per agent, so a lookup borrows the history
-/// slice instead of building an owned `(agent, history)` key, and each
-/// entry holds the interned id of its action set: a knowledge-based
-/// program induces few distinct sets however many histories it acts at.
-/// The maps keep the default hasher: histories are sequences of
-/// context-defined observation codes, which a user's `.kbp` context
-/// chooses freely. Equality compares the resolved sets, so it depends
-/// neither on insertion order nor on the order sets were interned in.
+/// Each agent's histories live on a forest of local states, the
+/// `(parent, observation)` interning a generated system uses
+/// ([`LocalTable`]), with one interned action-set id per forest node, or
+/// none: a history is an entry only if its own node holds a set, so the
+/// interior nodes on its path need not be entries. A lookup walks the
+/// history's path, and a knowledge-based program induces few distinct
+/// sets however many histories it acts at. The forest's index keeps the
+/// default hasher: histories are sequences of context-defined observation
+/// codes, which a user's `.kbp` context chooses freely. Equality compares
+/// the resolved `(agent, history) → set` map, so it depends neither on
+/// insertion order nor on the order histories or sets were interned in.
 #[derive(Debug, Clone, Default)]
 pub struct MapProtocol {
     /// Explicit entries, indexed by agent; agents past the end have none.
-    entries: Vec<HashMap<Vec<Obs>, u32>>,
+    agents: Vec<AgentEntries>,
     /// The entries' action sets, by interned id.
     sets: ActionSets,
+    /// Number of explicit entries: forest nodes that hold a set.
+    len: usize,
     agent_defaults: HashMap<Agent, Vec<ActionId>>,
     default: Vec<ActionId>,
 }
 
+/// One agent's entries: `set_of[node]` is the interned set at forest node
+/// `node`, or [`NO_SET`]. Always as long as the forest.
+#[derive(Debug, Clone, Default)]
+struct AgentEntries {
+    forest: LocalTable,
+    set_of: Vec<u32>,
+}
+
+/// The set id of a forest node or choice slot without an entry.
+pub(crate) const NO_SET: u32 = u32::MAX;
+
+impl AgentEntries {
+    /// The interned set of the entry at `history`, if it has one.
+    fn get(&self, history: &[Obs]) -> Option<u32> {
+        let node = self.forest.lookup(history)?;
+        self.set_of
+            .get(node.index())
+            .copied()
+            .filter(|&id| id != NO_SET)
+    }
+
+    /// Whether each of these entries, resolved through `sets`, is an entry
+    /// of `other` with an equal set: one probe into `other`'s forest per
+    /// node of this one, parents first.
+    fn within(&self, sets: &ActionSets, other: &AgentEntries, other_sets: &ActionSets) -> bool {
+        let mut image: Vec<Option<LocalId>> = Vec::with_capacity(self.set_of.len());
+        for (n, &id) in self.set_of.iter().enumerate() {
+            let (parent, obs) = self.forest.entry(LocalId(n as u32));
+            let node = match parent {
+                None => other.forest.find(None, obs),
+                Some(p) => image[p.index()].and_then(|q| other.forest.find(Some(q), obs)),
+            };
+            image.push(node);
+            if id != NO_SET {
+                let theirs = node
+                    .and_then(|m| other.set_of.get(m.index()).copied())
+                    .filter(|&t| t != NO_SET);
+                if theirs.is_none_or(|t| sets.get(id) != other_sets.get(t)) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
 impl PartialEq for MapProtocol {
     fn eq(&self, other: &Self) -> bool {
+        // Equal counts and every entry of `self` found in `other` leave
+        // `other` no entry of its own.
         self.default == other.default
             && self.agent_defaults == other.agent_defaults
-            && self.len() == other.len()
+            && self.len == other.len
             && self
+                .agents
                 .iter()
-                .all(|(agent, history, actions)| other.get(agent, history) == Some(actions))
+                .enumerate()
+                .all(|(i, mine)| match other.agents.get(i) {
+                    Some(theirs) => mine.within(&self.sets, theirs, &other.sets),
+                    None => mine.within(&self.sets, &AgentEntries::default(), &other.sets),
+                })
     }
 }
 
@@ -141,6 +200,11 @@ impl ActionSets {
     pub(crate) fn get(&self, id: u32) -> &[ActionId] {
         &self.sets[id as usize]
     }
+
+    /// Whether `id` names a set of this table.
+    pub(crate) fn contains(&self, id: u32) -> bool {
+        (id as usize) < self.sets.len()
+    }
 }
 
 impl MapProtocol {
@@ -155,8 +219,49 @@ impl MapProtocol {
     pub fn new(default: Vec<ActionId>) -> Self {
         assert!(!default.is_empty(), "default action set must be nonempty");
         MapProtocol {
-            entries: Vec::new(),
-            sets: ActionSets::default(),
+            default,
+            ..MapProtocol::default()
+        }
+    }
+
+    /// The protocol that acts as `choices` does at every local state of
+    /// `system` it holds a choice for, and by `default` elsewhere: the
+    /// system's local-state forests, with the choices' set ids on their
+    /// nodes. This is how a solver that records its induced sets per
+    /// [`LocalId`](crate::LocalId) hands over its protocol; choices for
+    /// local ids the system does not hold are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `default` is empty.
+    #[must_use]
+    pub fn from_choices(
+        default: Vec<ActionId>,
+        system: &InterpretedSystem,
+        choices: StepChoices,
+    ) -> Self {
+        assert!(!default.is_empty(), "default action set must be nonempty");
+        let lens: Vec<usize> = (0..system.agent_count())
+            .map(|i| system.local_table(i).len())
+            .collect();
+        let (slots, sets) = choices.into_slots(&lens);
+        let agents: Vec<AgentEntries> = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, set_of)| AgentEntries {
+                forest: system.local_table(i).clone(),
+                set_of,
+            })
+            .collect();
+        let len = agents
+            .iter()
+            .flat_map(|e| &e.set_of)
+            .filter(|&&id| id != NO_SET)
+            .count();
+        MapProtocol {
+            agents,
+            sets,
+            len,
             agent_defaults: HashMap::new(),
             default,
         }
@@ -173,65 +278,66 @@ impl MapProtocol {
         self.agent_defaults.insert(agent, actions);
     }
 
-    /// Sets the action set for one history.
+    /// Sets the action set for one history, replacing any it had.
     ///
     /// # Panics
     ///
-    /// Panics if `actions` is empty.
+    /// Panics if `history` or `actions` is empty: every local state has
+    /// at least one observation, and protocols must always act.
     pub fn insert(&mut self, agent: Agent, history: Vec<Obs>, actions: Vec<ActionId>) {
+        assert!(!history.is_empty(), "history must be nonempty");
         assert!(!actions.is_empty(), "action set must be nonempty");
         let id = self.sets.intern(actions);
-        agent_entries(&mut self.entries, agent).insert(history, id);
-    }
-
-    /// Sets the action set for a history that has no entry yet, in one
-    /// probe. A history that already has one keeps it, and that entry is
-    /// returned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actions` is empty.
-    pub fn insert_or_get(
-        &mut self,
-        agent: Agent,
-        history: Vec<Obs>,
-        actions: Vec<ActionId>,
-    ) -> Option<&[ActionId]> {
-        assert!(!actions.is_empty(), "action set must be nonempty");
-        match agent_entries(&mut self.entries, agent).entry(history) {
-            Entry::Occupied(e) => Some(self.sets.get(*e.get())),
-            Entry::Vacant(v) => {
-                v.insert(self.sets.intern(actions));
-                None
-            }
+        let i = agent.index();
+        if i >= self.agents.len() {
+            self.agents.resize_with(i + 1, AgentEntries::default);
         }
+        let entries = &mut self.agents[i];
+        let forest = &mut entries.forest;
+        let mut node = forest.intern_root(history[0]);
+        for &obs in &history[1..] {
+            node = forest.intern_child(node, obs);
+        }
+        entries.set_of.resize(forest.len(), NO_SET);
+        let slot = &mut entries.set_of[node.index()];
+        if *slot == NO_SET {
+            self.len += 1;
+        }
+        *slot = id;
     }
 
     /// Looks up the explicit entry for a history, if any.
     #[must_use]
     pub fn get(&self, agent: Agent, history: &[Obs]) -> Option<&[ActionId]> {
-        let &id = self.entries.get(agent.index())?.get(history)?;
+        let id = self.agents.get(agent.index())?.get(history)?;
         Some(self.sets.get(id))
     }
 
     /// Number of explicit entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.iter().map(HashMap::len).sum()
+        self.len
     }
 
     /// Whether the protocol has no explicit entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.iter().all(HashMap::is_empty)
+        self.len == 0
     }
 
-    /// Iterates over `(agent, history, actions)` entries in arbitrary
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (Agent, &[Obs], &[ActionId])> {
-        self.entries.iter().enumerate().flat_map(move |(i, map)| {
-            map.iter()
-                .map(move |(h, &id)| (Agent::new(i), h.as_slice(), self.sets.get(id)))
+    /// Iterates over `(agent, history, actions)` entries: agent by agent,
+    /// each agent's in the order its forest interned their local states
+    /// (a history after its prefixes).
+    pub fn iter(&self) -> impl Iterator<Item = (Agent, Vec<Obs>, &[ActionId])> + '_ {
+        self.agents.iter().enumerate().flat_map(move |(i, e)| {
+            e.set_of
+                .iter()
+                .enumerate()
+                .filter(|&(_, &id)| id != NO_SET)
+                .map(move |(n, &id)| {
+                    let history = e.forest.history(LocalId(n as u32));
+                    (Agent::new(i), history, self.sets.get(id))
+                })
         })
     }
 
@@ -251,8 +357,8 @@ impl MapProtocol {
     pub fn to_pretty(&self, ctx: &dyn crate::context::Context) -> String {
         use std::fmt::Write as _;
         let voc = ctx.vocabulary();
-        let mut entries: Vec<(Agent, &[Obs], &[ActionId])> = self.iter().collect();
-        entries.sort_by(|x, y| (x.0, x.1.len(), x.1).cmp(&(y.0, y.1.len(), y.1)));
+        let mut entries: Vec<(Agent, Vec<Obs>, &[ActionId])> = self.iter().collect();
+        entries.sort_by(|x, y| (x.0, x.1.len(), &x.1).cmp(&(y.0, y.1.len(), &y.1)));
         let mut out = String::new();
         let mut current: Option<Agent> = None;
         for (agent, history, actions) in entries {
@@ -278,24 +384,11 @@ impl MapProtocol {
         self.default.len() == 1
             && self.agent_defaults.values().all(|v| v.len() == 1)
             && self
-                .entries
+                .agents
                 .iter()
-                .flat_map(HashMap::values)
-                .all(|&id| self.sets.get(id).len() == 1)
+                .flat_map(|e| &e.set_of)
+                .all(|&id| id == NO_SET || self.sets.get(id).len() == 1)
     }
-}
-
-/// The entry map of `agent` in a [`MapProtocol`]'s `entries`, created on
-/// first use.
-fn agent_entries(
-    entries: &mut Vec<HashMap<Vec<Obs>, u32>>,
-    agent: Agent,
-) -> &mut HashMap<Vec<Obs>, u32> {
-    let i = agent.index();
-    if i >= entries.len() {
-        entries.resize_with(i + 1, HashMap::new);
-    }
-    &mut entries[i]
 }
 
 impl ProtocolFn for MapProtocol {
@@ -357,6 +450,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_local_view_saturates_to_time_zero() {
+        let v = LocalView {
+            agent: Agent::new(0),
+            history: &[],
+        };
+        assert_eq!(v.time(), 0);
+        assert_eq!(v.current(), Obs(0));
+    }
+
+    #[test]
     fn map_protocol_lookup_and_default() {
         let a = Agent::new(0);
         let b = Agent::new(1);
@@ -400,7 +503,7 @@ mod tests {
         d.set_agent_default(a, vec![ActionId(1)]);
         assert_ne!(p, d);
         assert_eq!((p.len(), q.len()), (2, 3));
-        let mut entries: Vec<_> = q.iter().map(|(agent, h, _)| (agent, h.to_vec())).collect();
+        let mut entries: Vec<_> = q.iter().map(|(agent, h, _)| (agent, h)).collect();
         entries.sort();
         assert_eq!(
             entries,
@@ -431,7 +534,7 @@ mod tests {
         let mut q = MapProtocol::new(vec![ActionId(0)]);
         for k in [1, 2, 3, 0] {
             let (agent, h, acts) = rows[k].clone();
-            assert_eq!(q.insert_or_get(agent, h, acts), None);
+            q.insert(agent, h, acts);
         }
         assert_eq!(p, q);
         assert_eq!(q, p);
@@ -465,16 +568,90 @@ mod tests {
     }
 
     #[test]
-    fn insert_or_get_keeps_the_first_entry() {
+    fn entries_on_an_interior_node_and_its_extension() {
+        let a = Agent::new(0);
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        p.insert(a, vec![Obs(1), Obs(2)], vec![ActionId(1)]);
+        p.insert(a, vec![Obs(1), Obs(2), Obs(3)], vec![ActionId(2)]);
+        assert_eq!(p.get(a, &[Obs(1), Obs(2)]), Some(&[ActionId(1)][..]));
+        assert_eq!(
+            p.get(a, &[Obs(1), Obs(2), Obs(3)]),
+            Some(&[ActionId(2)][..])
+        );
+        assert_eq!(p.len(), 2);
+        // The root on their path is interned but holds no entry.
+        assert_eq!(p.get(a, &[Obs(1)]), None, "interior node without entry");
+        assert_eq!(p.get(a, &[Obs(1), Obs(3)]), None, "missing path");
+        assert_eq!(p.get(a, &[Obs(2)]), None, "missing root");
+        assert_eq!(p.get(a, &[]), None, "empty history");
+        let entries: Vec<_> = p
+            .iter()
+            .map(|(agent, h, acts)| (agent, h, acts.to_vec()))
+            .collect();
+        assert_eq!(
+            entries,
+            vec![
+                (a, vec![Obs(1), Obs(2)], vec![ActionId(1)]),
+                (a, vec![Obs(1), Obs(2), Obs(3)], vec![ActionId(2)]),
+            ],
+            "forest order, prefixes first"
+        );
+    }
+
+    #[test]
+    fn insert_overwrites_an_entry() {
         let a = Agent::new(3);
         let mut p = MapProtocol::new(vec![ActionId(0)]);
-        assert_eq!(p.insert_or_get(a, vec![Obs(1)], vec![ActionId(1)]), None);
-        assert_eq!(
-            p.insert_or_get(a, vec![Obs(1)], vec![ActionId(2)]),
-            Some(&[ActionId(1)][..])
-        );
-        assert_eq!(p.get(a, &[Obs(1)]), Some(&[ActionId(1)][..]));
+        p.insert(a, vec![Obs(1)], vec![ActionId(1)]);
+        p.insert(a, vec![Obs(1)], vec![ActionId(2)]);
+        assert_eq!(p.get(a, &[Obs(1)]), Some(&[ActionId(2)][..]));
         assert_eq!(p.len(), 1);
+        assert_eq!(p.iter().count(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_forest_and_set_interning_order() {
+        let (a, b) = (Agent::new(0), Agent::new(1));
+        let rows = [
+            (a, vec![Obs(5)], vec![ActionId(1)]),
+            (
+                a,
+                vec![Obs(5), Obs(6), Obs(7)],
+                vec![ActionId(0), ActionId(2)],
+            ),
+            (a, vec![Obs(4), Obs(6)], vec![ActionId(2)]),
+            (b, vec![Obs(6), Obs(6)], vec![ActionId(1)]),
+        ];
+        let mut p = MapProtocol::new(vec![ActionId(0)]);
+        for (agent, h, acts) in rows.iter().cloned() {
+            p.insert(agent, h, acts);
+        }
+        // `q` interns the forests and the sets in another order, starting
+        // with one entry `p` lacks.
+        let mut q = MapProtocol::new(vec![ActionId(0)]);
+        q.insert(b, vec![Obs(4)], vec![ActionId(9)]);
+        for (agent, h, acts) in rows.iter().rev().cloned() {
+            q.insert(agent, h, acts);
+        }
+        assert_ne!(p, q, "q holds one more entry");
+        let mut p2 = p.clone();
+        p2.insert(b, vec![Obs(4)], vec![ActionId(9)]);
+        assert_eq!(p2, q);
+        assert_eq!(q, p2);
+        // The same entries under a different set, or a different history,
+        // differ.
+        let mut r = q.clone();
+        r.insert(a, vec![Obs(5), Obs(6), Obs(7)], vec![ActionId(2)]);
+        assert_ne!(p2, r);
+        assert_ne!(r, p2);
+        let mut s = MapProtocol::new(vec![ActionId(0)]);
+        for (agent, h, acts) in rows.iter().cloned() {
+            let mut h = h;
+            h.reverse();
+            s.insert(agent, h, acts);
+        }
+        assert_ne!(p, s);
+        assert_ne!(s, p);
     }
 
     #[test]

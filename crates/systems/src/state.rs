@@ -245,6 +245,30 @@ impl LocalTable {
         }
     }
 
+    /// The id of the root (`parent` `None`) or extension already interned
+    /// for `obs`, without interning it.
+    pub(crate) fn find(&self, parent: Option<LocalId>, obs: Obs) -> Option<LocalId> {
+        self.ids.get(&(parent, obs)).copied()
+    }
+
+    /// The id of the local state with observation history `history`
+    /// (oldest first), if it has been interned. An empty history names
+    /// no local state.
+    pub(crate) fn lookup(&self, history: &[Obs]) -> Option<LocalId> {
+        let (&first, rest) = history.split_first()?;
+        rest.iter()
+            .try_fold(self.find(None, first)?, |id, &obs| self.find(Some(id), obs))
+    }
+
+    /// The `(parent, observation)` pair local state `id` was interned as.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this table.
+    pub(crate) fn entry(&self, id: LocalId) -> (Option<LocalId>, Obs) {
+        self.entries[id.index()]
+    }
+
     /// The observation history of a local state, oldest first.
     ///
     /// # Panics
@@ -313,6 +337,12 @@ mod tests {
         assert_eq!(t.last_obs(step2), Obs(9));
         // Interning the same extension twice yields the same id.
         assert_eq!(t.intern_child(root, Obs(8)), step1);
+        // Lookup walks the path without interning.
+        assert_eq!(t.lookup(&[Obs(7), Obs(8), Obs(9)]), Some(step2));
+        assert_eq!(t.lookup(&[Obs(7)]), Some(root));
+        assert_eq!(t.lookup(&[Obs(7), Obs(9)]), None);
+        assert_eq!(t.lookup(&[]), None);
+        assert_eq!(t.len(), 3);
     }
 
     #[test]

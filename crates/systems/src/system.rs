@@ -14,12 +14,12 @@
 //! operators).
 
 use crate::context::{ActionId, Context, ContextError, JointAction};
-use crate::protocol::{ActionSets, LocalView, ProtocolFn};
+use crate::protocol::{ActionSets, LocalView, ProtocolFn, NO_SET};
 use crate::state::{GlobalState, LocalId, LocalTable, Obs, StateId, StateTable};
 use kbp_kripke::{Partition, S5Builder, S5Model, UnionFind};
 use kbp_logic::{Agent, PropId};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
@@ -420,7 +420,10 @@ impl From<ContextError> for GenerateError {
 }
 
 /// Per-step action choices: for each agent, an action set per local state
-/// occurring in the current layer.
+/// occurring in the current layer. A table may also hold choices for
+/// local states of earlier layers, which a step ignores: the `kbp-core`
+/// solver keeps one table for a whole solve and reads its protocol off
+/// it ([`MapProtocol::from_choices`](crate::MapProtocol::from_choices)).
 ///
 /// Keying by [`LocalId`] makes class-consistency automatic: all points
 /// where the agent has the same local state necessarily receive the same
@@ -450,7 +453,7 @@ struct ChoiceWindow {
 }
 
 impl ChoiceWindow {
-    const UNSET: u32 = u32::MAX;
+    const UNSET: u32 = NO_SET;
 
     fn get(&self, local: LocalId) -> Option<u32> {
         let k = local.0.checked_sub(self.lo)? as usize;
@@ -487,18 +490,62 @@ impl StepChoices {
 
     /// Sets the action set for one `(agent, local state)` pair.
     pub fn set(&mut self, agent: Agent, local: LocalId, actions: Vec<ActionId>) {
-        let id = self.sets.intern(actions);
+        let id = self.intern_set(actions);
+        self.set_interned(agent, local, id);
+    }
+
+    /// Interns an action set in this table, returning the id to pass to
+    /// [`set_interned`](Self::set_interned): equal sets, equal ids.
+    pub fn intern_set(&mut self, actions: Vec<ActionId>) -> u32 {
+        self.sets.intern(actions)
+    }
+
+    /// Sets the action set for one `(agent, local state)` pair to the set
+    /// interned under `id`, and returns the id the pair held before, if
+    /// any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by [`intern_set`](Self::intern_set)
+    /// on this table.
+    pub fn set_interned(&mut self, agent: Agent, local: LocalId, id: u32) -> Option<u32> {
+        assert!(
+            self.sets.contains(id),
+            "action set id foreign to this table"
+        );
         let i = agent.index();
         if i >= self.windows.len() {
             self.windows.resize_with(i + 1, ChoiceWindow::default);
         }
-        self.windows[i].set(local, id);
+        let window = &mut self.windows[i];
+        let prev = window.get(local);
+        window.set(local, id);
+        prev
     }
 
     /// Looks up the action set for a pair, if present.
     #[must_use]
     pub fn get(&self, agent: Agent, local: LocalId) -> Option<&[ActionId]> {
         self.set_id(agent, local).map(|id| self.sets.get(id))
+    }
+
+    /// For agent `i < lens.len()`, the set id chosen for each local id in
+    /// `0..lens[i]` ([`NO_SET`] where none was), with the table the ids
+    /// refer to. Agents past the last one given a choice get no vector.
+    pub(crate) fn into_slots(self, lens: &[usize]) -> (Vec<Vec<u32>>, ActionSets) {
+        let slots = self
+            .windows
+            .iter()
+            .zip(lens)
+            .map(|(w, &len)| {
+                let mut dense = vec![NO_SET; len];
+                let lo = (w.lo as usize).min(dense.len());
+                let hi = (lo + w.slots.len()).min(dense.len());
+                dense[lo..hi].copy_from_slice(&w.slots[..hi - lo]);
+                dense
+            })
+            .collect();
+        (slots, self.sets)
     }
 
     /// The interned id of the pair's action set: equal ids, equal sets.
@@ -713,23 +760,29 @@ impl<'c> SystemBuilder<'c> {
     /// run prefixes and a protocol must act at each of them.
     #[must_use]
     pub fn frontier_locals(&self) -> Vec<(Agent, LocalId)> {
-        // First-occurrence order; the hash set keeps the dedup linear in
-        // the frontier, which runs to thousands of member locals.
-        let mut seen: Vec<(Agent, LocalId)> = Vec::new();
-        let mut known: HashSet<(Agent, LocalId)> = HashSet::new();
-        let mut note = |key: (Agent, LocalId)| {
-            if known.insert(key) {
-                seen.push(key);
+        // First-occurrence order. Local ids are dense, so each agent's
+        // dedup is a slot table over the range of ids it holds.
+        let layer = self.current();
+        let agents = self.ctx.agent_count();
+        let mut seen: Vec<LocalSlots> = (0..agents)
+            .map(|i| {
+                LocalSlots::over(
+                    (0..layer.len()).flat_map(|node| layer.members(Agent::new(i), node)),
+                )
+            })
+            .collect();
+        let mut out: Vec<(Agent, LocalId)> = Vec::new();
+        let mut note = |i: usize, l: LocalId| {
+            if seen[i].insert(l) {
+                out.push((Agent::new(i), l));
             }
         };
-        let layer = self.current();
         match layer.quotient() {
             Some(q) => {
-                for i in 0..self.ctx.agent_count() {
-                    let agent = Agent::new(i);
+                for i in 0..agents {
                     for c in 0..q.class_count() {
-                        for &l in q.members(agent, c) {
-                            note((agent, l));
+                        for &l in q.members(Agent::new(i), c) {
+                            note(i, l);
                         }
                     }
                 }
@@ -737,12 +790,12 @@ impl<'c> SystemBuilder<'c> {
             None => {
                 for node in layer.nodes() {
                     for (i, &l) in node.locals.iter().enumerate() {
-                        note((Agent::new(i), l));
+                        note(i, l);
                     }
                 }
             }
         }
-        seen
+        out
     }
 
     /// The S5 model over worlds holding the given global states: the
@@ -876,9 +929,16 @@ impl<'c> SystemBuilder<'c> {
             // Cartesian product over agents' action sets.
             let mut combo: Vec<usize> = vec![0; agents];
             loop {
-                let acts: Vec<ActionId> = (0..agents).map(|i| sets[i][combo[i]]).collect();
-                for &env in &env_moves {
-                    let joint = JointAction::new(env, acts.clone());
+                let mut acts: Vec<ActionId> = (0..agents).map(|i| sets[i][combo[i]]).collect();
+                for (e, &env) in env_moves.iter().enumerate() {
+                    // The last move takes the vector itself: one
+                    // allocation per edge.
+                    let acts = if e + 1 == env_moves.len() {
+                        std::mem::take(&mut acts)
+                    } else {
+                        acts.clone()
+                    };
+                    let joint = JointAction::new(env, acts);
                     let next = ctx.transition(&state, &joint);
                     obs.clear();
                     obs.extend((0..agents).map(|i| ctx.observe(Agent::new(i), &next)));
@@ -1173,6 +1233,30 @@ impl<'c> SystemBuilder<'c> {
     }
 }
 
+/// A set of local ids within a known range, as one flag per id.
+struct LocalSlots {
+    lo: usize,
+    seen: Vec<bool>,
+}
+
+impl LocalSlots {
+    /// An empty set over the range spanned by `locals`.
+    fn over<'l>(locals: impl Iterator<Item = &'l LocalId>) -> Self {
+        let (lo, hi) = locals.fold((usize::MAX, 0), |(lo, hi), l| {
+            (lo.min(l.index()), hi.max(l.index()))
+        });
+        LocalSlots {
+            lo,
+            seen: vec![false; hi.saturating_sub(lo) + 1],
+        }
+    }
+
+    /// Adds `l`, which must lie in the range; whether it was absent.
+    fn insert(&mut self, l: LocalId) -> bool {
+        !std::mem::replace(&mut self.seen[l.index() - self.lo], true)
+    }
+}
+
 /// Union-find roots linking elements that share any member local for
 /// an agent: `get(element, agent)` yields the element's member local
 /// set. Returns, per agent, a root label in `0..n` per element — the
@@ -1409,6 +1493,15 @@ impl InterpretedSystem {
     #[must_use]
     pub fn local_view(&self, agent: Agent, local: LocalId) -> Vec<Obs> {
         self.locals[agent.index()].history(local)
+    }
+
+    /// The local-state forest of agent `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn local_table(&self, i: usize) -> &LocalTable {
+        &self.locals[i]
     }
 
     /// The local state of `agent` at `point`.
